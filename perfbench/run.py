@@ -10,6 +10,9 @@ overhead on each end-to-end metric. The last line of stdout is the JSON
 result; the lines before it give the environment, output checks, digests and
 sample counts. The same record goes to ``.perfbench_out/result_<workload>.json``
 and the traced run's spans to ``.perfbench_out/spans_<workload>.csv``.
+
+The benchmark runs on one CPU, with one BLAS thread per process, and gives
+every timed figure at reference host speed (``hostspeed.py``).
 """
 
 import argparse
@@ -24,6 +27,10 @@ import sys
 from checkout import OUT, ROOT, script, use_checkout_source
 
 use_checkout_source()
+# One BLAS thread per process, unless set otherwise: bridge runs a client and
+# a server process on a 2-vCPU host, and pedalrl's matrices are small.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 
@@ -112,6 +119,19 @@ def environment():
     }
 
 
+def pin_to_one_cpu(env):
+    """Run this process and every process it starts on one CPU.
+
+    Left to the scheduler, the bridge client and server ran on one CPU or on
+    two for a whole run, and throughput differed by 0.1 between the two;
+    and an op that moves to another CPU is not timed on the CPU its
+    host-speed reference ran on.
+    """
+    cpu = max(os.sched_getaffinity(0))  # CPU 0 takes most interrupts
+    os.sched_setaffinity(0, {cpu})
+    env["pinned_cpu"] = cpu
+
+
 def as_dict(outcome):
     return {
         "correct": outcome.correct,
@@ -154,6 +174,9 @@ def traced(args):
     failed = base["failed"] + spans["failed"]
     metrics["failed_ops_frac"] = (failed / attempted, "ratio")
     metrics["bridge.rtt_us_p99"] = (base["info"].get("rtt_us_p99", 0.0), "us")
+    metrics["host.reference_ms"] = (base["info"]["reference_ms_p50"], "ms")
+    for name, unit in (("setup_s", "s"), ("decisions_per_s", "1/s"), ("op_ms_p50", "ms")):
+        metrics["raw." + name] = (base["info"]["raw_end_to_end"][name], unit)
     metrics["bridge.rtt_samples"] = (base["info"].get("frames", 0), "count")
     return {
         "correct": base["correct"] and spans["correct"],
@@ -186,6 +209,7 @@ def main(argv=None):
         return 0
 
     env = environment()
+    pin_to_one_cpu(env)
     if args.trace:
         record = traced(args)
     else:

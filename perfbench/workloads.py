@@ -5,10 +5,12 @@
 from ``seed``. With a tracer, spans cover the measured ops only; set-up runs
 in probe and server processes, which trace themselves and report back.
 
-``setup_s`` is the median wall time of ``SETUP_SAMPLES`` fresh processes
-from spawn until the first op could run: imports, config, env and agents
+``setup_s`` is the median time of ``SETUP_SAMPLES`` fresh processes from
+spawn until the first op could run: imports, config, env and agents
 (``probe.py``), or a policy server answering its first frame
-(``server.py``). Op times are medians over the run's ops.
+(``server.py``). Op times are medians over the run's ops. Every set-up
+sample and op is scaled to reference host speed (``hostspeed.py``); the
+unscaled figures are returned in ``info["raw_end_to_end"]``.
 """
 
 import hashlib
@@ -30,6 +32,7 @@ import numpy as np
 
 import layers
 from checkout import OUT, script
+from hostspeed import HostClock
 from pedalrl import bridge, episode, harness, ppo
 
 SETUP_SAMPLES = 7
@@ -37,7 +40,7 @@ TRAIN_SETTING = 2
 UPDATES_PER_OP = 1  # train: each ppo.train call runs this many updates
 SWEEP_SETTINGS = tuple(range(1, 9))
 BRIDGE_EPISODES = 4  # bridge: episodes whose observations are replayed as frames
-THROUGHPUT_CHUNK = 1000  # bridge: frames per throughput sample
+CHUNK_FRAMES = 2000  # bridge: frames between two reference runs
 SUBPROCESS_TIMEOUT_S = 60
 
 
@@ -66,13 +69,26 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def end_to_end(setup_s, rss_mb, decisions_per_s, op_s):
-    return {
-        "setup_s": (statistics.median(setup_s), "s"),
+def scaled(samples, rate=False):
+    """Samples given as (values, scales) at reference host speed."""
+    values, scales = (np.asarray(v, dtype=np.float64) for v in samples)
+    return values / scales if rate else values * scales
+
+
+def end_to_end(setup, rss_mb, rates, op_s):
+    """(metrics, unscaled figures) from (values, scales) sample pairs."""
+    metrics = {
+        "setup_s": (float(np.median(scaled(setup))), "s"),
         "peak_rss_mb": (rss_mb, "MB"),
-        "decisions_per_s": (decisions_per_s, "1/s"),
-        "op_ms_p50": (float(np.median(op_s)) * 1e3, "ms"),
+        "decisions_per_s": (float(np.median(scaled(rates, rate=True))), "1/s"),
+        "op_ms_p50": (float(np.median(scaled(op_s))) * 1e3, "ms"),
     }
+    raw = {
+        "setup_s": statistics.median(setup[0]),
+        "decisions_per_s": statistics.median(rates[0]),
+        "op_ms_p50": float(np.median(op_s[0])) * 1e3,
+    }
+    return metrics, raw
 
 
 def _finish(proc):
@@ -126,8 +142,9 @@ SETUPS = {"train": setup_train, "sweep_eval": setup_sweep}
 
 
 def probe_setup(workload, seed, traced):
-    """Set-up times of fresh probe processes, plus their span reports."""
-    times, reports = [], []
+    """(set-up times, their scales) of fresh probe processes, and span reports."""
+    clock = HostClock()
+    times, scales, reports = [], [], []
     for _ in range(SETUP_SAMPLES):
         cmd = script("probe.py") + [workload, str(seed)] + (["--trace"] if traced else [])
         t0 = perf_counter()
@@ -137,11 +154,12 @@ def probe_setup(workload, seed, traced):
             times.append(perf_counter() - t0)
         finally:
             rest = _finish(proc)
+        scales.append(clock.mark())
         if first != "ready\n":
             raise RuntimeError("set-up probe printed %r" % first)
         if traced:
             reports.append(json.loads(rest))
-    return times, reports
+    return (times, scales), reports
 
 
 # -- train -----------------------------------------------------------------
@@ -162,25 +180,27 @@ def train_digest(result):
 
 def run_train(seed, seconds, tracer):
     """Op = one PPO update of ``ppo.train`` on setting 2 at shipped PPOHyper."""
-    setup_s, setup_reports = probe_setup("train", seed, tracer is not None)
+    setup, setup_reports = probe_setup("train", seed, tracer is not None)
     cfg, env = setup_train(seed)
     if tracer is not None:
         layers.install_train(tracer)
-    op_s, rates, digests, failed = [], [], [], 0
+    op_s, rates, scales, digests, failed = [], [], [], [], 0
     try:
+        clock = HostClock()
         start = perf_counter()
         while True:
             t0 = perf_counter()
             result = ppo.train(env, cfg.hyper, rep_seed(seed, len(op_s)), UPDATES_PER_OP)
             t1 = perf_counter()
+            scales.append(clock.mark())
             op_s.append((t1 - t0) / UPDATES_PER_OP)
             rates.append(len(result.value_curve) * env.n_decisions / (t1 - t0))
             digest, finite = train_digest(result)
             digests.append(digest)
             failed += 0 if finite else UPDATES_PER_OP
-            if t1 - start >= seconds:
+            if perf_counter() - start >= seconds:
                 break
-        wall = perf_counter() - start
+        wall = perf_counter() - start - clock.marked_s
         rss_mb = peak_rss_mb()
     finally:
         if tracer is not None:
@@ -188,13 +208,15 @@ def run_train(seed, seconds, tracer):
     rerun, _ = train_digest(ppo.train(env, cfg.hyper, rep_seed(seed, 0), UPDATES_PER_OP))
     checks = {"losses_finite": failed == 0, "rerun_digest_equal": rerun == digests[0]}
     failed += 0 if checks["rerun_digest_equal"] else UPDATES_PER_OP
+    metrics, raw = end_to_end(setup, rss_mb, (rates, scales), (op_s, scales))
     out = Outcome(
-        metrics=end_to_end(setup_s, rss_mb, statistics.median(rates), op_s),
+        metrics=metrics,
         attempted=len(op_s) * UPDATES_PER_OP,
         failed=failed,
         checks=checks,
         digests={"first_op_value_curve_and_losses": digests[0]},
-        info={"updates_per_op": UPDATES_PER_OP, "ops": len(op_s), "setting": TRAIN_SETTING},
+        info={"updates_per_op": UPDATES_PER_OP, "ops": len(op_s), "setting": TRAIN_SETTING,
+              "raw_end_to_end": raw, "reference_ms_p50": clock.reference_ms_p50},
     )
     if tracer is not None:
         out.layers = layers.metrics(tracer, wall, setup_reports)
@@ -225,16 +247,17 @@ def check_sweep(out_dir, n_settings):
 
 def run_sweep_eval(seed, seconds, tracer):
     """Op = one evaluated and exported episode of ``harness.sweep`` over settings 1..8."""
-    setup_s, setup_reports = probe_setup("sweep_eval", seed, tracer is not None)
+    setup, setup_reports = probe_setup("sweep_eval", seed, tracer is not None)
     cfg = setup_sweep(seed)
     episodes = len(SWEEP_SETTINGS) * cfg.eval_episodes
     os.makedirs(OUT, exist_ok=True)
     work = tempfile.mkdtemp(prefix="sweep-", dir=OUT)
-    op_s, rates, failed, first = [], [], 0, None
+    op_s, rates, scales, failed, first = [], [], [], 0, None
     try:
         if tracer is not None:
             layers.install_sweep(tracer)
         try:
+            clock = HostClock()
             start = perf_counter()
             while True:
                 k = len(op_s)
@@ -243,6 +266,7 @@ def run_sweep_eval(seed, seconds, tracer):
                 t0 = perf_counter()
                 harness.sweep(SWEEP_SETTINGS, run_cfg, out_dir)
                 t1 = perf_counter()
+                scales.append(clock.mark())
                 op_s.append((t1 - t0) / episodes)
                 rates.append(episodes * cfg.n_decisions / (t1 - t0))
                 ok, hashes, exported = check_sweep(out_dir, len(SWEEP_SETTINGS))
@@ -252,9 +276,9 @@ def run_sweep_eval(seed, seconds, tracer):
                 if first is None:
                     first = hashes
                 shutil.rmtree(out_dir)
-                if t1 - start >= seconds:
+                if perf_counter() - start >= seconds:
                     break
-            wall = perf_counter() - start
+            wall = perf_counter() - start - clock.marked_s
             rss_mb = peak_rss_mb()
         finally:
             if tracer is not None:
@@ -267,13 +291,15 @@ def run_sweep_eval(seed, seconds, tracer):
     checks = {"outputs_match_manifest": failed == 0, "rerun_manifest_equal": rerun == first}
     failed += 0 if checks["rerun_manifest_equal"] else episodes
     manifest = hashlib.sha256(json.dumps(first, sort_keys=True).encode()).hexdigest()
+    metrics, raw = end_to_end(setup, rss_mb, (rates, scales), (op_s, scales))
     out = Outcome(
-        metrics=end_to_end(setup_s, rss_mb, statistics.median(rates), op_s),
+        metrics=metrics,
         attempted=len(op_s) * episodes,
         failed=failed,
         checks=checks,
         digests={"first_op_manifest_files": manifest},
-        info={"episodes_per_sweep": episodes, "sweeps": len(op_s)},
+        info={"episodes_per_sweep": episodes, "sweeps": len(op_s),
+              "raw_end_to_end": raw, "reference_ms_p50": clock.reference_ms_p50},
     )
     if tracer is not None:
         out.layers = layers.metrics(tracer, wall, setup_reports)
@@ -350,9 +376,11 @@ class Connection:
 def start_servers(ckpt, frames, traced):
     """Start SETUP_SAMPLES servers in turn, each until its first ACT; keep the last.
 
-    Returns (set-up times, server start-up span reports, open connection).
+    Returns ((set-up times, their scales), server start-up span reports, open
+    connection).
     """
-    times, reports = [], []
+    clock = HostClock()
+    times, scales, reports = [], [], []
     agent, payload, want = frames[0]
     for i in range(SETUP_SAMPLES):
         t0 = perf_counter()
@@ -365,24 +393,12 @@ def start_servers(ckpt, frames, traced):
         except BaseException:
             conn.close(1)
             raise
+        scales.append(clock.mark())
         if i == SETUP_SAMPLES - 1:
-            return times, reports, conn
+            return (times, scales), reports, conn
         report = conn.close(1)
         if traced:
             reports.append(json.loads(report)["setup"])
-
-
-def frames_per_s(done, wall):
-    """Median over chunks of THROUGHPUT_CHUNK frames of frames answered per second.
-
-    ``done`` holds each frame's completion time from the start of the loop.
-    A median over chunks, like the per-op medians of the other workloads,
-    keeps a short stall on the shared machine from moving the whole run.
-    """
-    ends = np.frombuffer(done)[THROUGHPUT_CHUNK - 1 :: THROUGHPUT_CHUNK]
-    if len(ends) == 0:
-        return len(done) / wall
-    return float(np.median(THROUGHPUT_CHUNK / np.diff(ends, prepend=0.0)))
 
 
 def run_bridge(seed, seconds, tracer):
@@ -394,33 +410,39 @@ def run_bridge(seed, seconds, tracer):
         frames = bridge_inputs(seed, ckpt)
         with open(ckpt, "rb") as fh:
             ckpt_digest = hashlib.sha256(fh.read()).hexdigest()
-        setup_s, setup_reports, conn = start_servers(ckpt, frames, tracer is not None)
+        setup, setup_reports, conn = start_servers(ckpt, frames, tracer is not None)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    rtts, done, errs, wrong = array("d"), array("d"), 0, 0
+    # Op = one frame; the reference runs after each chunk of CHUNK_FRAMES
+    # frames, and a chunk's frames share its scale.
+    rtts, rtt_scales, rates, scales, errs, wrong = array("d"), array("d"), [], [], 0, 0
     step = 1
     try:
         if tracer is not None:
             layers.install_client(tracer, sys.modules[__name__])
         try:
+            clock = HostClock()
             start = perf_counter()
             while True:
-                agent, payload, want = frames[step % len(frames)]
-                if tracer is not None:
-                    tracer.op = step
-                t0 = perf_counter()
-                reply = round_trip(conn.sock, conn.rfile, step, agent, payload)
-                t1 = perf_counter()
-                rtts.append(t1 - t0)
-                done.append(t1 - start)
-                if reply.kind == "ERR":
-                    errs += 1
-                elif not reply_ok(reply, step, agent, want):
-                    wrong += 1
-                step += 1
-                if t1 - start >= seconds:
+                c0 = perf_counter()
+                for _ in range(CHUNK_FRAMES):
+                    agent, payload, want = frames[step % len(frames)]
+                    if tracer is not None:
+                        tracer.op = step
+                    t0 = perf_counter()
+                    reply = round_trip(conn.sock, conn.rfile, step, agent, payload)
+                    rtts.append(perf_counter() - t0)
+                    if reply.kind == "ERR":
+                        errs += 1
+                    elif not reply_ok(reply, step, agent, want):
+                        wrong += 1
+                    step += 1
+                rates.append(CHUNK_FRAMES / (perf_counter() - c0))
+                scales.append(clock.mark())
+                rtt_scales.extend([scales[-1]] * CHUNK_FRAMES)
+                if perf_counter() - start >= seconds:
                     break
-            wall = perf_counter() - start
+            wall = perf_counter() - start - clock.marked_s
             rss_mb = peak_rss_mb()
         finally:
             if tracer is not None:
@@ -428,14 +450,17 @@ def run_bridge(seed, seconds, tracer):
     finally:
         report = conn.close(step)
     actions = hashlib.sha256(json.dumps([f[2] for f in frames]).encode()).hexdigest()
-    p99 = float(np.percentile(np.frombuffer(rtts), 99))
+    metrics, raw = end_to_end(setup, rss_mb, (rates, scales), (rtts, rtt_scales))
+    p99 = float(np.percentile(scaled((rtts, rtt_scales)), 99))
+    raw["rtt_us_p99"] = float(np.percentile(rtts, 99)) * 1e6
     out = Outcome(
-        metrics=end_to_end(setup_s, rss_mb, frames_per_s(done, wall), np.frombuffer(rtts)),
+        metrics=metrics,
         attempted=len(rtts),
         failed=errs + wrong,
         checks={"no_err_frames": errs == 0, "acts_equal_greedy": wrong == 0},
         digests={"checkpoint": ckpt_digest, "expected_actions": actions},
-        info={"frames": len(rtts), "rtt_us_p99": p99 * 1e6, "distinct_frames": len(frames)},
+        info={"frames": len(rtts), "rtt_us_p99": p99 * 1e6, "distinct_frames": len(frames),
+              "raw_end_to_end": raw, "reference_ms_p50": clock.reference_ms_p50},
     )
     if tracer is not None:
         tracer.counts["bridge.err_frames"] = errs
