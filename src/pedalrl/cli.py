@@ -10,6 +10,8 @@ import numpy as np
 from . import kernels
 from .bridge import serve_policies
 from .config import apply_overrides, load_config
+from .controllers import default_integral_limit, load_setting
+from .episode import pack_plant, pack_reference
 from .harness import (
     config_from_dict,
     evaluate_agents,
@@ -17,6 +19,8 @@ from .harness import (
     sweep,
     train_setting,
 )
+from .human import HumanParams
+from .plant import PlantParams, ReferenceTrajectory
 from .ppo import load_checkpoint, save_checkpoint
 
 
@@ -123,32 +127,40 @@ def cmd_bridge_serve(args) -> int:
 def cmd_bench(args) -> int:
     """Time the fused substep kernel: compiled backend vs pure Python."""
     interval = args.interval
-    blocks = args.blocks
     noise = np.zeros(interval)
-    plant_p = np.array([0.3, 1.0, 30.0, 0.01, -0.6, 0.6, 10.0])
-    ref_p = np.array([0.3, 4.0, 0.0, 0.0])
+    plant = PlantParams()
+    plant_p = pack_plant(plant)
+    ref_p = pack_reference(ReferenceTrajectory())
+    human = HumanParams()
+    setting = load_setting(1)
+    pid = setting.machine_pid[0]
+    int_limit = default_integral_limit(pid, plant.torque_limit)
+    pd_hi, pd_lo = setting.human_pd
 
-    def run(fn):
+    def run(fn, blocks):
         sim = np.zeros(kernels.SIM_SIZE)
-        queue = np.zeros(5, dtype=np.int64)
+        queue = np.zeros(human.reaction_delay, dtype=np.int64)
         n = blocks * interval
         outs = [np.empty(n) for _ in range(6)]
         start = time.perf_counter()
         for b in range(blocks):
             digit = (-2, -1, 0, 1, 2)[b % 5]
             fn(
-                sim, queue, digit, 24.0, 2.4, 24.0, 12.5, 30.0, 0.2, 15.0, 0.1,
-                5.0, 0.2, noise, plant_p, ref_p, *outs, b * interval, interval,
+                sim, queue, digit, pid.kp, pid.ki, pid.kd, int_limit,
+                pd_hi.kp, pd_hi.kd, pd_lo.kp, pd_lo.kd,
+                human.unit_torque, human.lag_time_constant, noise,
+                plant_p, ref_p, *outs, b * interval, interval,
             )
         elapsed = time.perf_counter() - start
         return elapsed, outs[2].copy()
 
+    blocks = args.blocks
     if kernels.NUMBA_ENABLED:
-        kernels.warmup()
-        jit_time, jit_pos = run(kernels.run_substeps)
+        run(kernels.run_substeps, 1)  # compile once so the timing excludes it
+        jit_time, jit_pos = run(kernels.run_substeps, blocks)
     else:
         jit_time, jit_pos = None, None
-    py_time, py_pos = run(kernels.run_substeps_python)
+    py_time, py_pos = run(kernels.run_substeps_python, blocks)
 
     steps = blocks * interval
     print("substeps: %d (blocks=%d, interval=%d)" % (steps, blocks, interval))

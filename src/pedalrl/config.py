@@ -4,8 +4,11 @@ One ``key = value`` per line; ``#`` starts a comment; blank lines are
 ignored. Values become int, float or bool where they parse as one, else
 stay strings. Keys are dotted paths (``plant.inertia``, ``hyper.gamma``)
 consumed by the harness; the same ``key=value`` syntax is accepted as CLI
-overrides, which win over the file.
+overrides, which win over the file. :func:`coerce` then turns each value
+into the type of the dataclass field it sets.
 """
+
+import math
 
 
 def parse_scalar(text: str):
@@ -56,3 +59,26 @@ def apply_overrides(cfg: dict, pairs) -> dict:
         key, val = pair.split("=", 1)
         out[key.strip()] = parse_scalar(val)
     return out
+
+
+def coerce(key: str, value, kind):
+    """``value`` as type ``kind`` (int, float, bool or str) for config ``key``.
+
+    Ints accept integral floats, floats accept ints and must be finite,
+    bools accept only booleans. Anything else raises ValueError naming the key.
+    """
+    if kind is str:
+        return str(value)
+    if isinstance(value, bool):
+        if kind is bool:
+            return value
+    elif kind is int:
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    elif kind is float and isinstance(value, (int, float)):
+        if math.isfinite(value):
+            return float(value)
+        raise ValueError("config key %r: %r is not finite" % (key, value))
+    raise ValueError("config key %r: expected %s, got %r" % (key, kind.__name__, value))

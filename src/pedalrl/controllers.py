@@ -1,13 +1,12 @@
-"""Discrete-time PD/PID sub-controllers and the eight fixed gain banks.
+"""PD/PID gains and the eight fixed sub-controller banks.
 
 Each experiment setting pairs one reward weighting with two human PD gain
 pairs and two machine PID gain triples. Agents act by switching between the
-two entries of their bank; the step functions here are the shared
-implementation for both banks.
+two entries of their bank; the PD/PID updates themselves run inside the
+fused kernel (:mod:`pedalrl.kernels`).
 """
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 EPS_GAIN = 1e-12  # floor used when deriving the anti-windup limit from ki
 
@@ -31,15 +30,6 @@ class PIDGains:
     def __post_init__(self):
         if self.kp < 0.0 or self.ki < 0.0 or self.kd < 0.0:
             raise ValueError("PID gains must be non-negative")
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    """Mutable part of a PD/PID loop, owned by the caller."""
-
-    integral: float = 0.0
-    prev_error: float = 0.0
-    initialized: bool = False
 
 
 @dataclass(frozen=True)
@@ -94,56 +84,3 @@ def default_integral_limit(gains: PIDGains, torque_limit: float) -> float:
     """Anti-windup bound: the integral term alone cannot exceed actuator authority."""
     return torque_limit / max(gains.ki, EPS_GAIN)
 
-
-def pid_step(
-    gains: PIDGains,
-    error: float,
-    state: ControllerState,
-    dt: float,
-    integral_limit: float = math.inf,
-):
-    """One PID update; returns (torque, new state).
-
-    Derivative acts on the error and is forced to zero on the first sample
-    after a reset, avoiding a startup kick. The integral accumulates before
-    clamping to ``integral_limit``.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if not math.isfinite(error):
-        raise ValueError("non-finite controller error: %r" % (error,))
-    if state.initialized:
-        derivative = (error - state.prev_error) / dt
-    else:
-        derivative = 0.0
-    integral = state.integral + error * dt
-    integral = min(max(integral, -integral_limit), integral_limit)
-    torque = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return torque, ControllerState(
-        integral=integral, prev_error=error, initialized=True
-    )
-
-
-def pd_step(
-    gains: PDGains,
-    error: float,
-    state: ControllerState,
-    dt: float,
-):
-    """One PD update; identical to :func:`pid_step` with ki = 0."""
-    return pid_step(PIDGains(gains.kp, 0.0, gains.kd), error, state, dt)
-
-
-def reset_controller(state: ControllerState = None) -> ControllerState:
-    """Fresh controller state: zero integral, cleared derivative history."""
-    return ControllerState()
-
-
-def switch_controller(state: ControllerState) -> ControllerState:
-    """State carried across a sub-controller switch.
-
-    The previous error is kept so the derivative term sees no artificial
-    jump from the switch itself; the integral is dropped because it was
-    accumulated under the other gain set and would act as stale windup.
-    """
-    return replace(state, integral=0.0)

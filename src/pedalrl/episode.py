@@ -25,6 +25,7 @@ from .plant import PedalState, PlantParams, ReferenceTrajectory, sample_referenc
 from .rewards import (
     PositionWindow,
     RewardWeights,
+    comfort_term,
     machine_reward,
     make_action_window,
     shared_reward,
@@ -52,17 +53,20 @@ class ObsScales:
 
 @dataclass(frozen=True)
 class EnvParams:
-    """Everything one episode needs, bundled."""
+    """Everything one episode needs, bundled.
+
+    The episode shape has no defaults here; ``harness.ExperimentConfig``
+    holds the shipped values.
+    """
 
     plant: PlantParams
     reference: ReferenceTrajectory
     human: HumanParams
     setting: SettingConfig
     weights: RewardWeights
-    window: int = 10  # k: decision steps per reward window
-    decision_interval: int = 10  # plant substeps per decision
-    n_decisions: int = 60
-    scales: ObsScales = None
+    window: int  # k: decision steps per reward window
+    decision_interval: int  # plant substeps per decision
+    n_decisions: int
     use_machine_reward: bool = False  # give agent 1 its own omega-penalized variant
 
     def __post_init__(self):
@@ -70,11 +74,6 @@ class EnvParams:
             raise ValueError("reward window needs k >= 3")
         if self.decision_interval < 1 or self.n_decisions < 1:
             raise ValueError("decision_interval and n_decisions must be >= 1")
-
-    def resolved_scales(self) -> ObsScales:
-        if self.scales is not None:
-            return self.scales
-        return ObsScales.from_config(self.plant, self.reference)
 
 
 @dataclass(frozen=True)
@@ -156,14 +155,6 @@ class ConstantPolicy:
         return self.index, 0.0
 
 
-def smoothness(positions) -> float:
-    """Sum of absolute second differences; 0 when fewer than 3 samples."""
-    total = 0.0
-    for i in range(2, len(positions)):
-        total += abs(positions[i] + positions[i - 2] - 2.0 * positions[i - 1])
-    return total
-
-
 def observe_human(angle, t, sm, prev_digit, tau_m, traj, scales) -> np.ndarray:
     e_t = sample_reference(traj, t) - angle
     return np.array(
@@ -223,7 +214,7 @@ def run_episode(
     """Roll one full episode; returns the trace and both agents' transitions."""
     if substep_fn is None:
         substep_fn = kernels.run_substeps
-    scales = env.resolved_scales()
+    scales = ObsScales.from_config(env.plant, env.reference)
     setting: SettingConfig = env.setting
     k = env.window
     interval = env.decision_interval
@@ -323,7 +314,7 @@ def run_episode(
         prev_m_idx = a_m
         last_tau_m = tm_arr[row]
         last_tau_h = th_arr[row]
-        sm = smoothness(pos_hist[-k:])
+        sm = comfort_term(pos_hist[-k:])
         next_obs_h = observe_human(
             sim[kernels.SIM_ANGLE], sim[kernels.SIM_T], sm, prev_digit, last_tau_m,
             env.reference, scales,

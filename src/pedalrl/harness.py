@@ -10,10 +10,11 @@ seeds are fixed and shared across settings so rows stay comparable.
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .config import coerce
 from .controllers import load_setting
 from .episode import EnvParams, EpisodeTrace, SamplingPolicy, run_episode
 from .human import HumanParams
@@ -28,109 +29,98 @@ SUBJECTS = {
     "subject_13": HumanParams(unit_torque=10.0),
 }
 
-# Desk-scale training schedule. The small learning rate matters: it keeps
-# probability ratios off the clip boundary, so the per-setting reward-weight
-# differences translate into proportionally different policy speeds instead
-# of being equalized by the clip. 130 updates is past the point where the
-# comfort-weighted settings have stopped wandering (their residual wander
-# otherwise dominates tracking error), and each setting trains in ~30 s.
-TRAIN_DEFAULTS = {
-    "train.n_updates": 130,
-    "eval.episodes": 10,
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    setting_id: int
-    subject: str
+    """One run, fully resolved. The field defaults are the shipped values."""
+
     seed: int
     plant: PlantParams
     reference: ReferenceTrajectory
     human: HumanParams
     hyper: PPOHyper
-    window: int = 10
-    decision_interval: int = 10
+    setting_id: int = 2
+    subject: str = "subject_1"
+    window: int = 10  # k: decision steps per reward window
+    decision_interval: int = 10  # plant substeps per decision
     n_decisions: int = 60
+    # Desk-scale training schedule. The small learning rate (PPOHyper)
+    # matters: it keeps probability ratios off the clip boundary, so the
+    # per-setting reward-weight differences translate into proportionally
+    # different policy speeds instead of being equalized by the clip. 130
+    # updates is past the point where the comfort-weighted settings have
+    # stopped wandering (their residual wander otherwise dominates tracking
+    # error), and each setting trains in ~30 s.
     n_updates: int = 130
     eval_episodes: int = 10
     output_dir: str = "runs"
 
 
-def _pick(cfg: dict, prefix: str, cls, base=None):
-    """Build dataclass ``cls`` from ``prefix.field`` keys, over ``base``."""
-    fields = cls.__dataclass_fields__
+# Flat config key -> ExperimentConfig field.
+CONFIG_KEYS = {
+    "seed": "seed",
+    "setting": "setting_id",
+    "subject": "subject",
+    "episode.window": "window",
+    "episode.decision_interval": "decision_interval",
+    "episode.n_decisions": "n_decisions",
+    "train.n_updates": "n_updates",
+    "eval.episodes": "eval_episodes",
+    "output_dir": "output_dir",
+}
+
+
+def _pick(cfg: dict, prefix: str, base):
+    """``base`` with its fields replaced by the ``prefix.field`` keys of ``cfg``."""
+    types = {f.name: f.type for f in fields(base)}
     kwargs = {}
     for key, value in cfg.items():
         if not key.startswith(prefix + "."):
             continue
         name = key[len(prefix) + 1 :]
-        if name not in fields:
+        if name not in types:
             raise ValueError("unknown config key %r" % key)
-        kwargs[name] = value
-    if base is not None:
-        return replace(base, **kwargs) if kwargs else base
-    return cls(**kwargs)
+        kwargs[name] = coerce(key, value, types[name])
+    try:
+        return replace(base, **kwargs)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (prefix, exc)) from None
 
 
 def config_from_dict(cfg: dict) -> ExperimentConfig:
     """Resolve a flat key-value dict into a full ExperimentConfig.
 
-    Precedence: dataclass defaults < subject profile < TRAIN_DEFAULTS <
-    caller-supplied keys (file and CLI overrides already merged).
+    Precedence: dataclass defaults < subject profile < caller-supplied keys
+    (file and CLI overrides already merged). Every value is coerced to its
+    field's type once, here; a bad value raises ValueError naming its key.
     """
-    merged = dict(TRAIN_DEFAULTS)
-    merged.update(cfg)
-
-    subject = merged.pop("subject", "subject_1")
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    top = {
+        name: coerce(key, cfg[key], types[name])
+        for key, name in CONFIG_KEYS.items()
+        if key in cfg
+    }
+    if "seed" not in top:
+        raise ValueError("seed is mandatory (set seed = N or pass --seed)")
+    subject = top.get("subject", ExperimentConfig.subject)
     if subject not in SUBJECTS:
         raise ValueError(
             "unknown subject %r (have: %s)" % (subject, ", ".join(sorted(SUBJECTS)))
         )
-    known_top = {
-        "setting": 2,
-        "seed": None,
-        "episode.window": 10,
-        "episode.decision_interval": 10,
-        "episode.n_decisions": 60,
-        "train.n_updates": 40,
-        "eval.episodes": 5,
-        "output_dir": "runs",
+    # Each section's ``prefix.field`` keys override its base dataclass.
+    bases = {
+        "plant": PlantParams(),
+        "reference": ReferenceTrajectory(),
+        "human": SUBJECTS[subject],
+        "hyper": PPOHyper(),
     }
-    top = {}
-    for key, default in known_top.items():
-        top[key] = merged.pop(key, default)
-    if top["seed"] is None:
-        raise ValueError("seed is mandatory (set seed = N or pass --seed)")
-
-    plant = _pick(merged, "plant", PlantParams, PlantParams())
-    reference = _pick(merged, "reference", ReferenceTrajectory, ReferenceTrajectory())
-    human = _pick(merged, "human", HumanParams, SUBJECTS[subject])
-    hyper = _pick(merged, "hyper", PPOHyper, PPOHyper())
-
-    consumed = {
-        k for k in merged
-        if k.split(".", 1)[0] in ("plant", "reference", "human", "hyper")
+    leftovers = {
+        k for k in cfg if k not in CONFIG_KEYS and k.split(".", 1)[0] not in bases
     }
-    leftovers = set(merged) - consumed
     if leftovers:
         raise ValueError("unknown config keys: %s" % ", ".join(sorted(leftovers)))
-
-    return ExperimentConfig(
-        setting_id=int(top["setting"]),
-        subject=subject,
-        seed=int(top["seed"]),
-        plant=plant,
-        reference=reference,
-        human=human,
-        hyper=hyper,
-        window=int(top["episode.window"]),
-        decision_interval=int(top["episode.decision_interval"]),
-        n_decisions=int(top["episode.n_decisions"]),
-        n_updates=int(top["train.n_updates"]),
-        eval_episodes=int(top["eval.episodes"]),
-        output_dir=str(top["output_dir"]),
-    )
+    sections = {prefix: _pick(cfg, prefix, base) for prefix, base in bases.items()}
+    return ExperimentConfig(**top, **sections)
 
 
 def make_env(cfg: ExperimentConfig, weights: RewardWeights = None) -> EnvParams:
@@ -158,7 +148,7 @@ class MetricsReport:
             raise ValueError("MSE metrics cannot be negative")
 
 
-def mse_metrics(trace: EpisodeTrace, unit_torque: float = 5.0) -> MetricsReport:
+def mse_metrics(trace: EpisodeTrace, unit_torque: float) -> MetricsReport:
     """Tracking MSE over plant steps, action dispersion over decision steps.
 
     The action metric measures activity: the variance of the commanded
@@ -184,19 +174,11 @@ def eval_seeds(base_seed: int, n_episodes: int) -> list:
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(base_seed).spawn(n_episodes)]
 
 
-def evaluate_agents(
-    human_actor,
-    machine_actor,
-    env: EnvParams,
-    n_episodes: int,
-    base_seed: int,
-    per_episode_seeds=None,
-):
+def evaluate_agents(human_actor, machine_actor, env: EnvParams, n_episodes: int, base_seed: int):
     """Run evaluation episodes; returns (mean MetricsReport, traces)."""
-    seeds = per_episode_seeds if per_episode_seeds is not None else eval_seeds(base_seed, n_episodes)
     traces = []
     reports = []
-    for s in seeds:
+    for s in eval_seeds(base_seed, n_episodes):
         rng = np.random.default_rng(s)
         res = run_episode(
             env, SamplingPolicy(human_actor), SamplingPolicy(machine_actor), rng
@@ -209,16 +191,6 @@ def evaluate_agents(
         value=float(np.mean([r.value for r in reports])),
     )
     return mean, traces
-
-
-def evaluate_value(
-    human_actor, machine_actor, env, n_episodes, base_seed, per_episode_seeds=None
-) -> float:
-    """Mean cumulative shared reward over the evaluation episodes."""
-    mean, _ = evaluate_agents(
-        human_actor, machine_actor, env, n_episodes, base_seed, per_episode_seeds
-    )
-    return mean.value
 
 
 def train_setting(cfg: ExperimentConfig, weights: RewardWeights = None):
@@ -257,24 +229,6 @@ def trace_to_csv(trace: EpisodeTrace) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def trace_from_csv(text: str, decision_interval: int, window: int) -> EpisodeTrace:
-    lines = text.strip().splitlines()
-    if lines[0] != ",".join(TRACE_COLUMNS):
-        raise ValueError("unexpected trace CSV header: %r" % lines[0])
-    cols = [[] for _ in TRACE_COLUMNS]
-    for ln in lines[1:]:
-        for slot, val in zip(cols, ln.split(",")):
-            slot.append(val)
-    as_f = lambda c: np.array([float(v) for v in c])
-    as_i = lambda c: np.array([int(v) for v in c], dtype=np.int64)
-    return EpisodeTrace(
-        time=as_f(cols[0]), reference=as_f(cols[1]), position=as_f(cols[2]),
-        omega=as_f(cols[3]), tau_machine=as_f(cols[4]), tau_human=as_f(cols[5]),
-        digit=as_i(cols[6]), machine_action=as_i(cols[7]), reward=as_f(cols[8]),
-        decision_interval=decision_interval, window=window,
-    )
 
 
 def export_results(reports: dict, traces: dict, out_dir, run_info: dict) -> dict:

@@ -10,14 +10,12 @@ is added before actuator clamping. With the delay and lag shrunk to zero the
 applied torque converges monotonically to the setpoint, which pins the model
 against drift or overshoot from the discretization.
 
-This module is the readable reference implementation; the fused kernel in
-:mod:`pedalrl.kernels` repeats the same arithmetic and is tested against the
-composition of these functions.
+The chain runs inside the fused kernel in :mod:`pedalrl.kernels`; the
+readable per-substep reference it is pinned against lives in the test suite
+(``tests/oracles.py``).
 """
 
 from dataclasses import dataclass
-
-from .controllers import ControllerState, PDGains, pd_step
 
 # Digit vocabulary in action-index order: index 0 is "rest".
 DIGITS = (0, 1, -1, 2, -2)
@@ -40,73 +38,3 @@ class HumanParams:
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be non-negative")
 
-
-@dataclass(frozen=True)
-class HumanState:
-    """Delay queue contents, lagged applied torque and PD history."""
-
-    digit_queue: tuple = ()
-    applied: float = 0.0
-    pd_state: ControllerState = ControllerState()
-
-
-def initial_human_state(params: HumanParams, resting_digit: int = 0) -> HumanState:
-    """Queue pre-filled with the resting digit so startup is well defined."""
-    if resting_digit not in DIGITS:
-        raise ValueError("resting digit %r not in %r" % (resting_digit, DIGITS))
-    return HumanState(digit_queue=(resting_digit,) * params.reaction_delay)
-
-
-def digit_target(digit: int, unit_torque: float) -> float:
-    """Torque setpoint commanded by a digit."""
-    if digit not in DIGITS:
-        raise ValueError("digit %r not in %r" % (digit, DIGITS))
-    return digit * unit_torque
-
-
-def pd_index_for_digit(digit: int) -> int:
-    """Bank index of the PD pair a digit engages (0 = strong pair)."""
-    return 0 if abs(digit) == 2 else 1
-
-
-def advance_delay(queue: tuple, commanded_digit: int):
-    """Pop the head as the effective digit, push the command at the tail.
-
-    A zero-length queue means no reaction delay: the command is effective
-    immediately. A command issued at substep t becomes effective at substep
-    t + len(queue).
-    """
-    if len(queue) == 0:
-        return commanded_digit, queue
-    return queue[0], queue[1:] + (commanded_digit,)
-
-
-def human_step(
-    params: HumanParams,
-    state: HumanState,
-    commanded_digit: int,
-    pd_pair: tuple,
-    noise: float,
-    dt: float,
-    torque_limit: float,
-):
-    """One substep of the human chain; returns (tau_h, new state).
-
-    ``pd_pair`` is the (strong, weak) PD pair of the active setting.
-    ``noise`` is the pre-drawn perturbation for this substep, already scaled
-    by ``noise_std``; it is added after the lag and clamped with the rest of
-    the torque so the emitted value always respects actuator limits.
-    """
-    if commanded_digit not in DIGITS:
-        raise ValueError("digit %r not in %r" % (commanded_digit, DIGITS))
-    eff, queue = advance_delay(state.digit_queue, commanded_digit)
-    gains: PDGains = pd_pair[pd_index_for_digit(eff)]
-    target = eff * params.unit_torque
-    error = target - state.applied
-    rate, pd_state = pd_step(gains, error, state.pd_state, dt)
-    lag_gain = dt / (params.lag_time_constant + dt)
-    applied = state.applied + lag_gain * dt * rate
-    tau_h = applied + noise
-    tau_h = min(max(tau_h, -torque_limit), torque_limit)
-    new_state = HumanState(digit_queue=queue, applied=applied, pd_state=pd_state)
-    return tau_h, new_state

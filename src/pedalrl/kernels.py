@@ -10,16 +10,14 @@ which keeps the two backends bit-for-bit identical. ``pedalrl bench``
 compares their speed.
 
 The kernel is deliberately self-contained (no calls into other modules) so
-that its ``py_func`` really is the whole fallback path. The readable,
-validated implementations of the same per-step math live in
-:mod:`pedalrl.plant`, :mod:`pedalrl.controllers` and :mod:`pedalrl.human`;
-the test suite pins the fused kernel against their composition.
+that its ``py_func`` really is the whole fallback path. It is the only
+implementation of the per-step math in the package. The readable reference
+it is pinned against, bit for bit, is the composition of the plant,
+controller and human step functions in ``tests/oracles.py``.
 """
 
 import math
 import os
-
-import numpy as np
 
 try:
     from numba import njit
@@ -227,16 +225,3 @@ run_substeps = hot(_run_substeps)
 # backend-equivalence tests.
 run_substeps_python = run_substeps.py_func if NUMBA_ENABLED else run_substeps
 
-
-def warmup():
-    """Trigger JIT compilation once so later timings exclude it."""
-    sim = np.zeros(SIM_SIZE)
-    queue = np.zeros(2, dtype=np.int64)
-    noise = np.zeros(1)
-    plant_p = np.array([0.3, 1.0, 30.0, 0.01, -0.6, 0.6, 10.0])
-    ref_p = np.array([0.3, 4.0, 0.0, 0.0])
-    out = [np.zeros(1) for _ in range(6)]
-    run_substeps(
-        sim, queue, 0, 12.0, 1.2, 12.0, 25.0, 30.0, 0.2, 15.0, 0.1,
-        5.0, 0.2, noise, plant_p, ref_p, *out, 0, 1,
-    )

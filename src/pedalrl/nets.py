@@ -168,18 +168,6 @@ def actor_forward(params: MLPParams, obs) -> ActionDistribution:
     return ActionDistribution(probabilities=p, log_probabilities=np.log(p))
 
 
-def actor_forward_cached(params: MLPParams, x):
-    """Batch probabilities plus the cache, for the update path."""
-    logits, cache = forward_cache(params, x)
-    p = softmax_probs(logits)
-    return p, cache
-
-
-def critic_forward(params: MLPParams, obs) -> float:
-    out, _ = forward_cache(params, obs)
-    return float(out[..., 0]) if out.ndim == 1 else out[..., 0]
-
-
 def sample_action(dist: ActionDistribution, rng) -> tuple:
     """Draw one action index; returns (index, log_prob).
 
@@ -198,12 +186,6 @@ def sample_action(dist: ActionDistribution, rng) -> tuple:
     return idx, float(dist.log_probabilities[idx])
 
 
-def entropy(dist: ActionDistribution) -> float:
-    """Shannon entropy of the distribution, in nats (0 .. ln Y)."""
-    p = dist.probabilities
-    return float(-(p * np.log(p)).sum(axis=-1))
-
-
 def params_to_text(params: MLPParams) -> str:
     """Serialize to the text checkpoint block (exact float round-trip)."""
     lines = [
@@ -218,6 +200,8 @@ def params_to_text(params: MLPParams) -> str:
 
 def params_from_text(text: str) -> MLPParams:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty network block")
     head = lines[0].split()
     if head[0] != "mlp" or len(head) != 5:
         raise ValueError("bad checkpoint header: %r" % lines[0])
@@ -229,10 +213,13 @@ def params_from_text(text: str) -> MLPParams:
     }
     arrays = {}
     for ln in lines[1:]:
-        name, rest = ln.split(" ", 1)
+        name, _, rest = ln.partition(" ")
         if name not in shapes:
             raise ValueError("unknown checkpoint array %r" % name)
         vals = np.array([float(v) for v in rest.split()], dtype=np.float64)
+        want = int(np.prod(shapes[name]))
+        if vals.size != want:
+            raise ValueError("%s has %d values, expected %d" % (name, vals.size, want))
         arrays[name] = vals.reshape(shapes[name])
     missing = set(shapes) - set(arrays)
     if missing:

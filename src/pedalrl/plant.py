@@ -1,9 +1,10 @@
-"""1-DOF rotational pedal plant and the sinusoidal reference trajectory.
+"""1-DOF rotational pedal plant parameters and the sinusoidal reference.
 
 The pedal is modeled as an inertia-damper driven by the sum of the machine
 torque and the human torque, integrated with semi-implicit Euler and bounded
 by hard mechanical stops (angular velocity is zeroed on contact, like a
-physical end stop).
+physical end stop). The step itself lives in the fused kernel
+(:mod:`pedalrl.kernels`).
 """
 
 import math
@@ -68,36 +69,3 @@ def sample_reference(traj: ReferenceTrajectory, t: float) -> float:
         2.0 * math.pi * t / traj.period + traj.phase
     )
 
-
-def step_plant(
-    state: PedalState,
-    tau_machine: float,
-    tau_human: float,
-    params: PlantParams,
-) -> PedalState:
-    """One semi-implicit Euler step of the pedal dynamics.
-
-    Both torque inputs saturate at ``params.torque_limit``. The angle is
-    clamped to the mechanical range and the angular velocity is zeroed when
-    a stop is hit.
-    """
-    if not (math.isfinite(tau_machine) and math.isfinite(tau_human)):
-        raise ValueError(
-            "non-finite torque input: tau_machine=%r tau_human=%r"
-            % (tau_machine, tau_human)
-        )
-    lim = params.torque_limit
-    tau_m = min(max(tau_machine, -lim), lim)
-    tau_h = min(max(tau_human, -lim), lim)
-
-    omega = state.angular_velocity
-    omega += params.dt * (tau_m + tau_h - params.damping * omega) / params.inertia
-    omega = min(max(omega, -params.omega_max), params.omega_max)
-    angle = state.angle + params.dt * omega
-    if angle < params.angle_min:
-        angle = params.angle_min
-        omega = 0.0
-    elif angle > params.angle_max:
-        angle = params.angle_max
-        omega = 0.0
-    return PedalState(angle=angle, angular_velocity=omega, time=state.time + params.dt)

@@ -357,7 +357,10 @@ def load_checkpoint(path) -> dict:
 
     def flush():
         if current is not None:
-            sections[current] = params_from_text("\n".join(block))
+            try:
+                sections[current] = params_from_text("\n".join(block))
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (current, exc)) from None
 
     for ln in lines[1:]:
         if ln.startswith("meta "):

@@ -100,13 +100,15 @@ def tracking_term(w: PositionWindow) -> float:
     return total
 
 
-def comfort_term(w: PositionWindow) -> float:
-    """Sum of absolute second differences of the actual positions (>= 0).
+def comfort_term(positions) -> float:
+    """Sum of absolute second differences of a position sequence (>= 0).
 
-    Zero exactly on affine position sequences: steady motion is comfortable,
-    acceleration is not.
+    Zero exactly on affine sequences and on fewer than 3 samples: steady
+    motion is comfortable, acceleration is not. The shared reward scores the
+    window's actual positions; the human observation scores the latest
+    (possibly shorter) position history.
     """
-    p = w.actual
+    p = positions
     total = 0.0
     for i in range(2, len(p)):
         total += abs(p[i] + p[i - 2] - 2.0 * p[i - 1])
@@ -149,5 +151,5 @@ def human_reward(r_m: float, r_c: float, r_e: float, weights: RewardWeights) -> 
 def shared_reward(w: PositionWindow, a: ActionWindow, weights: RewardWeights) -> float:
     """The combined scalar delivered identically to both agents."""
     return human_reward(
-        tracking_term(w), comfort_term(w), effort_term(a), weights
+        tracking_term(w), comfort_term(w.actual), effort_term(a), weights
     )

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from pedalrl.controllers import load_setting
-from pedalrl.episode import EnvParams
-from pedalrl.harness import SUBJECTS
-from pedalrl.plant import PlantParams, ReferenceTrajectory
-from pedalrl.rewards import weights_for_setting
+from pedalrl.harness import config_from_dict, make_env
 
 
 @pytest.fixture
@@ -19,16 +16,8 @@ def rng():
 
 
 def make_test_env(setting_id=2, **kwargs):
-    setting = load_setting(setting_id)
-    defaults = dict(
-        plant=PlantParams(),
-        reference=ReferenceTrajectory(),
-        human=SUBJECTS["subject_1"],
-        setting=setting,
-        weights=weights_for_setting(setting),
-    )
-    defaults.update(kwargs)
-    return EnvParams(**defaults)
+    """The shipped environment of ``setting_id``, with ``kwargs`` replaced."""
+    return replace(make_env(config_from_dict({"seed": 0, "setting": setting_id})), **kwargs)
 
 
 @pytest.fixture

@@ -1,11 +1,21 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written directly from the printed formulas with plain
-loops, no vectorization and no imports from pedalrl, so a shared bug with
-the implementation under test is unlikely.
+loops and no vectorization, so a shared bug with the implementation under
+test is unlikely. Imports from pedalrl are limited to its parameter/state
+dataclasses and the digit table, never its arithmetic.
+
+The per-substep models (plant step, PD/PID updates, the human chain) are
+the readable reference the fused kernel in ``pedalrl.kernels`` is pinned
+against, step by step and bit for bit.
 """
 
 import math
+from dataclasses import dataclass, replace
+
+from pedalrl.controllers import PDGains, PIDGains
+from pedalrl.human import DIGITS, HumanParams
+from pedalrl.plant import PedalState, PlantParams
 
 
 def tracking_sum(actual, reference):
@@ -90,3 +100,174 @@ def shannon_entropy(probs):
         if p > 0.0:
             total -= p * math.log(p)
     return total
+
+
+# -- per-substep models ------------------------------------------------------
+
+
+def step_plant(
+    state: PedalState,
+    tau_machine: float,
+    tau_human: float,
+    params: PlantParams,
+) -> PedalState:
+    """One semi-implicit Euler step of the pedal dynamics.
+
+    Both torque inputs saturate at ``params.torque_limit``. The angle is
+    clamped to the mechanical range and the angular velocity is zeroed when
+    a stop is hit.
+    """
+    if not (math.isfinite(tau_machine) and math.isfinite(tau_human)):
+        raise ValueError(
+            "non-finite torque input: tau_machine=%r tau_human=%r"
+            % (tau_machine, tau_human)
+        )
+    lim = params.torque_limit
+    tau_m = min(max(tau_machine, -lim), lim)
+    tau_h = min(max(tau_human, -lim), lim)
+
+    omega = state.angular_velocity
+    omega += params.dt * (tau_m + tau_h - params.damping * omega) / params.inertia
+    omega = min(max(omega, -params.omega_max), params.omega_max)
+    angle = state.angle + params.dt * omega
+    if angle < params.angle_min:
+        angle = params.angle_min
+        omega = 0.0
+    elif angle > params.angle_max:
+        angle = params.angle_max
+        omega = 0.0
+    return PedalState(angle=angle, angular_velocity=omega, time=state.time + params.dt)
+
+
+@dataclass(frozen=True)
+class ControllerState:
+    """Mutable part of a PD/PID loop, owned by the caller."""
+
+    integral: float = 0.0
+    prev_error: float = 0.0
+    initialized: bool = False
+
+
+def pid_step(
+    gains: PIDGains,
+    error: float,
+    state: ControllerState,
+    dt: float,
+    integral_limit: float = math.inf,
+):
+    """One PID update; returns (torque, new state).
+
+    Derivative acts on the error and is forced to zero on the first sample
+    after a reset, avoiding a startup kick. The integral accumulates before
+    clamping to ``integral_limit``.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if not math.isfinite(error):
+        raise ValueError("non-finite controller error: %r" % (error,))
+    if state.initialized:
+        derivative = (error - state.prev_error) / dt
+    else:
+        derivative = 0.0
+    integral = state.integral + error * dt
+    integral = min(max(integral, -integral_limit), integral_limit)
+    torque = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    return torque, ControllerState(
+        integral=integral, prev_error=error, initialized=True
+    )
+
+
+def pd_step(
+    gains: PDGains,
+    error: float,
+    state: ControllerState,
+    dt: float,
+):
+    """One PD update; identical to :func:`pid_step` with ki = 0."""
+    return pid_step(PIDGains(gains.kp, 0.0, gains.kd), error, state, dt)
+
+
+def reset_controller() -> ControllerState:
+    """Fresh controller state: zero integral, cleared derivative history."""
+    return ControllerState()
+
+
+def switch_controller(state: ControllerState) -> ControllerState:
+    """State carried across a sub-controller switch.
+
+    The previous error is kept so the derivative term sees no artificial
+    jump from the switch itself; the integral is dropped because it was
+    accumulated under the other gain set and would act as stale windup.
+    """
+    return replace(state, integral=0.0)
+
+
+@dataclass(frozen=True)
+class HumanState:
+    """Delay queue contents, lagged applied torque and PD history."""
+
+    digit_queue: tuple = ()
+    applied: float = 0.0
+    pd_state: ControllerState = ControllerState()
+
+
+def initial_human_state(params: HumanParams, resting_digit: int = 0) -> HumanState:
+    """Queue pre-filled with the resting digit so startup is well defined."""
+    if resting_digit not in DIGITS:
+        raise ValueError("resting digit %r not in %r" % (resting_digit, DIGITS))
+    return HumanState(digit_queue=(resting_digit,) * params.reaction_delay)
+
+
+def digit_target(digit: int, unit_torque: float) -> float:
+    """Torque setpoint commanded by a digit."""
+    if digit not in DIGITS:
+        raise ValueError("digit %r not in %r" % (digit, DIGITS))
+    return digit * unit_torque
+
+
+def pd_index_for_digit(digit: int) -> int:
+    """Bank index of the PD pair a digit engages (0 = strong pair)."""
+    return 0 if abs(digit) == 2 else 1
+
+
+def advance_delay(queue: tuple, commanded_digit: int):
+    """Pop the head as the effective digit, push the command at the tail.
+
+    A zero-length queue means no reaction delay: the command is effective
+    immediately. A command issued at substep t becomes effective at substep
+    t + len(queue).
+    """
+    if len(queue) == 0:
+        return commanded_digit, queue
+    return queue[0], queue[1:] + (commanded_digit,)
+
+
+def human_step(
+    params: HumanParams,
+    state: HumanState,
+    commanded_digit: int,
+    pd_pair: tuple,
+    noise: float,
+    dt: float,
+    torque_limit: float,
+):
+    """One substep of the human chain; returns (tau_h, new state).
+
+    ``pd_pair`` is the (strong, weak) PD pair of the active setting.
+    ``noise`` is the pre-drawn perturbation for this substep, already scaled
+    by ``noise_std``; it is added after the lag and clamped with the rest of
+    the torque so the emitted value always respects actuator limits.
+    """
+    if commanded_digit not in DIGITS:
+        raise ValueError("digit %r not in %r" % (commanded_digit, DIGITS))
+    eff, queue = advance_delay(state.digit_queue, commanded_digit)
+    gains: PDGains = pd_pair[pd_index_for_digit(eff)]
+    target = eff * params.unit_torque
+    error = target - state.applied
+    rate, pd_state = pd_step(gains, error, state.pd_state, dt)
+    lag_gain = dt / (params.lag_time_constant + dt)
+    applied = state.applied + lag_gain * dt * rate
+    tau_h = applied + noise
+    tau_h = min(max(tau_h, -torque_limit), torque_limit)
+    new_state = HumanState(digit_queue=queue, applied=applied, pd_state=pd_state)
+    return tau_h, new_state

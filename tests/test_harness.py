@@ -1,7 +1,7 @@
 import hashlib
 import json
 import os
-from dataclasses import replace
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -11,15 +11,15 @@ from pedalrl.config import apply_overrides, parse_config_text, parse_scalar
 from pedalrl.episode import ConstantPolicy, EpisodeTrace, run_episode
 from pedalrl.harness import (
     SUBJECTS,
+    TRACE_COLUMNS,
+    ExperimentConfig,
     config_from_dict,
     eval_seeds,
     evaluate_agents,
-    evaluate_value,
     export_results,
     make_env,
     mse_metrics,
     sweep,
-    trace_from_csv,
     trace_to_csv,
 )
 from pedalrl.nets import init_params
@@ -79,6 +79,13 @@ def test_config_defaults_and_shipped_schedule():
     assert cfg.eval_episodes == 10
     assert cfg.hyper.buffer_size == 2048
     assert cfg.human == SUBJECTS["subject_1"]
+    # the ExperimentConfig field defaults are the only table of defaults
+    for seed in (0, 7):
+        cfg = config_from_dict({"seed": seed})
+        assert cfg.seed == seed
+        for f in fields(ExperimentConfig):
+            if f.default is not MISSING:
+                assert getattr(cfg, f.name) == f.default, f.name
 
 
 def test_config_precedence_chain():
@@ -97,6 +104,18 @@ def test_config_precedence_chain():
     assert cfg.hyper.gamma == 0.5 and cfg.plant.inertia == 0.2
 
 
+# (key, value) pairs each config_from_dict must reject with an error naming the key
+BAD_VALUES = [
+    ("hyper.batch_size", "abc"),
+    ("plant.dt", "abc"),
+    ("episode.window", 12.7),
+    ("plant.inertia", float("nan")),
+    ("human.noise_std", float("inf")),
+    ("setting", True),
+    ("hyper.entropy_as_printed", 1),
+]
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown"):
         config_from_dict({"seed": 1, "plant.bogus": 2.0})
@@ -104,6 +123,14 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"seed": 1, "typo_key": 1})
     with pytest.raises(ValueError, match="unknown subject"):
         config_from_dict({"seed": 1, "subject": "subject_99"})
+    for key, value in BAD_VALUES:
+        with pytest.raises(ValueError, match="'%s'" % key):
+            config_from_dict({"seed": 1, key: value})
+    # dataclass validation errors name their section
+    with pytest.raises(ValueError, match="^plant: inertia must be positive"):
+        config_from_dict({"seed": 1, "plant.inertia": 0.0})
+    # integral floats are accepted for int keys
+    assert config_from_dict({"seed": 1, "episode.window": 12.0}).window == 12
 
 
 def test_make_env_wiring():
@@ -113,6 +140,24 @@ def test_make_env_wiring():
     assert env.weights.kappa == 8.0
     custom = RewardWeights(mu=1.0, kappa=1.0, rho=1.0)
     assert make_env(cfg, custom).weights is custom
+
+
+def trace_from_csv(text: str, decision_interval: int, window: int) -> EpisodeTrace:
+    lines = text.strip().splitlines()
+    if lines[0] != ",".join(TRACE_COLUMNS):
+        raise ValueError("unexpected trace CSV header: %r" % lines[0])
+    cols = [[] for _ in TRACE_COLUMNS]
+    for ln in lines[1:]:
+        for slot, val in zip(cols, ln.split(",")):
+            slot.append(val)
+    as_f = lambda c: np.array([float(v) for v in c])
+    as_i = lambda c: np.array([int(v) for v in c], dtype=np.int64)
+    return EpisodeTrace(
+        time=as_f(cols[0]), reference=as_f(cols[1]), position=as_f(cols[2]),
+        omega=as_f(cols[3]), tau_machine=as_f(cols[4]), tau_human=as_f(cols[5]),
+        digit=as_i(cols[6]), machine_action=as_i(cols[7]), reward=as_f(cols[8]),
+        decision_interval=decision_interval, window=window,
+    )
 
 
 def hand_trace():
@@ -189,9 +234,8 @@ def test_evaluate_agents_mean_matches_traces():
     assert mean.tracking_error_mse == pytest.approx(
         np.mean([r.tracking_error_mse for r in per]), rel=1e-12
     )
-    assert evaluate_value(h, m, env, 4, 11) == mean.value
-    # explicit per-episode seeds reproduce the derived ones
-    mean2, _ = evaluate_agents(h, m, env, 4, 999, per_episode_seeds=eval_seeds(11, 4))
+    # the evaluation seeds depend only on the base seed
+    mean2, _ = evaluate_agents(h, m, env, 4, 11)
     assert mean2 == mean
 
 

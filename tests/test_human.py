@@ -1,15 +1,14 @@
 import pytest
 
-from pedalrl.controllers import PDGains, load_setting
-from pedalrl.human import (
-    DIGITS,
-    HumanParams,
+from oracles import (
     advance_delay,
     digit_target,
     human_step,
     initial_human_state,
     pd_index_for_digit,
 )
+from pedalrl.controllers import PDGains, load_setting
+from pedalrl.human import DIGITS, HumanParams
 
 PD_PAIR = load_setting(1).human_pd  # (30, 0.2) strong / (15, 0.1) weak
 

@@ -9,8 +9,6 @@ from pedalrl.nets import (
     ActionDistribution,
     actor_forward,
     backward,
-    critic_forward,
-    entropy,
     forward_cache,
     init_params,
     params_from_text,
@@ -19,6 +17,7 @@ from pedalrl.nets import (
     softmax_probs,
     zeros_like_params,
 )
+from pedalrl.ppo import critic_values, entropy_term, load_checkpoint, make_agent, save_checkpoint
 
 
 class ScriptedRNG:
@@ -96,12 +95,9 @@ def test_backward_matches_finite_differences():
         assert np.allclose(g, fd, rtol=1e-6, atol=1e-8), name
 
 
-def test_critic_forward_scalar():
+def test_critic_values_batch():
     p = init_params(3, 6, 1)
-    v = critic_forward(p, np.zeros(6))
-    assert isinstance(v, float)
-    # batch input returns a vector
-    batch = critic_forward(p, np.zeros((4, 6)))
+    batch = critic_values(p, np.zeros((4, 6)))
     assert batch.shape == (4,)
 
 
@@ -134,13 +130,11 @@ def test_sample_action_frequencies():
 
 def test_entropy_bounds_and_hand_value():
     p = np.array([0.25, 0.75])
-    dist = ActionDistribution(probabilities=p, log_probabilities=np.log(p))
     expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
-    assert entropy(dist) == pytest.approx(expected, rel=1e-14)
+    assert entropy_term(p) == pytest.approx(expected, rel=1e-14)
 
     uniform = np.full(4, 0.25)
-    du = ActionDistribution(probabilities=uniform, log_probabilities=np.log(uniform))
-    assert entropy(du) == pytest.approx(math.log(4), abs=1e-12)
+    assert entropy_term(uniform) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_text_round_trip_exact():
@@ -156,13 +150,27 @@ def test_text_round_trip_exact():
         assert np.array_equal(a, b), name
 
 
-def test_text_rejects_corruption():
+def test_text_rejects_corruption(tmp_path):
     p = init_params(0, 3, 2, hidden=4)
     text = params_to_text(p)
     with pytest.raises(ValueError):
         params_from_text(text.replace("mlp 3 4 4 2", "mlp 3 4 4 5"))
     with pytest.raises(ValueError):
         params_from_text("\n".join(text.splitlines()[:3]))
+    with pytest.raises(ValueError, match="empty"):
+        params_from_text("")
+
+    # a truncated checkpoint names the section and the array
+    rng = np.random.default_rng(0)
+    path = tmp_path / "agents.ckpt"
+    save_checkpoint(path, make_agent(rng, 5, 5, 8), make_agent(rng, 6, 2, 8))
+    lines = path.read_text().splitlines()
+    at = lines.index("section machine.actor") + 4  # header, w1, b1, then w2
+    assert lines[at].startswith("w2 ")
+    lines[at] = " ".join(lines[at].split()[:50])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^machine.actor: w2 has 49 values, expected 4096$"):
+        load_checkpoint(path)
 
 
 def test_zeros_like_params():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pedalrl.plant import PedalState, PlantParams, ReferenceTrajectory, sample_reference, step_plant
+from oracles import step_plant
+from pedalrl.plant import PedalState, PlantParams, ReferenceTrajectory, sample_reference
 
 
 def test_reference_hand_value():

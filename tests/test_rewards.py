@@ -33,7 +33,7 @@ def test_terms_match_brute_force_oracle():
     rng = np.random.default_rng(7)
     for w, aw in random_windows(rng, 1000):
         r_m = tracking_term(w)
-        r_c = comfort_term(w)
+        r_c = comfort_term(w.actual)
         r_e = effort_term(aw)
         assert oracles.relative_error(r_m, oracles.tracking_sum(w.actual, w.reference)) <= 1e-12
         assert oracles.relative_error(r_c, oracles.comfort_sum(w.actual)) <= 1e-12
@@ -58,13 +58,13 @@ def test_tracking_quadratic_in_error_scale():
 
 
 def test_comfort_hand_values():
-    assert comfort_term(PositionWindow((0.0, 1.0, 3.0), (0.0,) * 3)) == pytest.approx(1.0)
-    assert comfort_term(PositionWindow((0.0, 0.0, 1.0, 1.0), (0.0,) * 4)) == pytest.approx(2.0)
+    assert comfort_term((0.0, 1.0, 3.0)) == pytest.approx(1.0)
+    assert comfort_term((0.0, 0.0, 1.0, 1.0)) == pytest.approx(2.0)
 
 
 def test_comfort_zero_on_affine():
     line = tuple(0.2 + 0.05 * i for i in range(8))
-    assert comfort_term(PositionWindow(line, (0.0,) * 8)) == pytest.approx(0.0, abs=1e-15)
+    assert comfort_term(line) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_effort_hand_value():
@@ -141,7 +141,7 @@ def test_shared_reward_equals_human_reward():
     rng = np.random.default_rng(5)
     w_set = RewardWeights(mu=1, kappa=8, rho=1)
     for w, aw in random_windows(rng, 50):
-        expected = human_reward(tracking_term(w), comfort_term(w), effort_term(aw), w_set)
+        expected = human_reward(tracking_term(w), comfort_term(w.actual), effort_term(aw), w_set)
         assert shared_reward(w, aw, w_set) == expected
 
 
@@ -158,7 +158,7 @@ def test_terms_non_negative():
     rng = np.random.default_rng(11)
     for w, aw in random_windows(rng, 200):
         assert tracking_term(w) >= 0.0
-        assert comfort_term(w) >= 0.0
+        assert comfort_term(w.actual) >= 0.0
         assert effort_term(aw) >= 0.0
 
 
