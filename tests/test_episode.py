@@ -115,11 +115,9 @@ def test_episode_matches_public_api_composition():
     assert np.array_equal(trace.tau_human, np.array(want["th"]))
 
 
-@pytest.mark.skipif(
-    not kernels.NUMBA_ENABLED,
-    reason="numba backend inactive: run_substeps is the Python kernel, nothing to compare",
-)
 def test_backends_bit_identical():
+    # with numba active this pins the compiled kernel to its py_func; without
+    # it, it checks that the dispatched backend is the Python fallback's result
     env = make_test_env(setting_id=2, n_decisions=12)
     kwargs = dict(human_policy=ScriptPolicy([0, 3, 4, 1]), machine_policy=ScriptPolicy([0, 1]))
     a = run_episode(env, rng=np.random.default_rng(5), substep_fn=kernels.run_substeps, **kwargs)
