@@ -42,7 +42,9 @@ def _config_dict(args) -> dict:
     if getattr(args, "config", None):
         cfg.update(load_config(args.config))
     cfg = apply_overrides(cfg, getattr(args, "set", None) or [])
-    for flag, key in (("setting", "setting"), ("subject", "subject"), ("seed", "seed")):
+    flags = (("setting", "setting"), ("subject", "subject"), ("seed", "seed"),
+             ("episodes", "eval.episodes"))
+    for flag, key in flags:
         value = getattr(args, flag, None)
         if value is not None:
             cfg[key] = value
@@ -84,13 +86,12 @@ def cmd_eval(args) -> int:
             cfg_dict[key] = type_cast_meta(meta[key])
     cfg = config_from_dict(cfg_dict)
     env = make_env(cfg)
-    episodes = args.episodes or cfg.eval_episodes
     mean, _ = evaluate_agents(
-        ckpt["human.actor"], ckpt["machine.actor"], env, episodes, cfg.seed
+        ckpt["human.actor"], ckpt["machine.actor"], env, cfg.eval_episodes, cfg.seed
     )
     print(
         "episodes %d  value %.4f  human_action_mse %.4f  tracking_error_mse %.6f"
-        % (episodes, mean.value, mean.human_action_mse, mean.tracking_error_mse)
+        % (cfg.eval_episodes, mean.value, mean.human_action_mse, mean.tracking_error_mse)
     )
     return 0
 

@@ -8,7 +8,7 @@ substep; rewards land on block-final rows.
 
 RNG discipline: per decision step the stream is consumed in a fixed order
 (human sample, machine sample, one noise vector), and non-sampling policies
-(greedy, constant, remote) consume nothing. All draws happen here at Python
+(greedy, remote) consume nothing. All draws happen here at Python
 level, never inside the kernel, so results are identical across the numba
 and pure-Python backends.
 """
@@ -21,15 +21,8 @@ from . import kernels
 from .controllers import SettingConfig, default_integral_limit
 from .human import DIGITS, HumanParams
 from .nets import actor_forward, sample_action
-from .plant import PedalState, PlantParams, ReferenceTrajectory, sample_reference
-from .rewards import (
-    PositionWindow,
-    RewardWeights,
-    comfort_term,
-    machine_reward,
-    make_action_window,
-    shared_reward,
-)
+from .plant import PlantParams, ReferenceTrajectory, sample_reference
+from .rewards import RewardWeights, comfort_term, machine_reward, shared_reward
 
 OBS_DIM_HUMAN = 5  # position, error, smoothness, previous digit, machine torque
 OBS_DIM_MACHINE = 6  # reference, position, error, omega, previous action, human torque
@@ -145,16 +138,6 @@ class GreedyPolicy:
         return idx, float(dist.log_probabilities[idx])
 
 
-class ConstantPolicy:
-    """Always the same action index; consumes no randomness."""
-
-    def __init__(self, index):
-        self.index = int(index)
-
-    def act(self, obs, rng):
-        return self.index, 0.0
-
-
 def observe_human(angle, t, sm, prev_digit, tau_m, traj, scales) -> np.ndarray:
     e_t = sample_reference(traj, t) - angle
     return np.array(
@@ -203,17 +186,8 @@ def pack_reference(r: ReferenceTrajectory) -> np.ndarray:
     return out
 
 
-def run_episode(
-    env: EnvParams,
-    human_policy,
-    machine_policy,
-    rng,
-    substep_fn=None,
-    initial_state: PedalState = None,
-) -> EpisodeResult:
+def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeResult:
     """Roll one full episode; returns the trace and both agents' transitions."""
-    if substep_fn is None:
-        substep_fn = kernels.run_substeps
     scales = ObsScales.from_config(env.plant, env.reference)
     setting: SettingConfig = env.setting
     k = env.window
@@ -221,10 +195,6 @@ def run_episode(
     n_total = env.n_decisions * interval
 
     sim = np.zeros(kernels.SIM_SIZE)
-    if initial_state is not None:
-        sim[kernels.SIM_ANGLE] = initial_state.angle
-        sim[kernels.SIM_OMEGA] = initial_state.angular_velocity
-        sim[kernels.SIM_T] = initial_state.time
     queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
     plant_p = pack_plant(env.plant)
     ref_p = pack_reference(env.reference)
@@ -240,9 +210,6 @@ def run_episode(
     reward_arr = np.zeros(n_total)
 
     pd_hi, pd_lo = setting.human_pd
-    pos_hist = []
-    ref_hist = []
-    act_hist = []
 
     prev_digit = 0
     prev_m_idx = 0
@@ -273,7 +240,7 @@ def run_episode(
         noise = rng.standard_normal(interval) * env.human.noise_std
 
         start = z * interval
-        substep_fn(
+        kernels.run_substeps(
             sim, queue, digit,
             gains.kp, gains.ki, gains.kd, int_limit,
             pd_hi.kp, pd_hi.kd, pd_lo.kp, pd_lo.kd,
@@ -285,28 +252,25 @@ def run_episode(
         row = start + interval - 1
         digit_arr[start : start + interval] = digit
         maction_arr[start : start + interval] = a_m
-        pos_hist.append(pos_arr[row])
-        ref_hist.append(ref_arr[row])
-        act_hist.append(digit)
+        # Windows are the block-final rows of the trace: the last k decisions,
+        # or fewer before the k-th one.
+        lo = max(row - (k - 1) * interval, interval - 1)
+        positions = pos_arr[lo : row + 1 : interval].tolist()
 
         reward = 0.0
         reward_m = 0.0
-        if len(pos_hist) >= k:
-            w = PositionWindow(
-                actual=tuple(pos_hist[-k:]),
-                reference=tuple(ref_hist[-k:]),
-                omega_z=om_arr[row],
-            )
-            aw = make_action_window(act_hist[-k:])
-            reward = shared_reward(w, aw, env.weights)
+        if z >= k - 1:
+            reference = ref_arr[lo : row + 1 : interval].tolist()
+            actions = digit_arr[lo : row + 1 : interval].tolist()
+            reward = shared_reward(positions, reference, actions, env.weights)
             reward_m = reward
-            if env.use_machine_reward and len(pos_hist) >= k + 1:
-                wm = PositionWindow(
-                    actual=tuple(pos_hist[-(k + 1) :]),
-                    reference=tuple(ref_hist[-(k + 1) :]),
-                    omega_z=om_arr[row],
+            if env.use_machine_reward and z >= k:
+                lo_m = lo - interval  # the machine window is one decision longer
+                reward_m = machine_reward(
+                    pos_arr[lo_m : row + 1 : interval].tolist(),
+                    ref_arr[lo_m : row + 1 : interval].tolist(),
+                    om_arr[row], env.weights.sigma, env.weights.beta,
                 )
-                reward_m = machine_reward(wm, env.weights.sigma, env.weights.beta)
         reward_arr[row] = reward
         total_reward += reward
 
@@ -314,7 +278,7 @@ def run_episode(
         prev_m_idx = a_m
         last_tau_m = tm_arr[row]
         last_tau_h = th_arr[row]
-        sm = comfort_term(pos_hist[-k:])
+        sm = comfort_term(positions)
         next_obs_h = observe_human(
             sim[kernels.SIM_ANGLE], sim[kernels.SIM_T], sm, prev_digit, last_tau_m,
             env.reference, scales,

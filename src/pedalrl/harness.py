@@ -55,6 +55,18 @@ class ExperimentConfig:
     eval_episodes: int = 10
     output_dir: str = "runs"
 
+    def __post_init__(self):
+        # Zero updates is a valid run (evaluate the initial policies); zero
+        # evaluation episodes would average an empty list into NaN metrics.
+        if self.n_updates < 0:
+            raise ValueError(
+                "config key 'train.n_updates' must be >= 0, got %d" % self.n_updates
+            )
+        if self.eval_episodes < 1:
+            raise ValueError(
+                "config key 'eval.episodes' must be >= 1, got %d" % self.eval_episodes
+            )
+
 
 # Flat config key -> ExperimentConfig field.
 CONFIG_KEYS = {

@@ -37,15 +37,6 @@ class PlantParams:
 
 
 @dataclass(frozen=True)
-class PedalState:
-    """Pedal angle, angular velocity and simulation time."""
-
-    angle: float = 0.0  # rad
-    angular_velocity: float = 0.0  # rad/s
-    time: float = 0.0  # s
-
-
-@dataclass(frozen=True)
 class ReferenceTrajectory:
     """Sinusoidal dorsiflexion/plantarflexion target for the pedal angle."""
 

@@ -95,19 +95,16 @@ def critic_values(params: MLPParams, obs: np.ndarray) -> np.ndarray:
     return out[:, 0]
 
 
-def compute_advantages(buffer: ExperienceBuffer, critic: MLPParams, gamma: float):
+def compute_advantages(rewards, values, next_values, terminals, gamma: float):
     """Discounted sums of TD errors for every buffer position.
 
-    The TD error at step i bootstraps the critic on the next observation,
-    taken as 0 past a terminal. The same mask stops the discounted
-    accumulation at episode boundaries; on a terminal-free buffer this
-    reduces exactly to the plain discounted sum over i = t .. end.
+    The TD error at step i bootstraps the critic value of the next
+    observation, taken as 0 past a terminal. The same mask stops the
+    discounted accumulation at episode boundaries; on a terminal-free buffer
+    this reduces exactly to the plain discounted sum over i = t .. end.
     """
-    obs, _, _, rewards, next_obs, terminals = buffer.arrays()
-    v = critic_values(critic, obs)
-    v_next = critic_values(critic, next_obs)
     mask = np.where(terminals, 0.0, 1.0)
-    delta = rewards + gamma * mask * v_next - v
+    delta = rewards + gamma * mask * next_values - values
     n = len(delta)
     q = np.empty(n)
     acc = 0.0
@@ -141,9 +138,8 @@ def critic_grads(params: MLPParams, obs: np.ndarray, returns: np.ndarray):
     """(loss, exact parameter gradients) of the squared-error value loss."""
     out, cache = forward_cache(params, obs)
     v = out[:, 0]
-    b = len(returns)
-    loss = float(((returns - v) ** 2).sum() / (2.0 * b))
-    d_out = ((v - returns) / b)[:, None]
+    loss = critic_loss(returns, v)
+    d_out = ((v - returns) / len(returns))[:, None]
     return loss, backward(params, cache, d_out)
 
 
@@ -175,10 +171,6 @@ def actor_loss_parts(
         / b
     )
     return loss, p, cache, ratio, unclipped, ent, ent_sign
-
-
-def actor_loss(params, obs, actions, log_prob_old, advantages, hyper) -> float:
-    return actor_loss_parts(params, obs, actions, log_prob_old, advantages, hyper)[0]
 
 
 def actor_grads(params, obs, actions, log_prob_old, advantages, hyper):
@@ -252,9 +244,11 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
         raise ValueError(
             "buffer holds %d of %d transitions" % (len(agent.buffer), agent.buffer.capacity)
         )
-    obs, actions, logp_old, _, _, _ = agent.buffer.arrays()
-    advantages = compute_advantages(agent.buffer, agent.critic, hyper.gamma)
-    returns = compute_returns(advantages, critic_values(agent.critic, obs))
+    obs, actions, logp_old, rewards, next_obs, terminals = agent.buffer.arrays()
+    values = critic_values(agent.critic, obs)
+    next_values = critic_values(agent.critic, next_obs)
+    advantages = compute_advantages(rewards, values, next_values, terminals, hyper.gamma)
+    returns = compute_returns(advantages, values)
 
     n = len(actions)
     trace = []

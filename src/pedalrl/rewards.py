@@ -18,52 +18,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class PositionWindow:
-    """Last k decision-step positions, their references, and current omega."""
-
-    actual: tuple
-    reference: tuple
-    omega_z: float = 0.0
-
-    def __post_init__(self):
-        if len(self.actual) != len(self.reference):
-            raise ValueError(
-                "window length mismatch: %d actual vs %d reference"
-                % (len(self.actual), len(self.reference))
-            )
-        if len(self.actual) < 3:
-            raise ValueError("position window needs k >= 3, got %d" % len(self.actual))
-
-
-@dataclass(frozen=True)
-class ActionWindow:
-    """Last k human digit actions plus the engagement flag E.
-
-    E is 1 exactly when the action changed on the most recent decision step
-    (previous action != current action); build windows with
-    :func:`make_action_window` to derive it.
-    """
-
-    actions: tuple
-    effort_flag: int
-
-    def __post_init__(self):
-        if len(self.actions) < 3:
-            raise ValueError("action window needs k >= 3, got %d" % len(self.actions))
-        if self.effort_flag not in (0, 1):
-            raise ValueError("effort flag must be 0 or 1, got %r" % self.effort_flag)
-
-
-def make_action_window(actions) -> ActionWindow:
-    """Window over ``actions`` with E derived from the last two entries."""
-    actions = tuple(actions)
-    if len(actions) < 3:
-        raise ValueError("action window needs k >= 3, got %d" % len(actions))
-    effort = 1 if actions[-1] != actions[-2] else 0
-    return ActionWindow(actions=actions, effort_flag=effort)
-
-
-@dataclass(frozen=True)
 class RewardWeights:
     """Term weights: (mu, kappa, rho) human side, (sigma, beta) machine side.
 
@@ -91,10 +45,13 @@ def weights_for_setting(setting) -> RewardWeights:
     return RewardWeights(mu=w.mu, kappa=w.kappa, rho=w.rho)
 
 
-def tracking_term(w: PositionWindow) -> float:
-    """Sum of squared position errors over the window (>= 0)."""
+def tracking_term(actual, reference) -> float:
+    """Sum of squared position errors over the window (>= 0).
+
+    ``actual`` and ``reference`` must have equal lengths (ValueError otherwise).
+    """
     total = 0.0
-    for p, ref in zip(w.actual, w.reference):
+    for p, ref in zip(actual, reference, strict=True):
         d = p - ref
         total += d * d
     return total
@@ -115,32 +72,33 @@ def comfort_term(positions) -> float:
     return total
 
 
-def effort_term(a: ActionWindow) -> float:
-    """Gated action-variability bonus (>= 0).
+def effort_term(actions) -> float:
+    """Gated action-variability bonus (>= 0) over the last k actions.
 
-    Zero when E = 0. Otherwise the mean is taken over all k actions but the
+    The engagement flag E is 1 exactly when the action changed on the most
+    recent decision step (``actions[-1] != actions[-2]``); the bonus is zero
+    when E = 0. Otherwise the mean is taken over all k actions but the
     squared deviations are summed over the first k-1 only and divided by
     k-2; this lopsided normalization is intentional.
     """
-    if a.effort_flag == 0:
+    if actions[-1] == actions[-2]:
         return 0.0
-    acts = a.actions
-    k = len(acts)
-    mean = sum(acts) / k
+    k = len(actions)
+    mean = sum(actions) / k
     total = 0.0
     for i in range(k - 1):
-        d = acts[i] - mean
+        d = actions[i] - mean
         total += d * d
     return total / (k - 2)
 
 
-def machine_reward(w: PositionWindow, sigma: float, beta: float) -> float:
+def machine_reward(actual, reference, omega_z: float, sigma: float, beta: float) -> float:
     """sigma * (sum of squared errors over the whole window) + beta * omega_z.
 
     Callers give this window one more sample than the human-side windows
     (k+1 positions for window parameter k).
     """
-    return sigma * tracking_term(w) + beta * w.omega_z
+    return sigma * tracking_term(actual, reference) + beta * omega_z
 
 
 def human_reward(r_m: float, r_c: float, r_e: float, weights: RewardWeights) -> float:
@@ -148,8 +106,8 @@ def human_reward(r_m: float, r_c: float, r_e: float, weights: RewardWeights) -> 
     return -weights.mu * r_m - weights.kappa * r_c + weights.rho * r_e
 
 
-def shared_reward(w: PositionWindow, a: ActionWindow, weights: RewardWeights) -> float:
+def shared_reward(actual, reference, actions, weights: RewardWeights) -> float:
     """The combined scalar delivered identically to both agents."""
     return human_reward(
-        tracking_term(w), comfort_term(w.actual), effort_term(a), weights
+        tracking_term(actual, reference), comfort_term(actual), effort_term(actions), weights
     )

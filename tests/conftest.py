@@ -10,6 +10,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 from pedalrl.harness import config_from_dict, make_env
 
 
+class ConstantPolicy:
+    """Always the same action index; consumes no randomness."""
+
+    def __init__(self, index):
+        self.index = int(index)
+
+    def act(self, obs, rng):
+        return self.index, 0.0
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

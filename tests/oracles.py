@@ -2,12 +2,12 @@
 
 Everything here is written directly from the printed formulas with plain
 loops and no vectorization, so a shared bug with the implementation under
-test is unlikely. Imports from pedalrl are limited to its parameter/state
+test is unlikely. Imports from pedalrl are limited to its parameter
 dataclasses and the digit table, never its arithmetic.
 
-The per-substep models (plant step, PD/PID updates, the human chain) are
-the readable reference the fused kernel in ``pedalrl.kernels`` is pinned
-against, step by step and bit for bit.
+The per-substep models (plant step, PD/PID updates, the human chain) and
+their state dataclasses are the readable reference the fused kernel in
+``pedalrl.kernels`` is pinned against, step by step and bit for bit.
 """
 
 import math
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from pedalrl.controllers import PDGains, PIDGains
 from pedalrl.human import DIGITS, HumanParams
-from pedalrl.plant import PedalState, PlantParams
+from pedalrl.plant import PlantParams
 
 
 def tracking_sum(actual, reference):
@@ -103,6 +103,15 @@ def shannon_entropy(probs):
 
 
 # -- per-substep models ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PedalState:
+    """Pedal angle, angular velocity and simulation time."""
+
+    angle: float = 0.0  # rad
+    angular_velocity: float = 0.0  # rad/s
+    time: float = 0.0  # s
 
 
 def step_plant(

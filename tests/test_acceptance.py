@@ -13,16 +13,16 @@ import time
 import numpy as np
 
 import oracles
-from conftest import make_test_env
+from conftest import ConstantPolicy, make_test_env
 from pedalrl.bridge import Frame, PolicyServer, RemotePolicy, decode_frame, encode_frame
 from pedalrl.cli import main
-from pedalrl.episode import ConstantPolicy, GreedyPolicy, Transition, run_episode
+from pedalrl.episode import GreedyPolicy, Transition, run_episode
 from pedalrl.harness import config_from_dict, mse_metrics, train_setting
 from pedalrl.nets import actor_forward, init_params, sample_action
 from pedalrl.ppo import (
     PPOHyper,
     actor_grads,
-    actor_loss,
+    actor_loss_parts,
     clip_ratio,
     compute_advantages,
     critic_grads,
@@ -32,12 +32,10 @@ from pedalrl.ppo import (
     update_agent,
 )
 from pedalrl.rewards import (
-    PositionWindow,
     RewardWeights,
     comfort_term,
     effort_term,
     machine_reward,
-    make_action_window,
     shared_reward,
     tracking_term,
 )
@@ -63,9 +61,7 @@ def test_criterion_01_reward_terms_match_brute_force():
         reference = rng.uniform(-0.6, 0.6, k + 1)
         digits = rng.integers(-2, 3, k)
         omega = float(rng.normal())
-        w = PositionWindow(tuple(actual[1:]), tuple(reference[1:]), omega)
-        aw = make_action_window(list(digits))
-        wm = PositionWindow(tuple(actual), tuple(reference), omega)
+        w_actual, w_reference = actual[1:], reference[1:]
         weights = RewardWeights(
             mu=float(rng.uniform(0.1, 8)),
             kappa=float(rng.uniform(0.1, 8)),
@@ -73,15 +69,15 @@ def test_criterion_01_reward_terms_match_brute_force():
         )
         flag = 1.0 if digits[-1] != digits[-2] else 0.0
         pairs = (
-            (tracking_term(w), oracles.tracking_sum(actual[1:], reference[1:])),
-            (comfort_term(w.actual), oracles.comfort_sum(actual[1:])),
-            (effort_term(aw), oracles.effort_value(list(digits), flag)),
+            (tracking_term(w_actual, w_reference), oracles.tracking_sum(actual[1:], reference[1:])),
+            (comfort_term(w_actual), oracles.comfort_sum(actual[1:])),
+            (effort_term(digits), oracles.effort_value(list(digits), flag)),
             (
-                machine_reward(wm, weights.sigma, weights.beta),
+                machine_reward(actual, reference, omega, weights.sigma, weights.beta),
                 oracles.machine_value(actual, reference, omega, weights.sigma, weights.beta),
             ),
             (
-                shared_reward(w, aw, weights),
+                shared_reward(w_actual, w_reference, digits, weights),
                 oracles.human_value(
                     oracles.tracking_sum(actual[1:], reference[1:]),
                     oracles.comfort_sum(actual[1:]),
@@ -119,8 +115,10 @@ def test_criterion_02_advantages_match_double_loop():
             )
         buf.extend(items)
         gamma = float(rng.uniform(0.05, 0.999))
-        got = compute_advantages(buf, critic, gamma)
         obs, _, _, rewards, next_obs, terminals = buf.arrays()
+        got = compute_advantages(
+            rewards, critic_values(critic, obs), critic_values(critic, next_obs), terminals, gamma
+        )
         want = oracles.advantage_double_loop(
             rewards.tolist(),
             critic_values(critic, obs).tolist(),
@@ -165,7 +163,7 @@ def test_criterion_03_gradients_match_finite_differences():
         hyper = PPOHyper(entropy_weight=0.01)
 
         def a_loss():
-            return actor_loss(actor, a_obs, actions, logp_old, adv, hyper)
+            return actor_loss_parts(actor, a_obs, actions, logp_old, adv, hyper)[0]
 
         _, grads = actor_grads(actor, a_obs, actions, logp_old, adv, hyper)
         for (_, g), (_, arr) in zip(grads.arrays(), actor.arrays()):

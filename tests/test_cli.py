@@ -54,6 +54,13 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert main(["train", "--setting", "2", "--seed", "1", "--set", "plant.dt=abc"]) == 2
     assert "'plant.dt'" in capsys.readouterr().err
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
+    capsys.readouterr()
+    assert main(["train", "--setting", "2", "--seed", "1", "--out", str(tmp_path)] + FAST) == 0
+    ckpt = str(tmp_path / "setting2.ckpt")
+    for flags in (["--episodes", "0"], ["--set", "eval.episodes=0"]):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt] + flags) == 2
+        assert "'eval.episodes'" in capsys.readouterr().err
 
 
 def test_bench_smoke(capsys):

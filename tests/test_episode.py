@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_test_env
+from conftest import ConstantPolicy, make_test_env
 from oracles import (
     ControllerState,
+    PedalState,
     human_step,
     initial_human_state,
     pid_step,
@@ -18,7 +19,6 @@ from oracles import (
 from pedalrl import kernels
 from pedalrl.controllers import default_integral_limit
 from pedalrl.episode import (
-    ConstantPolicy,
     GreedyPolicy,
     ObsScales,
     SamplingPolicy,
@@ -28,7 +28,7 @@ from pedalrl.episode import (
 )
 from pedalrl.human import DIGITS
 from pedalrl.nets import init_params
-from pedalrl.plant import PedalState, ReferenceTrajectory, sample_reference
+from pedalrl.plant import ReferenceTrajectory, sample_reference
 from pedalrl.rewards import comfort_term
 
 
@@ -115,16 +115,19 @@ def test_episode_matches_public_api_composition():
     assert np.array_equal(trace.tau_human, np.array(want["th"]))
 
 
-def test_backends_bit_identical():
+def test_backends_bit_identical(monkeypatch):
     # with numba active this pins the compiled kernel to its py_func; without
     # it, it checks that the dispatched backend is the Python fallback's result
     env = make_test_env(setting_id=2, n_decisions=12)
-    kwargs = dict(human_policy=ScriptPolicy([0, 3, 4, 1]), machine_policy=ScriptPolicy([0, 1]))
-    a = run_episode(env, rng=np.random.default_rng(5), substep_fn=kernels.run_substeps, **kwargs)
-    kwargs = dict(human_policy=ScriptPolicy([0, 3, 4, 1]), machine_policy=ScriptPolicy([0, 1]))
-    b = run_episode(
-        env, rng=np.random.default_rng(5), substep_fn=kernels.run_substeps_python, **kwargs
-    )
+
+    def play():
+        return run_episode(
+            env, ScriptPolicy([0, 3, 4, 1]), ScriptPolicy([0, 1]), np.random.default_rng(5)
+        )
+
+    a = play()
+    monkeypatch.setattr(kernels, "run_substeps", kernels.run_substeps_python)
+    b = play()
     for field in ("time", "reference", "position", "omega", "tau_machine", "tau_human", "reward"):
         assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field)), field
 
@@ -256,20 +259,6 @@ def test_rewards_replayable_from_trace():
             assert t_m.reward == pytest.approx(expected_m, rel=1e-12)
         else:
             assert t_m.reward == t_h.reward
-
-
-def test_initial_state_honored():
-    env = make_test_env(n_decisions=2)
-    start = PedalState(angle=0.1, angular_velocity=-0.2, time=0.5)
-    result = run_episode(
-        env, ConstantPolicy(0), ConstantPolicy(0), np.random.default_rng(0),
-        initial_state=start,
-    )
-    dt = env.plant.dt
-    assert result.trace.time[0] == pytest.approx(0.5 + dt, abs=1e-15)
-    assert result.trace.reference[0] == pytest.approx(
-        sample_reference(env.reference, 0.5 + dt), abs=1e-15
-    )
 
 
 def test_env_params_validation():

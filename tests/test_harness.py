@@ -6,9 +6,9 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from conftest import make_test_env
+from conftest import ConstantPolicy, make_test_env
 from pedalrl.config import apply_overrides, parse_config_text, parse_scalar
-from pedalrl.episode import ConstantPolicy, EpisodeTrace, run_episode
+from pedalrl.episode import EpisodeTrace, run_episode
 from pedalrl.harness import (
     SUBJECTS,
     TRACE_COLUMNS,
@@ -113,6 +113,8 @@ BAD_VALUES = [
     ("human.noise_std", float("inf")),
     ("setting", True),
     ("hyper.entropy_as_printed", 1),
+    ("eval.episodes", 0),
+    ("train.n_updates", -1),
 ]
 
 

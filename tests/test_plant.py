@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import step_plant
-from pedalrl.plant import PedalState, PlantParams, ReferenceTrajectory, sample_reference
+from oracles import PedalState, step_plant
+from pedalrl.plant import PlantParams, ReferenceTrajectory, sample_reference
 
 
 def test_reference_hand_value():

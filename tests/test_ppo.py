@@ -11,7 +11,7 @@ from pedalrl.ppo import (
     ExperienceBuffer,
     PPOHyper,
     actor_grads,
-    actor_loss,
+    actor_loss_parts,
     clip_ratio,
     compute_advantages,
     compute_returns,
@@ -50,6 +50,13 @@ def fill_buffer(rng, capacity, obs_dim=3, n_actions=4, terminal_pattern=None):
     return buf
 
 
+def buffer_advantages(buf, critic, gamma):
+    """Advantages of a filled buffer, the critic run on its obs and next_obs."""
+    obs, _, _, rewards, next_obs, terminals = buf.arrays()
+    values, next_values = critic_values(critic, obs), critic_values(critic, next_obs)
+    return compute_advantages(rewards, values, next_values, terminals, gamma)
+
+
 def test_buffer_bookkeeping():
     rng = np.random.default_rng(0)
     buf = fill_buffer(rng, 8)
@@ -69,7 +76,7 @@ def test_advantages_match_double_loop_oracle():
     for _ in range(30):
         buf = fill_buffer(rng, 10)
         gamma = float(rng.uniform(0.1, 0.999))
-        q = compute_advantages(buf, critic, gamma)
+        q = buffer_advantages(buf, critic, gamma)
         obs, _, _, rewards, next_obs, terminals = buf.arrays()
         expected = oracles.advantage_double_loop(
             rewards.tolist(),
@@ -86,7 +93,7 @@ def test_advantages_gamma_zero_reduces_to_td():
     rng = np.random.default_rng(1)
     critic = init_params(rng, 3, 1)
     buf = fill_buffer(rng, 12)
-    q = compute_advantages(buf, critic, 0.0)
+    q = buffer_advantages(buf, critic, 0.0)
     obs, _, _, rewards, _, _ = buf.arrays()
     assert np.allclose(q, rewards - critic_values(critic, obs), atol=1e-14)
 
@@ -98,7 +105,7 @@ def test_advantages_zero_critic_terminal_free():
     pattern = [False] * 9 + [True]
     buf = fill_buffer(rng, 10, terminal_pattern=pattern)
     gamma = 0.9
-    q = compute_advantages(buf, critic, gamma)
+    q = buffer_advantages(buf, critic, gamma)
     _, _, _, rewards, _, _ = buf.arrays()
     for t in range(10):
         expected = sum(gamma ** (i - t) * rewards[i] for i in range(t, 10))
@@ -141,9 +148,9 @@ def _single_sample_loss(ratio, advantage, eps=0.2):
     action = 1
     logp_old = math.log(dist.probabilities[action] / ratio)
     hyper = PPOHyper(clip=eps, entropy_weight=0.0)
-    return actor_loss(
+    return actor_loss_parts(
         params, obs, np.array([action]), np.array([logp_old]), np.array([advantage]), hyper
-    )
+    )[0]
 
 
 def test_actor_loss_hand_values():
@@ -164,12 +171,12 @@ def test_actor_entropy_sign_flag():
         [actor_forward(params, o).log_probabilities[a] for o, a in zip(obs, actions)]
     )
     adv = rng.normal(size=6)
-    base = actor_loss(params, obs, actions, logp_old, adv, PPOHyper(entropy_weight=0.0))
-    bonus = actor_loss(params, obs, actions, logp_old, adv, PPOHyper(entropy_weight=0.5))
-    printed = actor_loss(
+    base = actor_loss_parts(params, obs, actions, logp_old, adv, PPOHyper(entropy_weight=0.0))[0]
+    bonus = actor_loss_parts(params, obs, actions, logp_old, adv, PPOHyper(entropy_weight=0.5))[0]
+    printed = actor_loss_parts(
         params, obs, actions, logp_old, adv,
         PPOHyper(entropy_weight=0.5, entropy_as_printed=True),
-    )
+    )[0]
     mean_ent = entropy_term(
         np.stack([actor_forward(params, o).probabilities for o in obs])
     ).mean()
@@ -190,7 +197,7 @@ def _fd_check_actor(hyper, seed):
     adv = rng.normal(size=5)
 
     def loss():
-        return actor_loss(params, obs, actions, logp_old, adv, hyper)
+        return actor_loss_parts(params, obs, actions, logp_old, adv, hyper)[0]
 
     _, grads = actor_grads(params, obs, actions, logp_old, adv, hyper)
     worst = 0.0

@@ -5,14 +5,11 @@ from hypothesis import strategies as st
 
 import oracles
 from pedalrl.rewards import (
-    ActionWindow,
-    PositionWindow,
     RewardWeights,
     comfort_term,
     effort_term,
     human_reward,
     machine_reward,
-    make_action_window,
     shared_reward,
     tracking_term,
     weights_for_setting,
@@ -26,34 +23,32 @@ def random_windows(rng, n, k_max=12):
         reference = tuple(rng.uniform(-0.6, 0.6, k))
         omega = float(rng.uniform(-10, 10))
         actions = tuple(int(a) for a in rng.integers(-2, 3, k))
-        yield PositionWindow(actual, reference, omega), make_action_window(actions)
+        yield actual, reference, omega, actions
 
 
 def test_terms_match_brute_force_oracle():
     rng = np.random.default_rng(7)
-    for w, aw in random_windows(rng, 1000):
-        r_m = tracking_term(w)
-        r_c = comfort_term(w.actual)
-        r_e = effort_term(aw)
-        assert oracles.relative_error(r_m, oracles.tracking_sum(w.actual, w.reference)) <= 1e-12
-        assert oracles.relative_error(r_c, oracles.comfort_sum(w.actual)) <= 1e-12
-        assert oracles.relative_error(
-            r_e, oracles.effort_value(aw.actions, aw.effort_flag)
-        ) <= 1e-12
+    for actual, reference, _, actions in random_windows(rng, 1000):
+        r_m = tracking_term(actual, reference)
+        r_c = comfort_term(actual)
+        r_e = effort_term(actions)
+        flag = 1 if actions[-1] != actions[-2] else 0
+        assert oracles.relative_error(r_m, oracles.tracking_sum(actual, reference)) <= 1e-12
+        assert oracles.relative_error(r_c, oracles.comfort_sum(actual)) <= 1e-12
+        assert oracles.relative_error(r_e, oracles.effort_value(actions, flag)) <= 1e-12
 
 
 def test_tracking_hand_values():
     ref = (0.0, 0.0, 0.0)
-    assert tracking_term(PositionWindow(ref, ref)) == 0.0
-    w = PositionWindow((0.1, -0.1, 0.2), ref)
-    assert tracking_term(w) == pytest.approx(0.06, abs=1e-15)
+    assert tracking_term(ref, ref) == 0.0
+    assert tracking_term((0.1, -0.1, 0.2), ref) == pytest.approx(0.06, abs=1e-15)
 
 
 def test_tracking_quadratic_in_error_scale():
     rng = np.random.default_rng(1)
     errs = rng.uniform(-1, 1, 5)
-    base = tracking_term(PositionWindow(tuple(errs), (0.0,) * 5))
-    scaled = tracking_term(PositionWindow(tuple(3.0 * errs), (0.0,) * 5))
+    base = tracking_term(tuple(errs), (0.0,) * 5)
+    scaled = tracking_term(tuple(3.0 * errs), (0.0,) * 5)
     assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
 
@@ -68,44 +63,38 @@ def test_comfort_zero_on_affine():
 
 
 def test_effort_hand_value():
-    aw = ActionWindow(actions=(0, 2, 0), effort_flag=1)
-    assert effort_term(aw) == pytest.approx(20.0 / 9.0, rel=1e-15)
+    assert effort_term((0, 2, 0)) == pytest.approx(20.0 / 9.0, rel=1e-15)
 
 
 def test_effort_gate():
-    aw = ActionWindow(actions=(0, 2, 0, 1), effort_flag=0)
-    assert effort_term(aw) == 0.0
-    # constant actions force the gate shut through make_action_window
-    aw = make_action_window((1, 1, 1, 1))
-    assert aw.effort_flag == 0
-    assert effort_term(aw) == 0.0
+    # an unchanged last action shuts the gate however varied the window
+    assert effort_term((0, 2, 1, 1)) == 0.0
+    assert effort_term((1, 1, 1, 1)) == 0.0
 
 
 def test_effort_flag_rule():
-    assert make_action_window((0, 1, 2)).effort_flag == 1
-    assert make_action_window((0, 2, 2)).effort_flag == 0
-    assert make_action_window((2, 2, 2, 0)).effort_flag == 1
+    # E = 1 exactly when the last two actions differ
+    assert effort_term((0, 1, 2)) > 0.0
+    assert effort_term((0, 2, 2)) == 0.0
+    assert effort_term((2, 2, 2, 0)) > 0.0
 
 
 def test_machine_reward_hand_values():
     ref4 = (0.0, 0.0, 0.0, 0.0)
-    w = PositionWindow((0.1, -0.1, 0.2, 0.0), ref4)
-    assert machine_reward(w, -1.0, 0.0) == pytest.approx(-0.06, abs=1e-15)
-    w = PositionWindow(ref4, ref4, omega_z=2.0)
-    assert machine_reward(w, 0.0, -0.5) == pytest.approx(-1.0, abs=1e-15)
-    assert machine_reward(w, -1.0, 0.0) == 0.0
+    actual = (0.1, -0.1, 0.2, 0.0)
+    assert machine_reward(actual, ref4, 0.0, -1.0, 0.0) == pytest.approx(-0.06, abs=1e-15)
+    assert machine_reward(ref4, ref4, 2.0, 0.0, -0.5) == pytest.approx(-1.0, abs=1e-15)
+    assert machine_reward(ref4, ref4, 2.0, -1.0, 0.0) == 0.0
 
 
 def test_machine_window_is_one_longer():
-    # same window object: machine sums k+1 error terms, tracking sums k;
-    # feeding a (k+1)-sample window to the machine and its k-sample tail to
-    # tracking must differ by the head sample's squared error
+    # machine sums k+1 error terms, tracking sums k; feeding a (k+1)-sample
+    # window to the machine and its k-sample tail to tracking must differ by
+    # the head sample's squared error
     actual = (0.3, 0.1, -0.1, 0.2)
     ref = (0.0, 0.0, 0.0, 0.0)
-    full = PositionWindow(actual, ref)
-    tail = PositionWindow(actual[1:], ref[1:])
-    assert machine_reward(full, -1.0, 0.0) == pytest.approx(
-        -(tracking_term(tail) + 0.09), rel=1e-12
+    assert machine_reward(actual, ref, 0.0, -1.0, 0.0) == pytest.approx(
+        -(tracking_term(actual[1:], ref[1:]) + 0.09), rel=1e-12
     )
 
 
@@ -140,9 +129,11 @@ def test_human_reward_linearity(r_m, r_c, r_e, mu, kappa, rho):
 def test_shared_reward_equals_human_reward():
     rng = np.random.default_rng(5)
     w_set = RewardWeights(mu=1, kappa=8, rho=1)
-    for w, aw in random_windows(rng, 50):
-        expected = human_reward(tracking_term(w), comfort_term(w.actual), effort_term(aw), w_set)
-        assert shared_reward(w, aw, w_set) == expected
+    for actual, reference, _, actions in random_windows(rng, 50):
+        expected = human_reward(
+            tracking_term(actual, reference), comfort_term(actual), effort_term(actions), w_set
+        )
+        assert shared_reward(actual, reference, actions, w_set) == expected
 
 
 def test_weights_for_setting():
@@ -156,20 +147,14 @@ def test_weights_for_setting():
 
 def test_terms_non_negative():
     rng = np.random.default_rng(11)
-    for w, aw in random_windows(rng, 200):
-        assert tracking_term(w) >= 0.0
-        assert comfort_term(w.actual) >= 0.0
-        assert effort_term(aw) >= 0.0
+    for actual, reference, _, actions in random_windows(rng, 200):
+        assert tracking_term(actual, reference) >= 0.0
+        assert comfort_term(actual) >= 0.0
+        assert effort_term(actions) >= 0.0
 
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        PositionWindow((0.0, 0.0), (0.0, 0.0))  # k < 3
-    with pytest.raises(ValueError):
-        PositionWindow((0.0,) * 4, (0.0,) * 3)  # length mismatch
-    with pytest.raises(ValueError):
-        ActionWindow(actions=(0, 1), effort_flag=1)
-    with pytest.raises(ValueError):
-        ActionWindow(actions=(0, 1, 2), effort_flag=2)
+        tracking_term((0.0,) * 4, (0.0,) * 3)  # length mismatch
     with pytest.raises(ValueError):
         RewardWeights(mu=-1.0, kappa=0.0, rho=0.0)
