@@ -210,8 +210,8 @@ class RemotePolicy:
 
 def parse_endpoint(text: str) -> tuple:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError("endpoint must be HOST:PORT, got %r" % text)
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError("endpoint must be HOST:PORT with PORT in 0..65535, got %r" % text)
     return host, int(port)
 
 

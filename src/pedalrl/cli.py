@@ -10,8 +10,7 @@ import numpy as np
 from . import kernels
 from .bridge import serve_policies
 from .config import apply_overrides, load_config
-from .controllers import default_integral_limit, load_setting
-from .episode import pack_plant, pack_reference
+from .controllers import SETTINGS
 from .harness import (
     config_from_dict,
     evaluate_agents,
@@ -19,21 +18,28 @@ from .harness import (
     sweep,
     train_setting,
 )
-from .human import HumanParams
-from .plant import PlantParams, ReferenceTrajectory
 from .ppo import load_checkpoint, save_checkpoint
 
 
 def parse_settings(text: str) -> list:
-    """Setting selections: '3', '2,4,6' or an inclusive range '1..8'."""
+    """Setting selections: '3', '2,4,6' or an inclusive range '1..8'.
+
+    Every id is checked here, before a sweep trains anything.
+    """
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        ids = list(range(int(lo), int(hi) + 1))
-    else:
-        ids = [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            ids = list(range(int(lo), int(hi) + 1))
+        else:
+            ids = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError("--settings %r: expected ids like 3, 2,4,6 or 1..8" % text) from None
     if not ids:
-        raise ValueError("no settings in %r" % text)
+        raise ValueError("--settings %r: no settings" % text)
+    unknown = [sid for sid in ids if sid not in SETTINGS]
+    if unknown:
+        raise ValueError("--settings %r: unknown setting ids %s (expected 1..8)" % (text, unknown))
     return ids
 
 
@@ -129,31 +135,20 @@ def cmd_bench(args) -> int:
     """Time the fused substep kernel: compiled backend vs pure Python."""
     interval = args.interval
     noise = np.zeros(interval)
-    plant = PlantParams()
-    plant_p = pack_plant(plant)
-    ref_p = pack_reference(ReferenceTrajectory())
-    human = HumanParams()
-    setting = load_setting(1)
-    pid = setting.machine_pid[0]
-    int_limit = default_integral_limit(pid, plant.torque_limit)
-    pd_hi, pd_lo = setting.human_pd
+    # Shipped plant, reference and human; setting 1, machine sub-controller 0.
+    env = make_env(config_from_dict({"seed": 0, "setting": 1}))
+    constants, bank = kernels.pack(env)
 
     def run(fn, blocks):
         sim = np.zeros(kernels.SIM_SIZE)
-        queue = np.zeros(human.reaction_delay, dtype=np.int64)
-        n = blocks * interval
-        outs = [np.empty(n) for _ in range(6)]
+        queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
+        out = np.empty((kernels.TRACE_ROWS, blocks * interval))
         start = time.perf_counter()
         for b in range(blocks):
             digit = (-2, -1, 0, 1, 2)[b % 5]
-            fn(
-                sim, queue, digit, pid.kp, pid.ki, pid.kd, int_limit,
-                pd_hi.kp, pd_hi.kd, pd_lo.kp, pd_lo.kd,
-                human.unit_torque, human.lag_time_constant, noise,
-                plant_p, ref_p, *outs, b * interval, interval,
-            )
+            fn(sim, queue, digit, 0, constants, bank, noise, out, b * interval, interval)
         elapsed = time.perf_counter() - start
-        return elapsed, outs[2].copy()
+        return elapsed, out[2].copy()
 
     blocks = args.blocks
     if kernels.NUMBA_ENABLED:
@@ -167,7 +162,7 @@ def cmd_bench(args) -> int:
     print("substeps: %d (blocks=%d, interval=%d)" % (steps, blocks, interval))
     print("python backend: %.4f s  (%.0f steps/s)" % (py_time, steps / py_time))
     if jit_time is None:
-        print("numba backend: unavailable (not installed or disabled)")
+        print("numba backend: unavailable (not installed)")
     else:
         print("numba backend:  %.4f s  (%.0f steps/s)" % (jit_time, steps / jit_time))
         print("speedup: %.1fx" % (py_time / jit_time))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .controllers import SettingConfig, default_integral_limit
+from .controllers import SettingConfig
 from .human import DIGITS, HumanParams
 from .nets import actor_forward, sample_action
 from .plant import PlantParams, ReferenceTrajectory, sample_reference
@@ -63,10 +63,12 @@ class EnvParams:
     use_machine_reward: bool = False  # give agent 1 its own omega-penalized variant
 
     def __post_init__(self):
-        if self.window < 3:
-            raise ValueError("reward window needs k >= 3")
-        if self.decision_interval < 1 or self.n_decisions < 1:
-            raise ValueError("decision_interval and n_decisions must be >= 1")
+        # Each message starts with the field name; ``harness.make_env``
+        # prefixes the config section to make it the config key.
+        for name, least in (("window", 3), ("decision_interval", 1), ("n_decisions", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError("%s must be >= %d, got %d" % (name, least, value))
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,6 @@ class EpisodeTrace:
     machine_action: np.ndarray  # selected sub-controller index in force
     reward: np.ndarray  # shared reward on block-final rows, 0 elsewhere
     decision_interval: int
-    window: int
 
     def __len__(self):
         return self.time.shape[0]
@@ -165,51 +166,23 @@ def observe_machine(angle, t, omega, prev_action, tau_h, traj, scales) -> np.nda
     )
 
 
-def pack_plant(p: PlantParams) -> np.ndarray:
-    out = np.empty(kernels.PP_SIZE)
-    out[kernels.PP_INERTIA] = p.inertia
-    out[kernels.PP_DAMPING] = p.damping
-    out[kernels.PP_TORQUE_LIMIT] = p.torque_limit
-    out[kernels.PP_DT] = p.dt
-    out[kernels.PP_ANGLE_MIN] = p.angle_min
-    out[kernels.PP_ANGLE_MAX] = p.angle_max
-    out[kernels.PP_OMEGA_MAX] = p.omega_max
-    return out
-
-
-def pack_reference(r: ReferenceTrajectory) -> np.ndarray:
-    out = np.empty(kernels.RP_SIZE)
-    out[kernels.RP_AMPLITUDE] = r.amplitude
-    out[kernels.RP_PERIOD] = r.period
-    out[kernels.RP_PHASE] = r.phase
-    out[kernels.RP_OFFSET] = r.offset
-    return out
-
-
 def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeResult:
     """Roll one full episode; returns the trace and both agents' transitions."""
     scales = ObsScales.from_config(env.plant, env.reference)
-    setting: SettingConfig = env.setting
     k = env.window
     interval = env.decision_interval
     n_total = env.n_decisions * interval
 
     sim = np.zeros(kernels.SIM_SIZE)
     queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
-    plant_p = pack_plant(env.plant)
-    ref_p = pack_reference(env.reference)
+    constants, bank = kernels.pack(env)
 
-    t_arr = np.empty(n_total)
-    ref_arr = np.empty(n_total)
-    pos_arr = np.empty(n_total)
-    om_arr = np.empty(n_total)
-    tm_arr = np.empty(n_total)
-    th_arr = np.empty(n_total)
+    block = np.empty((kernels.TRACE_ROWS, n_total))
+    # Views of the trace block, one per float field of EpisodeTrace.
+    _, ref_arr, pos_arr, om_arr, tm_arr, th_arr = block
     digit_arr = np.zeros(n_total, dtype=np.int64)
     maction_arr = np.zeros(n_total, dtype=np.int64)
     reward_arr = np.zeros(n_total)
-
-    pd_hi, pd_lo = setting.human_pd
 
     prev_digit = 0
     prev_m_idx = 0
@@ -235,19 +208,11 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         if a_m != prev_m_idx and z > 0:
             # stale windup belongs to the other gain set; derivative history carries
             sim[kernels.SIM_M_INTEGRAL] = 0.0
-        gains = setting.machine_pid[a_m]
-        int_limit = default_integral_limit(gains, env.plant.torque_limit)
         noise = rng.standard_normal(interval) * env.human.noise_std
 
         start = z * interval
         kernels.run_substeps(
-            sim, queue, digit,
-            gains.kp, gains.ki, gains.kd, int_limit,
-            pd_hi.kp, pd_hi.kd, pd_lo.kp, pd_lo.kd,
-            env.human.unit_torque, env.human.lag_time_constant, noise,
-            plant_p, ref_p,
-            t_arr, ref_arr, pos_arr, om_arr, tm_arr, th_arr,
-            start, interval,
+            sim, queue, digit, a_m, constants, bank, noise, block, start, interval
         )
         row = start + interval - 1
         digit_arr[start : start + interval] = digit
@@ -298,10 +263,8 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         obs_m = next_obs_m
 
     trace = EpisodeTrace(
-        time=t_arr, reference=ref_arr, position=pos_arr, omega=om_arr,
-        tau_machine=tm_arr, tau_human=th_arr,
-        digit=digit_arr, machine_action=maction_arr, reward=reward_arr,
-        decision_interval=interval, window=k,
+        *block, digit=digit_arr, machine_action=maction_arr, reward=reward_arr,
+        decision_interval=interval,
     )
     return EpisodeResult(
         trace=trace,

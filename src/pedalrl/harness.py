@@ -137,16 +137,19 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
 
 def make_env(cfg: ExperimentConfig, weights: RewardWeights = None) -> EnvParams:
     setting = load_setting(cfg.setting_id)
-    return EnvParams(
-        plant=cfg.plant,
-        reference=cfg.reference,
-        human=cfg.human,
-        setting=setting,
-        weights=weights if weights is not None else weights_for_setting(setting),
-        window=cfg.window,
-        decision_interval=cfg.decision_interval,
-        n_decisions=cfg.n_decisions,
-    )
+    try:
+        return EnvParams(
+            plant=cfg.plant,
+            reference=cfg.reference,
+            human=cfg.human,
+            setting=setting,
+            weights=weights if weights is not None else weights_for_setting(setting),
+            window=cfg.window,
+            decision_interval=cfg.decision_interval,
+            n_decisions=cfg.n_decisions,
+        )
+    except ValueError as exc:
+        raise ValueError("episode.%s" % exc) from None
 
 
 @dataclass(frozen=True)

@@ -3,37 +3,34 @@
 The inner loop of every episode advances the plant, the machine PID and the
 synthetic human chain for ``decision_interval`` substeps between agent
 decisions. That loop is scalar and sequential, so it is compiled with
-``numba.njit`` when available. Setting the environment variable
-``PEDALRL_DISABLE_NUMBA=1`` (or running without numba installed) selects the
-pure NumPy/Python fallback: the same function body is executed uncompiled,
-which keeps the two backends bit-for-bit identical. ``pedalrl bench``
-compares their speed.
+``numba.njit`` when numba is installed. Without numba the same function body
+runs uncompiled, which keeps the two backends bit-for-bit identical.
+``pedalrl bench`` compares their speed.
 
 The kernel is deliberately self-contained (no calls into other modules) so
 that its ``py_func`` really is the whole fallback path. It is the only
 implementation of the per-step math in the package. The readable reference
 it is pinned against, bit for bit, is the composition of the plant,
 controller and human step functions in ``tests/oracles.py``.
+
+This module also owns the kernel's calling convention: :func:`pack` turns an
+episode's parameters into one constants vector and one gain bank, the packed
+simulation state has the ``SIM_*`` layout, and the kernel writes the six
+float fields of ``EpisodeTrace`` as the rows of one ``(TRACE_ROWS, n)`` block.
 """
 
 import math
-import os
+
+import numpy as np
+
+from .controllers import default_integral_limit
 
 try:
     from numba import njit
 
-    _HAVE_NUMBA = True
+    NUMBA_ENABLED = True
 except ImportError:  # pragma: no cover - exercised only on bare installs
-    njit = None
-    _HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("PEDALRL_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-NUMBA_ENABLED = _HAVE_NUMBA and not _DISABLED
+    NUMBA_ENABLED = False
 
 
 def hot(fn):
@@ -55,70 +52,78 @@ SIM_H_PREV_ERR = 7
 SIM_H_INIT = 8
 SIM_SIZE = 9
 
-# Indices into the packed plant parameter vector (float64[7]).
-PP_INERTIA = 0
-PP_DAMPING = 1
-PP_TORQUE_LIMIT = 2
-PP_DT = 3
-PP_ANGLE_MIN = 4
-PP_ANGLE_MAX = 5
-PP_OMEGA_MAX = 6
-PP_SIZE = 7
+# Indices into the constants vector built by ``pack``: plant, reference,
+# human model, then the strong and weak human PD pairs.
+(
+    C_INERTIA, C_DAMPING, C_TORQUE_LIMIT, C_DT, C_ANGLE_MIN, C_ANGLE_MAX, C_OMEGA_MAX,
+    C_AMPLITUDE, C_PERIOD, C_PHASE, C_OFFSET,
+    C_UNIT_TORQUE, C_LAG_TC,
+    C_HI_KP, C_HI_KD, C_LO_KP, C_LO_KD,
+) = range(17)
 
-# Indices into the packed reference parameter vector (float64[4]).
-RP_AMPLITUDE = 0
-RP_PERIOD = 1
-RP_PHASE = 2
-RP_OFFSET = 3
-RP_SIZE = 4
+# Columns of a gain-bank row: one machine sub-controller.
+B_KP, B_KI, B_KD, B_LIMIT = range(4)
+
+# Rows of the trace block: time, reference, position, omega, machine
+# torque, human torque (the float fields of ``EpisodeTrace``, in order).
+TRACE_ROWS = 6
 
 
-def _run_substeps(
-    sim,
-    digit_queue,
-    commanded_digit,
-    m_kp,
-    m_ki,
-    m_kd,
-    m_integral_limit,
-    h_kp_hi,
-    h_kd_hi,
-    h_kp_lo,
-    h_kd_lo,
-    unit_torque,
-    lag_tc,
-    noise,
-    plant_p,
-    ref_p,
-    out_t,
-    out_ref,
-    out_pos,
-    out_omega,
-    out_tau_m,
-    out_tau_h,
-    start,
-    n_sub,
-):
+def pack(env):
+    """``(constants, bank)`` for the kernel from an ``EnvParams``.
+
+    ``bank`` has one ``(kp, ki, kd, anti-windup limit)`` row per machine
+    sub-controller; the machine agent's action is a row index.
+    """
+    p, r, h = env.plant, env.reference, env.human
+    strong, weak = env.setting.human_pd
+    constants = np.array([
+        p.inertia, p.damping, p.torque_limit, p.dt, p.angle_min, p.angle_max, p.omega_max,
+        r.amplitude, r.period, r.phase, r.offset,
+        h.unit_torque, h.lag_time_constant,
+        strong.kp, strong.kd, weak.kp, weak.kd,
+    ])
+    bank = np.array([
+        (g.kp, g.ki, g.kd, default_integral_limit(g, p.torque_limit))
+        for g in env.setting.machine_pid
+    ])
+    return constants, bank
+
+
+def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noise, out, start, n_sub):
     """Advance the closed loop by ``n_sub`` plant substeps.
 
-    Mutates ``sim`` and ``digit_queue`` in place and writes trace rows
-    ``start .. start+n_sub-1``. ``noise`` holds one pre-drawn, pre-scaled
+    Runs machine sub-controller ``bank[m_idx]``, mutates ``sim`` and
+    ``digit_queue`` in place and writes columns ``start .. start+n_sub-1``
+    of the trace block ``out``. ``noise`` holds one pre-drawn, pre-scaled
     torque perturbation per substep (drawn outside so that the RNG stream
     never depends on the backend).
     """
-    inertia = plant_p[PP_INERTIA]
-    damping = plant_p[PP_DAMPING]
-    torque_limit = plant_p[PP_TORQUE_LIMIT]
-    dt = plant_p[PP_DT]
-    angle_min = plant_p[PP_ANGLE_MIN]
-    angle_max = plant_p[PP_ANGLE_MAX]
-    omega_max = plant_p[PP_OMEGA_MAX]
+    inertia = constants[C_INERTIA]
+    damping = constants[C_DAMPING]
+    torque_limit = constants[C_TORQUE_LIMIT]
+    dt = constants[C_DT]
+    angle_min = constants[C_ANGLE_MIN]
+    angle_max = constants[C_ANGLE_MAX]
+    omega_max = constants[C_OMEGA_MAX]
 
-    amp = ref_p[RP_AMPLITUDE]
-    period = ref_p[RP_PERIOD]
-    phase = ref_p[RP_PHASE]
-    offset = ref_p[RP_OFFSET]
+    amp = constants[C_AMPLITUDE]
+    period = constants[C_PERIOD]
+    phase = constants[C_PHASE]
+    offset = constants[C_OFFSET]
     two_pi = 2.0 * math.pi
+
+    unit_torque = constants[C_UNIT_TORQUE]
+    lag_tc = constants[C_LAG_TC]
+    h_kp_hi = constants[C_HI_KP]
+    h_kd_hi = constants[C_HI_KD]
+    h_kp_lo = constants[C_LO_KP]
+    h_kd_lo = constants[C_LO_KD]
+
+    m_kp = bank[m_idx, B_KP]
+    m_ki = bank[m_idx, B_KI]
+    m_kd = bank[m_idx, B_KD]
+    m_integral_limit = bank[m_idx, B_LIMIT]
 
     angle = sim[SIM_ANGLE]
     omega = sim[SIM_OMEGA]
@@ -200,13 +205,13 @@ def _run_substeps(
             omega = 0.0
         t += dt
 
-        row = start + s
-        out_t[row] = t
-        out_ref[row] = offset + amp * math.sin(two_pi * t / period + phase)
-        out_pos[row] = angle
-        out_omega[row] = omega
-        out_tau_m[row] = tau_m
-        out_tau_h[row] = tau_h
+        col = start + s
+        out[0, col] = t
+        out[1, col] = offset + amp * math.sin(two_pi * t / period + phase)
+        out[2, col] = angle
+        out[3, col] = omega
+        out[4, col] = tau_m
+        out[5, col] = tau_h
 
     sim[SIM_ANGLE] = angle
     sim[SIM_OMEGA] = omega

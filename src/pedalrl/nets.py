@@ -53,9 +53,6 @@ class MLPParams:
     def out_dim(self):
         return self.w3.shape[1]
 
-    def copy(self):
-        return MLPParams(*(arr.copy() for _, arr in self.arrays()))
-
 
 def init_params(seed, in_dim: int, out_dim: int, hidden: int = HIDDEN) -> MLPParams:
     """Glorot-uniform weights, zero biases, final layer shrunk.
@@ -92,10 +89,6 @@ class ActionDistribution:
 
     probabilities: np.ndarray
     log_probabilities: np.ndarray
-
-    @property
-    def n_actions(self):
-        return self.probabilities.shape[-1]
 
 
 def _check_obs(params, x):

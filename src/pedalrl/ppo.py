@@ -219,10 +219,6 @@ class Agent:
         if self.vel_critic is None:
             self.vel_critic = zeros_like_params(self.critic)
 
-    @property
-    def n_actions(self):
-        return self.actor.out_dim
-
 
 def make_agent(rng, obs_dim: int, n_actions: int, buffer_size: int) -> Agent:
     return Agent(

@@ -81,9 +81,12 @@ def test_decode_rejections(line, code):
 
 def test_parse_endpoint():
     assert parse_endpoint("127.0.0.1:6000") == ("127.0.0.1", 6000)
+    assert parse_endpoint("localhost:65535") == ("localhost", 65535)
     for bad in ("9000", "localhost:", "localhost:abc", ":80"):
         with pytest.raises(ValueError):
             parse_endpoint(bad)
+    with pytest.raises(ValueError, match="127.0.0.1:99999"):
+        parse_endpoint("127.0.0.1:99999")
 
 
 def make_actors(seed=0):

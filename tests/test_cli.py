@@ -61,6 +61,16 @@ def test_bad_input_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["eval", "--checkpoint", ckpt] + flags) == 2
         assert "'eval.episodes'" in capsys.readouterr().err
+    for key in ("episode.window=2", "episode.n_decisions=0", "episode.decision_interval=0"):
+        assert main(["train", "--setting", "2", "--seed", "1", "--set", key]) == 2
+        assert key.split("=")[0] in capsys.readouterr().err
+    # bad settings fail before the sweep trains or checkpoints anything
+    sweep_out = tmp_path / "sweep"
+    for settings in ("1..9", "a..3"):
+        args = ["sweep", "--settings", settings, "--seed", "7", "--out", str(sweep_out)]
+        assert main(args + FAST) == 2
+        assert "--settings" in capsys.readouterr().err
+    assert not sweep_out.exists()
 
 
 def test_bench_smoke(capsys):

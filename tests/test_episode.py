@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -130,16 +126,6 @@ def test_backends_bit_identical(monkeypatch):
     b = play()
     for field in ("time", "reference", "position", "omega", "tau_machine", "tau_human", "reward"):
         assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field)), field
-
-
-def test_numba_env_flag_disables_compilation():
-    code = (
-        "import os; os.environ['PEDALRL_DISABLE_NUMBA'] = '1'; "
-        "from pedalrl import kernels; "
-        "assert kernels.NUMBA_ENABLED is False; "
-        "assert kernels.run_substeps is kernels.run_substeps_python"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ))
 
 
 def test_rng_draw_accounting():

@@ -144,7 +144,7 @@ def test_make_env_wiring():
     assert make_env(cfg, custom).weights is custom
 
 
-def trace_from_csv(text: str, decision_interval: int, window: int) -> EpisodeTrace:
+def trace_from_csv(text: str, decision_interval: int) -> EpisodeTrace:
     lines = text.strip().splitlines()
     if lines[0] != ",".join(TRACE_COLUMNS):
         raise ValueError("unexpected trace CSV header: %r" % lines[0])
@@ -158,7 +158,7 @@ def trace_from_csv(text: str, decision_interval: int, window: int) -> EpisodeTra
         time=as_f(cols[0]), reference=as_f(cols[1]), position=as_f(cols[2]),
         omega=as_f(cols[3]), tau_machine=as_f(cols[4]), tau_human=as_f(cols[5]),
         digit=as_i(cols[6]), machine_action=as_i(cols[7]), reward=as_f(cols[8]),
-        decision_interval=decision_interval, window=window,
+        decision_interval=decision_interval,
     )
 
 
@@ -175,7 +175,6 @@ def hand_trace():
         machine_action=np.zeros(n, dtype=np.int64),
         reward=np.array([0.0, 0.0, 0.25, -0.5, 1.0]),
         decision_interval=1,
-        window=3,
     )
 
 
@@ -200,7 +199,7 @@ def test_trace_csv_round_trip_is_exact():
         env, ConstantPolicy(3), ConstantPolicy(1), np.random.default_rng(2)
     )
     text = trace_to_csv(res.trace)
-    back = trace_from_csv(text, env.decision_interval, env.window)
+    back = trace_from_csv(text, env.decision_interval)
     for field in (
         "time", "reference", "position", "omega",
         "tau_machine", "tau_human", "digit", "machine_action", "reward",
@@ -213,7 +212,7 @@ def test_trace_csv_round_trip_is_exact():
 
 def test_trace_from_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
-        trace_from_csv("a,b,c\n1,2,3\n", 10, 10)
+        trace_from_csv("a,b,c\n1,2,3\n", 10)
 
 
 def test_eval_seeds_deterministic_and_distinct():
