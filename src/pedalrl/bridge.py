@@ -219,10 +219,3 @@ def actors_from_checkpoint(path) -> dict:
     ckpt = load_checkpoint(path)
     return {0: ckpt["human.actor"], 1: ckpt["machine.actor"]}
 
-
-def serve_policies(endpoint: str, checkpoint_path, stochastic: bool = False):
-    """Blocking serve loop: answer OBS frames from the checkpointed actors."""
-    host, port = parse_endpoint(endpoint)
-    server = PolicyServer((host, port), actors_from_checkpoint(checkpoint_path), stochastic)
-    with server:
-        server.serve_forever()

@@ -8,8 +8,8 @@ import time
 import numpy as np
 
 from . import kernels
-from .bridge import serve_policies
-from .config import apply_overrides, load_config
+from .bridge import PolicyServer, actors_from_checkpoint, parse_endpoint
+from .config import apply_overrides, load_config, parse_scalar
 from .controllers import SETTINGS
 from .harness import (
     config_from_dict,
@@ -89,7 +89,7 @@ def cmd_eval(args) -> int:
     cfg_dict = _config_dict(args)
     for key in ("setting", "seed", "subject"):
         if key not in cfg_dict and key in meta:
-            cfg_dict[key] = type_cast_meta(meta[key])
+            cfg_dict[key] = parse_scalar(meta[key])
     cfg = config_from_dict(cfg_dict)
     env = make_env(cfg)
     mean, _ = evaluate_agents(
@@ -100,13 +100,6 @@ def cmd_eval(args) -> int:
         % (cfg.eval_episodes, mean.value, mean.human_action_mse, mean.tracking_error_mse)
     )
     return 0
-
-
-def type_cast_meta(value: str):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return value
 
 
 def cmd_sweep(args) -> int:
@@ -126,8 +119,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bridge_serve(args) -> int:
-    print("serving %s from %s" % (args.endpoint, args.checkpoint))
-    serve_policies(args.endpoint, args.checkpoint, stochastic=args.stochastic)
+    endpoint = parse_endpoint(args.endpoint)
+    actors = actors_from_checkpoint(args.checkpoint)
+    with PolicyServer(endpoint, actors, args.stochastic) as server:
+        host, port = server.server_address[:2]
+        print("serving %s:%d from %s" % (host, port, args.checkpoint), flush=True)
+        server.serve_forever()
     return 0
 
 

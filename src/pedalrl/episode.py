@@ -4,7 +4,9 @@ Agents act every ``decision_interval`` plant substeps. One decision step is:
 observe (both agents), pick a digit and a machine sub-controller, run the
 substep block through the hot kernel, then score the shared reward over
 sliding windows of block-boundary samples. The trace records every plant
-substep; rewards land on block-final rows.
+substep; rewards land on block-final rows. Each agent's observations are
+the block-final trace values over a fixed divisor vector (``obs_divisors``),
+and its experience is one record array per episode (``experience``).
 
 RNG discipline: per decision step the stream is consumed in a fixed order
 (human sample, machine sample, one noise vector), and non-sampling policies
@@ -24,24 +26,8 @@ from .nets import actor_forward, sample_action
 from .plant import PlantParams, ReferenceTrajectory, sample_reference
 from .rewards import RewardWeights, comfort_term, machine_reward, shared_reward
 
-OBS_DIM_HUMAN = 5  # position, error, smoothness, previous digit, machine torque
+OBS_DIM_HUMAN = 5  # position, error, comfort, previous digit, machine torque
 OBS_DIM_MACHINE = 6  # reference, position, error, omega, previous action, human torque
-
-
-@dataclass(frozen=True)
-class ObsScales:
-    """Divisors that bring raw observation fields to O(1)."""
-
-    angle: float
-    torque: float
-    omega: float
-    digit: float = 2.0
-    smooth: float = 1.0
-
-    @staticmethod
-    def from_config(plant: PlantParams, traj: ReferenceTrajectory) -> "ObsScales":
-        angle = traj.amplitude if traj.amplitude > 0.0 else plant.angle_max
-        return ObsScales(angle=angle, torque=plant.torque_limit, omega=plant.omega_max)
 
 
 @dataclass(frozen=True)
@@ -71,22 +57,44 @@ class EnvParams:
                 raise ValueError("%s must be >= %d, got %d" % (name, least, value))
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One decision step as seen by a single agent."""
+def obs_divisors(env: EnvParams) -> tuple:
+    """(human, machine) divisor vectors that bring observation fields to O(1).
 
-    obs: np.ndarray
-    action: int
-    log_prob_old: float
-    reward: float
-    next_obs: np.ndarray
-    terminal: bool
+    Angles go over the reference amplitude (the upper stop for a flat
+    reference), torques over the torque limit, omega over its limit, the
+    digit over 2; the comfort term and the machine action stay as they are.
+    """
+    p = env.plant
+    angle = env.reference.amplitude if env.reference.amplitude > 0.0 else p.angle_max
+    return (
+        np.array([angle, angle, 1.0, 2.0, p.torque_limit]),
+        np.array([angle, angle, angle, p.omega_max, 1.0, p.torque_limit]),
+    )
 
-    def __post_init__(self):
-        if self.log_prob_old > 0.0:
-            raise ValueError("log probability cannot be positive")
-        if not np.isfinite(self.reward):
-            raise ValueError("non-finite reward")
+
+def experience(obs, action, log_prob_old, reward, next_obs, terminal) -> np.recarray:
+    """One agent's decisions as a record array, one row per decision.
+
+    Fields: ``obs``, ``action``, ``log_prob_old``, ``reward``, ``next_obs``
+    and ``terminal``. Raises ValueError naming the first row with a positive
+    log probability or a non-finite reward.
+    """
+    obs = np.asarray(obs, dtype=np.float64)
+    n, dim = obs.shape
+    rec = np.recarray(n, dtype=[
+        ("obs", np.float64, (dim,)), ("action", np.int64), ("log_prob_old", np.float64),
+        ("reward", np.float64), ("next_obs", np.float64, (dim,)), ("terminal", bool),
+    ])
+    columns = (obs, action, log_prob_old, reward, next_obs, terminal)
+    for name, column in zip(rec.dtype.names, columns):
+        rec[name] = column
+    bad = (rec.log_prob_old > 0.0) | ~np.isfinite(rec.reward)
+    if bad.any():
+        z = int(np.argmax(bad))
+        if rec.log_prob_old[z] > 0.0:
+            raise ValueError("experience row %d: log probability cannot be positive" % z)
+        raise ValueError("experience row %d: non-finite reward" % z)
+    return rec
 
 
 @dataclass
@@ -111,8 +119,8 @@ class EpisodeTrace:
 @dataclass
 class EpisodeResult:
     trace: EpisodeTrace
-    transitions_human: list
-    transitions_machine: list
+    transitions_human: np.recarray  # see ``experience``
+    transitions_machine: np.recarray
     total_reward: float
 
 
@@ -139,39 +147,13 @@ class GreedyPolicy:
         return idx, float(dist.log_probabilities[idx])
 
 
-def observe_human(angle, t, sm, prev_digit, tau_m, traj, scales) -> np.ndarray:
-    e_t = sample_reference(traj, t) - angle
-    return np.array(
-        [
-            angle / scales.angle,
-            e_t / scales.angle,
-            sm / scales.smooth,
-            prev_digit / scales.digit,
-            tau_m / scales.torque,
-        ]
-    )
-
-
-def observe_machine(angle, t, omega, prev_action, tau_h, traj, scales) -> np.ndarray:
-    r_p = sample_reference(traj, t)
-    return np.array(
-        [
-            r_p / scales.angle,
-            angle / scales.angle,
-            (r_p - angle) / scales.angle,
-            omega / scales.omega,
-            float(prev_action),
-            tau_h / scales.torque,
-        ]
-    )
-
-
 def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeResult:
-    """Roll one full episode; returns the trace and both agents' transitions."""
-    scales = ObsScales.from_config(env.plant, env.reference)
+    """Roll one full episode; returns the trace and both agents' experience."""
     k = env.window
     interval = env.decision_interval
-    n_total = env.n_decisions * interval
+    n = env.n_decisions
+    n_total = n * interval
+    div_h, div_m = obs_divisors(env)
 
     sim = np.zeros(kernels.SIM_SIZE)
     queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
@@ -184,28 +166,27 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     maction_arr = np.zeros(n_total, dtype=np.int64)
     reward_arr = np.zeros(n_total)
 
-    prev_digit = 0
-    prev_m_idx = 0
-    last_tau_m = 0.0
-    last_tau_h = 0.0
-    transitions_h = []
-    transitions_m = []
-
-    obs_h = observe_human(
-        sim[kernels.SIM_ANGLE], sim[kernels.SIM_T], 0.0, prev_digit, last_tau_m,
-        env.reference, scales,
-    )
-    obs_m = observe_machine(
-        sim[kernels.SIM_ANGLE], sim[kernels.SIM_T], sim[kernels.SIM_OMEGA],
-        prev_m_idx, last_tau_h, env.reference, scales,
-    )
+    # Row z of obs_* is the observation at decision z and the next_obs of
+    # decision z - 1. Row 0 is the pedal at rest at t = 0.
+    obs_h = np.empty((n + 1, OBS_DIM_HUMAN))
+    obs_m = np.empty((n + 1, OBS_DIM_MACHINE))
+    ref0 = sample_reference(env.reference, 0.0)
+    obs_h[0] = (0.0, ref0, 0.0, 0.0, 0.0) / div_h
+    obs_m[0] = (ref0, 0.0, ref0, 0.0, 0.0, 0.0) / div_m
+    act_h = np.empty(n, dtype=np.int64)
+    act_m = np.empty(n, dtype=np.int64)
+    logp_h = np.empty(n)
+    logp_m = np.empty(n)
+    reward_m_col = np.empty(n)
 
     total_reward = 0.0
-    for z in range(env.n_decisions):
-        a_h, logp_h = human_policy.act(obs_h, rng)
-        a_m, logp_m = machine_policy.act(obs_m, rng)
+    for z in range(n):
+        a_h, logp_h[z] = human_policy.act(obs_h[z], rng)
+        a_m, logp_m[z] = machine_policy.act(obs_m[z], rng)
+        act_h[z] = a_h
+        act_m[z] = a_m
         digit = DIGITS[a_h]
-        if a_m != prev_m_idx and z > 0:
+        if z > 0 and a_m != act_m[z - 1]:
             # stale windup belongs to the other gain set; derivative history carries
             sim[kernels.SIM_M_INTEGRAL] = 0.0
         noise = rng.standard_normal(interval) * env.human.noise_std
@@ -237,38 +218,27 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
                     om_arr[row], env.weights.sigma, env.weights.beta,
                 )
         reward_arr[row] = reward
+        reward_m_col[z] = reward_m
         total_reward += reward
 
-        prev_digit = digit
-        prev_m_idx = a_m
-        last_tau_m = tm_arr[row]
-        last_tau_h = th_arr[row]
-        sm = comfort_term(positions)
-        next_obs_h = observe_human(
-            sim[kernels.SIM_ANGLE], sim[kernels.SIM_T], sm, prev_digit, last_tau_m,
-            env.reference, scales,
-        )
-        next_obs_m = observe_machine(
-            sim[kernels.SIM_ANGLE], sim[kernels.SIM_T], sim[kernels.SIM_OMEGA],
-            prev_m_idx, last_tau_h, env.reference, scales,
-        )
-        terminal = z == env.n_decisions - 1
-        transitions_h.append(
-            Transition(obs_h, a_h, logp_h, reward, next_obs_h, terminal)
-        )
-        transitions_m.append(
-            Transition(obs_m, a_m, logp_m, reward_m, next_obs_m, terminal)
-        )
-        obs_h = next_obs_h
-        obs_m = next_obs_m
+        pos = pos_arr[row]
+        ref = ref_arr[row]
+        obs_h[z + 1] = (pos, ref - pos, comfort_term(positions), digit, tm_arr[row]) / div_h
+        obs_m[z + 1] = (ref, pos, ref - pos, om_arr[row], a_m, th_arr[row]) / div_m
 
     trace = EpisodeTrace(
         *block, digit=digit_arr, machine_action=maction_arr, reward=reward_arr,
         decision_interval=interval,
     )
+    terminal = np.arange(n) == n - 1
+    reward_h_col = reward_arr[interval - 1 :: interval]
     return EpisodeResult(
         trace=trace,
-        transitions_human=transitions_h,
-        transitions_machine=transitions_m,
+        transitions_human=experience(
+            obs_h[:-1], act_h, logp_h, reward_h_col, obs_h[1:], terminal
+        ),
+        transitions_machine=experience(
+            obs_m[:-1], act_m, logp_m, reward_m_col, obs_m[1:], terminal
+        ),
         total_reward=total_reward,
     )

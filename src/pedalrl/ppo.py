@@ -40,6 +40,8 @@ class PPOHyper:
     batch_size: int = 64
     learning_rate: float = 3e-4
     update_epochs: int = 4
+    # A minimum: rollouts add whole episodes until the buffer holds at least
+    # this many transitions, so 60-decision episodes give 2100 per update.
     buffer_size: int = 2048
     momentum: float = 0.0
     entropy_as_printed: bool = False  # +entropy in the minimized loss (literal form)
@@ -56,38 +58,41 @@ class PPOHyper:
 
 
 class ExperienceBuffer:
-    """Time-ordered transition store; advantages need it filled to capacity."""
+    """Time-ordered store of whole episodes' experience records.
+
+    Each ``extend`` adds one record array from ``episode.experience``;
+    advantages need the buffer filled to capacity.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items = []
+        self.clear()
 
     def __len__(self):
-        return len(self._items)
+        return self._size
 
     @property
     def full(self):
-        return len(self._items) >= self.capacity
+        return self._size >= self.capacity
 
-    def extend(self, transitions):
-        self._items.extend(transitions)
+    def extend(self, records):
+        self._episodes.append(records)
+        self._size += len(records)
 
     def clear(self):
-        self._items = []
+        self._episodes = []
+        self._size = 0
 
     def arrays(self):
-        """(obs, actions, log_probs_old, rewards, next_obs, terminals)."""
-        if not self._items:
+        """(obs, actions, log_probs_old, rewards, next_obs, terminals), fresh and contiguous."""
+        if not self._episodes:
             raise ValueError("empty buffer")
-        obs = np.stack([tr.obs for tr in self._items])
-        actions = np.array([tr.action for tr in self._items], dtype=np.int64)
-        logp = np.array([tr.log_prob_old for tr in self._items])
-        rewards = np.array([tr.reward for tr in self._items])
-        next_obs = np.stack([tr.next_obs for tr in self._items])
-        terminals = np.array([tr.terminal for tr in self._items], dtype=bool)
-        return obs, actions, logp, rewards, next_obs, terminals
+        return tuple(
+            np.concatenate([ep[name] for ep in self._episodes])
+            for name in self._episodes[0].dtype.names
+        )
 
 
 def critic_values(params: MLPParams, obs: np.ndarray) -> np.ndarray:
@@ -210,21 +215,19 @@ class Agent:
     actor: MLPParams
     critic: MLPParams
     buffer: ExperienceBuffer
-    vel_actor: MLPParams = None
-    vel_critic: MLPParams = None
-
-    def __post_init__(self):
-        if self.vel_actor is None:
-            self.vel_actor = zeros_like_params(self.actor)
-        if self.vel_critic is None:
-            self.vel_critic = zeros_like_params(self.critic)
+    vel_actor: MLPParams
+    vel_critic: MLPParams
 
 
 def make_agent(rng, obs_dim: int, n_actions: int, buffer_size: int) -> Agent:
+    actor = init_params(rng, obs_dim, n_actions)
+    critic = init_params(rng, obs_dim, 1)
     return Agent(
-        actor=init_params(rng, obs_dim, n_actions),
-        critic=init_params(rng, obs_dim, 1),
+        actor=actor,
+        critic=critic,
         buffer=ExperienceBuffer(buffer_size),
+        vel_actor=zeros_like_params(actor),
+        vel_critic=zeros_like_params(critic),
     )
 
 

@@ -16,7 +16,7 @@ import oracles
 from conftest import ConstantPolicy, make_test_env
 from pedalrl.bridge import Frame, PolicyServer, RemotePolicy, decode_frame, encode_frame
 from pedalrl.cli import main
-from pedalrl.episode import GreedyPolicy, Transition, run_episode
+from pedalrl.episode import GreedyPolicy, experience, run_episode
 from pedalrl.harness import config_from_dict, mse_metrics, train_setting
 from pedalrl.nets import actor_forward, init_params, sample_action
 from pedalrl.ppo import (
@@ -101,19 +101,17 @@ def test_criterion_02_advantages_match_double_loop():
 
     for _ in range(100):
         buf = ExperienceBuffer(10)
-        items = []
+        rows = []
         for i in range(10):
-            items.append(
-                Transition(
-                    obs=rng.uniform(-1, 1, 3),
-                    action=int(rng.integers(4)),
-                    log_prob_old=-1.0,
-                    reward=float(rng.normal()),
-                    next_obs=rng.uniform(-1, 1, 3),
-                    terminal=bool(rng.random() < 0.2) or i == 9,
-                )
-            )
-        buf.extend(items)
+            rows.append((
+                rng.uniform(-1, 1, 3),
+                int(rng.integers(4)),
+                -1.0,
+                float(rng.normal()),
+                rng.uniform(-1, 1, 3),
+                bool(rng.random() < 0.2) or i == 9,
+            ))
+        buf.extend(experience(*zip(*rows)))  # rows to columns
         gamma = float(rng.uniform(0.05, 0.999))
         obs, _, _, rewards, next_obs, terminals = buf.arrays()
         got = compute_advantages(
@@ -224,8 +222,8 @@ def _bandit_updates_to_converge(seed, max_updates=200):
         while len(batch) < 200:
             dist = actor_forward(agent.actor, obs)
             a, logp = sample_action(dist, r_roll)
-            batch.append(Transition(obs, a, logp, ARMS[a], obs, True))
-        agent.buffer.extend(batch)
+            batch.append((obs, a, logp, ARMS[a], obs, True))
+        agent.buffer.extend(experience(*zip(*batch)))  # rows to columns
         update_agent(agent, hyper, r_up)
         if actor_forward(agent.actor, obs).probabilities[best] > 0.9:
             return update

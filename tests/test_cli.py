@@ -55,6 +55,11 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "'plant.dt'" in capsys.readouterr().err
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
     capsys.readouterr()
+    # the server announces itself only once it has loaded and bound
+    serve = ["bridge-serve", "--endpoint", "127.0.0.1:0"]
+    assert main(serve + ["--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
+    shown = capsys.readouterr()
+    assert shown.out == "" and "missing.ckpt" in shown.err
     assert main(["train", "--setting", "2", "--seed", "1", "--out", str(tmp_path)] + FAST) == 0
     ckpt = str(tmp_path / "setting2.ckpt")
     for flags in (["--episodes", "0"], ["--set", "eval.episodes=0"]):

@@ -14,17 +14,10 @@ from oracles import (
 )
 from pedalrl import kernels
 from pedalrl.controllers import default_integral_limit
-from pedalrl.episode import (
-    GreedyPolicy,
-    ObsScales,
-    SamplingPolicy,
-    observe_human,
-    observe_machine,
-    run_episode,
-)
+from pedalrl.episode import GreedyPolicy, SamplingPolicy, obs_divisors, run_episode
 from pedalrl.human import DIGITS
 from pedalrl.nets import init_params
-from pedalrl.plant import ReferenceTrajectory, sample_reference
+from pedalrl.plant import PlantParams, ReferenceTrajectory, sample_reference
 from pedalrl.rewards import comfort_term
 
 
@@ -156,11 +149,16 @@ def test_greedy_policy_is_deterministic():
 
 
 def test_observation_hand_values():
-    traj = ReferenceTrajectory(amplitude=0.3, period=4.0, phase=0.0, offset=0.0)
-    scales = ObsScales(angle=0.3, torque=30.0, omega=10.0)
-    obs = observe_human(0.15, 1.0, 0.5, -2, 15.0, traj, scales)
+    env = make_test_env(
+        plant=PlantParams(torque_limit=30.0, omega_max=10.0),
+        reference=ReferenceTrajectory(amplitude=0.3, period=4.0, phase=0.0, offset=0.0),
+    )
+    div_h, div_m = obs_divisors(env)
+    # angle 0.15 at t = 1.0, where the reference peaks at 0.3
+    ref = sample_reference(env.reference, 1.0)
+    obs = np.array([0.15, ref - 0.15, 0.5, -2, 15.0]) / div_h
     assert np.allclose(obs, [0.5, 0.5, 0.5, -1.0, 0.5], atol=1e-12)
-    obs = observe_machine(0.15, 1.0, 5.0, 1, -15.0, traj, scales)
+    obs = np.array([ref, 0.15, ref - 0.15, 5.0, 1, -15.0]) / div_m
     assert np.allclose(obs, [1.0, 0.5, 0.5, 0.5, 1.0, -0.5], atol=1e-12)
 
 
@@ -222,6 +220,15 @@ def test_rewards_replayable_from_trace():
     ref = result.trace.reference[rows]
     om = result.trace.omega[rows]
     dig = result.trace.digit[rows]
+    tau_m = result.trace.tau_machine[rows]
+    tau_h = result.trace.tau_human[rows]
+    div_h, div_m = obs_divisors(env)
+    for z in range(env.n_decisions):
+        comfort = oracles.comfort_sum(pos[max(z - k + 1, 0) : z + 1])
+        next_h = np.array([pos[z], ref[z] - pos[z], comfort, dig[z], tau_m[z]]) / div_h
+        next_m = np.array([ref[z], pos[z], ref[z] - pos[z], om[z], z % 2, tau_h[z]]) / div_m
+        assert np.array_equal(result.transitions_human[z].next_obs, next_h)
+        assert np.array_equal(result.transitions_machine[z].next_obs, next_m)
     w = env.weights
     for z in range(env.n_decisions):
         t_h = result.transitions_human[z]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pedalrl.episode import Transition
+from pedalrl.episode import experience
 from pedalrl.nets import actor_forward, init_params, zeros_like_params
 from pedalrl.ppo import (
     ExperienceBuffer,
@@ -30,23 +30,21 @@ from pedalrl.ppo import (
 
 def fill_buffer(rng, capacity, obs_dim=3, n_actions=4, terminal_pattern=None):
     buf = ExperienceBuffer(capacity)
-    transitions = []
+    rows = []
     for i in range(capacity):
         if terminal_pattern is None:
             terminal = bool(rng.random() < 0.15) or i == capacity - 1
         else:
             terminal = terminal_pattern[i]
-        transitions.append(
-            Transition(
-                obs=rng.uniform(-1, 1, obs_dim),
-                action=int(rng.integers(n_actions)),
-                log_prob_old=float(-rng.uniform(0.1, 2.0)),
-                reward=float(rng.normal()),
-                next_obs=rng.uniform(-1, 1, obs_dim),
-                terminal=terminal,
-            )
-        )
-    buf.extend(transitions)
+        rows.append((
+            rng.uniform(-1, 1, obs_dim),
+            int(rng.integers(n_actions)),
+            float(-rng.uniform(0.1, 2.0)),
+            float(rng.normal()),
+            rng.uniform(-1, 1, obs_dim),
+            terminal,
+        ))
+    buf.extend(experience(*zip(*rows)))  # rows to columns
     return buf
 
 
@@ -68,6 +66,14 @@ def test_buffer_bookkeeping():
     buf.clear()
     assert not buf.full
     assert len(buf) == 0
+
+    obs = np.zeros((3, 2))
+    for logp, reward, message in (
+        ([-0.1, 0.2, -0.3], [0.0, 1.0, 2.0], "row 1: log probability cannot be positive"),
+        ([-0.1, -0.2, -0.3], [0.0, 1.0, np.nan], "row 2: non-finite reward"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            experience(obs, [0, 1, 0], logp, reward, obs, [False, False, True])
 
 
 def test_advantages_match_double_loop_oracle():
