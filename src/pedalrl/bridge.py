@@ -5,8 +5,8 @@ KIND one of OBS, ACT, ERR, BYE. A client streams OBS frames carrying the
 agent's observation fields in their fixed order (5 for the human agent, 6
 for the machine agent); the server answers each with exactly one ACT frame
 holding the chosen action index. Malformed input is answered with an ERR
-frame carrying a numeric code and the connection stays up. BYE ends the
-session.
+frame carrying a numeric code and the connection stays up, except for a
+line longer than ``MAX_FRAME_BYTES``, which ends it. BYE ends the session.
 
 Serving is greedy (argmax) by default so that a run over the wire is
 reproducible; the loopback tests pin it bit-for-bit against in-process
@@ -31,6 +31,13 @@ ERR_MALFORMED = 1  # unparseable frame (field count, numeric syntax, kind)
 ERR_BAD_AGENT = 2  # agent id outside {0, 1}
 ERR_BAD_PAYLOAD = 3  # wrong field count or non-finite observation
 ERR_UNEXPECTED_KIND = 4  # server accepts only OBS and BYE
+
+# Longest line the server reads, newline included. A valid frame is under
+# 200 bytes (OBS, step, agent and six repr floats); a longer line is
+# answered with one ERR and the connection is closed.
+MAX_FRAME_BYTES = 4096
+# Seconds RemotePolicy waits to connect and for each reply.
+REMOTE_TIMEOUT_S = 10.0
 
 
 class ProtocolError(Exception):
@@ -134,7 +141,13 @@ class PolicyServer(socketserver.TCPServer):
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_FRAME_BYTES + 1)
+            if not raw:
+                break
+            if len(raw) > MAX_FRAME_BYTES:
+                self._reply(Frame("ERR", 0, 0, (ERR_MALFORMED,)))
+                break
             line = raw.decode("ascii", errors="replace")
             try:
                 frame = decode_frame(line)
@@ -160,13 +173,16 @@ class RemotePolicy:
     Drop-in for the in-process policies: ``act`` sends one OBS frame and
     blocks for the ACT reply. It consumes no local randomness, so swapping
     it for a GreedyPolicy changes nothing about the episode's RNG stream.
+    Connecting and each reply wait at most ``REMOTE_TIMEOUT_S``; a server
+    that cannot be reached or does not answer raises ``OSError`` (a silent
+    one ``TimeoutError``).
     """
 
     def __init__(self, host: str, port: int, agent_id: int):
         if agent_id not in (0, 1):
             raise ValueError("agent id must be 0 or 1")
         self.agent_id = agent_id
-        self._sock = socket.create_connection((host, port))
+        self._sock = socket.create_connection((host, port), timeout=REMOTE_TIMEOUT_S)
         self._rfile = self._sock.makefile("r", encoding="ascii", newline="\n")
         self._step = 0
 

@@ -153,15 +153,16 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     interval = env.decision_interval
     n = env.n_decisions
     n_total = n * interval
-    div_h, div_m = obs_divisors(env)
+    div_h, div_m = (d.tolist() for d in obs_divisors(env))
 
     sim = np.zeros(kernels.SIM_SIZE)
     queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
     constants, bank = kernels.pack(env)
 
     block = np.empty((kernels.TRACE_ROWS, n_total))
-    # Views of the trace block, one per float field of EpisodeTrace.
-    _, ref_arr, pos_arr, om_arr, tm_arr, th_arr = block
+    # Views of the trace block's reference and position rows (the rows are
+    # the float fields of EpisodeTrace, in order).
+    ref_arr, pos_arr = block[1], block[2]
     digit_arr = np.zeros(n_total, dtype=np.int64)
     maction_arr = np.zeros(n_total, dtype=np.int64)
     reward_arr = np.zeros(n_total)
@@ -171,8 +172,8 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     obs_h = np.empty((n + 1, OBS_DIM_HUMAN))
     obs_m = np.empty((n + 1, OBS_DIM_MACHINE))
     ref0 = sample_reference(env.reference, 0.0)
-    obs_h[0] = (0.0, ref0, 0.0, 0.0, 0.0) / div_h
-    obs_m[0] = (ref0, 0.0, ref0, 0.0, 0.0, 0.0) / div_m
+    obs_h[0] = [v / d for v, d in zip((0.0, ref0, 0.0, 0.0, 0.0), div_h)]
+    obs_m[0] = [v / d for v, d in zip((ref0, 0.0, ref0, 0.0, 0.0, 0.0), div_m)]
     act_h = np.empty(n, dtype=np.int64)
     act_m = np.empty(n, dtype=np.int64)
     logp_h = np.empty(n)
@@ -196,6 +197,9 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
             sim, queue, digit, a_m, constants, bank, noise, block, start, interval
         )
         row = start + interval - 1
+        # The block-final column as Python floats: the observation rows and
+        # the machine reward are computed off numpy scalars.
+        _, ref, pos, om, tm, th = block[:, row].tolist()
         digit_arr[start : start + interval] = digit
         maction_arr[start : start + interval] = a_m
         # Windows are the block-final rows of the trace: the last k decisions,
@@ -215,16 +219,17 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
                 reward_m = machine_reward(
                     pos_arr[lo_m : row + 1 : interval].tolist(),
                     ref_arr[lo_m : row + 1 : interval].tolist(),
-                    om_arr[row], env.weights.sigma, env.weights.beta,
+                    om, env.weights.sigma, env.weights.beta,
                 )
         reward_arr[row] = reward
         reward_m_col[z] = reward_m
         total_reward += reward
 
-        pos = pos_arr[row]
-        ref = ref_arr[row]
-        obs_h[z + 1] = (pos, ref - pos, comfort_term(positions), digit, tm_arr[row]) / div_h
-        obs_m[z + 1] = (ref, pos, ref - pos, om_arr[row], a_m, th_arr[row]) / div_m
+        err = ref - pos
+        obs_h[z + 1] = [
+            v / d for v, d in zip((pos, err, comfort_term(positions), digit, tm), div_h)
+        ]
+        obs_m[z + 1] = [v / d for v, d in zip((ref, pos, err, om, a_m, th), div_m)]
 
     trace = EpisodeTrace(
         *block, digit=digit_arr, machine_action=maction_arr, reward=reward_arr,

@@ -13,6 +13,20 @@ implementation of the per-step math in the package. The readable reference
 it is pinned against, bit for bit, is the composition of the plant,
 controller and human step functions in ``tests/oracles.py``.
 
+The kernel's rule, which keeps the uncompiled body fast and the compiled one
+possible:
+
+- every array value it uses becomes a Python scalar at entry (``float(...)``
+  for constants, gains, state and noise, ``int(...)`` for digits), so the
+  arithmetic runs on Python floats, which round exactly as ``np.float64``;
+- arrays are touched only by element reads and writes (the trace through
+  its six 1-D row views);
+- the reaction-delay line shifts once per call, by ``n_sub`` places:
+  substep ``s`` reads ``digit_queue[s]`` while ``s`` is below the delay,
+  and the commanded digit after that;
+- the body stays within numba's supported subset (scalars, ``math``,
+  loops and array indexing).
+
 This module also owns the kernel's calling convention: :func:`pack` turns an
 episode's parameters into one constants vector and one gain bank, the packed
 simulation state has the ``SIM_*`` layout, and the kernel writes the six
@@ -99,48 +113,55 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
     torque perturbation per substep (drawn outside so that the RNG stream
     never depends on the backend).
     """
-    inertia = constants[C_INERTIA]
-    damping = constants[C_DAMPING]
-    torque_limit = constants[C_TORQUE_LIMIT]
-    dt = constants[C_DT]
-    angle_min = constants[C_ANGLE_MIN]
-    angle_max = constants[C_ANGLE_MAX]
-    omega_max = constants[C_OMEGA_MAX]
+    inertia = float(constants[C_INERTIA])
+    damping = float(constants[C_DAMPING])
+    torque_limit = float(constants[C_TORQUE_LIMIT])
+    dt = float(constants[C_DT])
+    angle_min = float(constants[C_ANGLE_MIN])
+    angle_max = float(constants[C_ANGLE_MAX])
+    omega_max = float(constants[C_OMEGA_MAX])
 
-    amp = constants[C_AMPLITUDE]
-    period = constants[C_PERIOD]
-    phase = constants[C_PHASE]
-    offset = constants[C_OFFSET]
+    amp = float(constants[C_AMPLITUDE])
+    period = float(constants[C_PERIOD])
+    phase = float(constants[C_PHASE])
+    offset = float(constants[C_OFFSET])
     two_pi = 2.0 * math.pi
 
-    unit_torque = constants[C_UNIT_TORQUE]
-    lag_tc = constants[C_LAG_TC]
-    h_kp_hi = constants[C_HI_KP]
-    h_kd_hi = constants[C_HI_KD]
-    h_kp_lo = constants[C_LO_KP]
-    h_kd_lo = constants[C_LO_KD]
+    unit_torque = float(constants[C_UNIT_TORQUE])
+    lag_tc = float(constants[C_LAG_TC])
+    h_kp_hi = float(constants[C_HI_KP])
+    h_kd_hi = float(constants[C_HI_KD])
+    h_kp_lo = float(constants[C_LO_KP])
+    h_kd_lo = float(constants[C_LO_KD])
 
-    m_kp = bank[m_idx, B_KP]
-    m_ki = bank[m_idx, B_KI]
-    m_kd = bank[m_idx, B_KD]
-    m_integral_limit = bank[m_idx, B_LIMIT]
+    m_kp = float(bank[m_idx, B_KP])
+    m_ki = float(bank[m_idx, B_KI])
+    m_kd = float(bank[m_idx, B_KD])
+    m_integral_limit = float(bank[m_idx, B_LIMIT])
 
-    angle = sim[SIM_ANGLE]
-    omega = sim[SIM_OMEGA]
-    t = sim[SIM_T]
-    m_integral = sim[SIM_M_INTEGRAL]
-    m_prev_err = sim[SIM_M_PREV_ERR]
-    m_init = sim[SIM_M_INIT]
-    h_applied = sim[SIM_H_APPLIED]
-    h_prev_err = sim[SIM_H_PREV_ERR]
-    h_init = sim[SIM_H_INIT]
+    angle = float(sim[SIM_ANGLE])
+    omega = float(sim[SIM_OMEGA])
+    t = float(sim[SIM_T])
+    m_integral = float(sim[SIM_M_INTEGRAL])
+    m_prev_err = float(sim[SIM_M_PREV_ERR])
+    m_init = float(sim[SIM_M_INIT])
+    h_applied = float(sim[SIM_H_APPLIED])
+    h_prev_err = float(sim[SIM_H_PREV_ERR])
+    h_init = float(sim[SIM_H_INIT])
+    commanded = int(commanded_digit)
 
     lag_gain = dt / (lag_tc + dt)
     n_delay = digit_queue.shape[0]
+    t_row = out[0]
+    ref_row = out[1]
+    pos_row = out[2]
+    om_row = out[3]
+    tm_row = out[4]
+    th_row = out[5]
 
+    ref_now = offset + amp * math.sin(two_pi * t / period + phase)
     for s in range(n_sub):
         # -- machine PID on the tracking error at the current time
-        ref_now = offset + amp * math.sin(two_pi * t / period + phase)
         e_m = ref_now - angle
         if m_init == 0.0:
             d_m = 0.0
@@ -160,14 +181,13 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
         elif tau_m < -torque_limit:
             tau_m = -torque_limit
 
-        # -- human chain: reaction delay, sub-PD torque tracker, lag, noise
-        if n_delay > 0:
-            eff = digit_queue[0]
-            for q in range(n_delay - 1):
-                digit_queue[q] = digit_queue[q + 1]
-            digit_queue[n_delay - 1] = commanded_digit
+        # -- human chain: reaction delay, sub-PD torque tracker, lag, noise.
+        # Substep s acts on the digit queued s places ahead, or on the
+        # commanded one once the queue is used up; the queue shifts below.
+        if s < n_delay:
+            eff = int(digit_queue[s])
         else:
-            eff = commanded_digit
+            eff = commanded
         if eff == 2 or eff == -2:
             h_kp = h_kp_hi
             h_kd = h_kd_hi
@@ -184,7 +204,7 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
         rate = h_kp * e_h + h_kd * d_h
         h_prev_err = e_h
         h_applied += lag_gain * dt * rate
-        tau_h = h_applied + noise[s]
+        tau_h = h_applied + float(noise[s])
         if tau_h > torque_limit:
             tau_h = torque_limit
         elif tau_h < -torque_limit:
@@ -204,14 +224,24 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
             angle = angle_max
             omega = 0.0
         t += dt
+        # the next substep's machine error uses this same reference sample
+        ref_now = offset + amp * math.sin(two_pi * t / period + phase)
 
         col = start + s
-        out[0, col] = t
-        out[1, col] = offset + amp * math.sin(two_pi * t / period + phase)
-        out[2, col] = angle
-        out[3, col] = omega
-        out[4, col] = tau_m
-        out[5, col] = tau_h
+        t_row[col] = t
+        ref_row[col] = ref_now
+        pos_row[col] = angle
+        om_row[col] = omega
+        tm_row[col] = tau_m
+        th_row[col] = tau_h
+
+    # The delay line moves n_sub places: what substep s read is gone, and
+    # the commanded digit fills the tail.
+    for q in range(n_delay):
+        if q + n_sub < n_delay:
+            digit_queue[q] = digit_queue[q + n_sub]
+        else:
+            digit_queue[q] = commanded
 
     sim[SIM_ANGLE] = angle
     sim[SIM_OMEGA] = omega

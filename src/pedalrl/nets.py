@@ -147,11 +147,13 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     The floor only binds when a raw probability drops below 1e-8 (logit
     spreads past ~18); the backward pass treats it as inactive.
     """
-    z = logits - logits.max(axis=-1, keepdims=True)
+    # ``.max``/``.sum`` dispatch to these reductions; calling them directly
+    # skips the methods' Python wrappers on the one-row acting path.
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     p = np.maximum(p, EPS_P)
-    p = p / p.sum(axis=-1, keepdims=True)
+    p = p / np.add.reduce(p, axis=-1, keepdims=True)
     return np.maximum(p, EPS_P)
 
 
@@ -168,11 +170,11 @@ def sample_action(dist: ActionDistribution, rng) -> tuple:
     stream position never depends on the probabilities themselves.
     """
     u = rng.random()
-    p = dist.probabilities
+    p = dist.probabilities.tolist()
     acc = 0.0
-    idx = p.shape[-1] - 1
-    for j in range(p.shape[-1]):
-        acc += p[j]
+    idx = len(p) - 1
+    for j, p_j in enumerate(p):
+        acc += p_j
         if u < acc:
             idx = j
             break

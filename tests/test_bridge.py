@@ -1,3 +1,4 @@
+import contextlib
 import math
 import socket
 import threading
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import make_test_env
+from pedalrl import bridge
 from pedalrl.bridge import (
     ERR_BAD_AGENT,
     ERR_BAD_PAYLOAD,
     ERR_MALFORMED,
     ERR_UNEXPECTED_KIND,
+    MAX_FRAME_BYTES,
     Frame,
     PolicyServer,
     ProtocolError,
@@ -150,6 +153,45 @@ def test_error_replies_keep_connection(server):
             assert decode_frame(rfile.readline()).kind == "BYE"
         finally:
             rfile.close()
+
+
+def test_overlong_line_gets_one_err_and_close(server):
+    # a client that never sends a newline must not grow the server's memory:
+    # it gets one ERR and the connection ends
+    assert MAX_FRAME_BYTES < 64 * 1024
+    with socket.create_connection(server.server_address, timeout=10) as sock:
+        rfile = sock.makefile("r", encoding="ascii", newline="\n")
+        try:
+            sock.sendall(b"O" * (64 * 1024))
+            reply = decode_frame(rfile.readline())
+            assert reply == Frame("ERR", 0, 0, (ERR_MALFORMED,))
+            try:
+                rest = rfile.read()
+            except ConnectionResetError:  # the server left unread input behind
+                rest = ""
+            assert rest == ""
+        finally:
+            rfile.close()
+    # the server goes on serving the next client
+    with RemotePolicy(*server.server_address, agent_id=0) as remote:
+        idx, _ = remote.act(np.zeros(5), None)
+    assert 0 <= idx < 5
+
+
+def test_remote_policy_gives_up_on_silent_or_absent_server(monkeypatch):
+    monkeypatch.setattr(bridge, "REMOTE_TIMEOUT_S", 0.2)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()
+        remote = RemotePolicy(host, port, agent_id=0)
+        conn, _ = listener.accept()  # accepts, never replies
+        with conn:
+            with pytest.raises(TimeoutError):
+                remote.act(np.zeros(5), None)
+            with contextlib.suppress(OSError):
+                remote.close()  # its BYE goes unanswered too
+    # nothing listens on the port any more
+    with pytest.raises(OSError):
+        RemotePolicy(host, port, agent_id=0)
 
 
 def test_remote_policy_matches_local_greedy(server):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,28 @@ def test_episode_matches_public_api_composition():
     assert np.array_equal(trace.omega, np.array(want["om"]))
     assert np.array_equal(trace.tau_machine, np.array(want["tm"]))
     assert np.array_equal(trace.tau_human, np.array(want["th"]))
+
+
+@pytest.mark.parametrize("interval", [1, 2, 3, 5, 7, 12])
+@pytest.mark.parametrize("delay", [0, 1, 3, 5, 8])
+def test_delay_line_matches_oracle(delay, interval):
+    # the kernel shifts the delay line once per call, so intervals shorter
+    # than the delay carry queued digits across several calls; the oracle
+    # shifts it once per substep
+    base = make_test_env(setting_id=1, window=3, decision_interval=interval, n_decisions=12)
+    env = replace(base, human=replace(base.human, reaction_delay=delay))
+    h_idx = [3, 0, 4, 1, 2, 3, 3, 0, 4, 1, 2, 4]
+    m_idx = [0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0]
+    result = run_episode(
+        env, ScriptPolicy(h_idx), ScriptPolicy(m_idx), np.random.default_rng(321)
+    )
+    want = reference_episode(env, h_idx, m_idx, seed=321)
+    trace = result.trace
+    for field, key in (
+        ("time", "t"), ("position", "pos"), ("omega", "om"),
+        ("tau_machine", "tm"), ("tau_human", "th"),
+    ):
+        assert np.array_equal(getattr(trace, field), np.array(want[key])), field
 
 
 def test_backends_bit_identical(monkeypatch):

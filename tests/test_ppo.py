@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import make_test_env
 from pedalrl.episode import experience
 from pedalrl.nets import actor_forward, init_params, zeros_like_params
 from pedalrl.ppo import (
@@ -23,6 +24,7 @@ from pedalrl.ppo import (
     make_agent,
     save_checkpoint,
     sgd_step,
+    train,
     update_agent,
     update_agents,
 )
@@ -259,6 +261,19 @@ def test_update_requires_full_buffer():
     agent = make_agent(rng, 3, 4, buffer_size=8)
     with pytest.raises(ValueError):
         update_agent(agent, PPOHyper(buffer_size=8), rng)
+
+
+def test_whole_episodes_fill_buffer_past_minimum():
+    # buffer_size is a minimum: rollouts add whole episodes, so two
+    # 60-decision episodes (120 transitions) fill a 100-transition buffer,
+    # and each of the 4 epochs runs ceil(120 / 50) = 3 minibatches
+    env = make_test_env(n_decisions=60)
+    hyper = PPOHyper(buffer_size=100, batch_size=50)
+    result = train(env, hyper, seed=0, n_updates=1)
+    assert len(result.value_curve) == 2
+    assert len(result.loss_traces) == 1
+    for name in ("human", "machine"):
+        assert len(result.loss_traces[0][name]) == hyper.update_epochs * 3 == 12
 
 
 def test_zero_learning_rate_keeps_params():
