@@ -175,7 +175,8 @@ class RemotePolicy:
     it for a GreedyPolicy changes nothing about the episode's RNG stream.
     Connecting and each reply wait at most ``REMOTE_TIMEOUT_S``; a server
     that cannot be reached or does not answer raises ``OSError`` (a silent
-    one ``TimeoutError``).
+    one ``TimeoutError``). After a timed-out reply the socket cannot be read
+    again, so ``close`` then skips the BYE exchange.
     """
 
     def __init__(self, host: str, port: int, agent_id: int):
@@ -185,6 +186,7 @@ class RemotePolicy:
         self._sock = socket.create_connection((host, port), timeout=REMOTE_TIMEOUT_S)
         self._rfile = self._sock.makefile("r", encoding="ascii", newline="\n")
         self._step = 0
+        self._timed_out = False
 
     def act(self, obs, rng):
         frame = Frame(
@@ -194,7 +196,12 @@ class RemotePolicy:
             payload=tuple(float(v) for v in obs),
         )
         self._sock.sendall(encode_frame(frame).encode("ascii"))
-        reply = decode_frame(self._rfile.readline())
+        try:
+            line = self._rfile.readline()
+        except TimeoutError:
+            self._timed_out = True
+            raise
+        reply = decode_frame(line)
         if reply.kind == "ERR":
             raise ProtocolError(
                 int(reply.payload[0]) if reply.payload else ERR_MALFORMED,
@@ -209,10 +216,11 @@ class RemotePolicy:
 
     def close(self):
         try:
-            self._sock.sendall(
-                encode_frame(Frame("BYE", self._step, self.agent_id)).encode("ascii")
-            )
-            self._rfile.readline()
+            if not self._timed_out:
+                self._sock.sendall(
+                    encode_frame(Frame("BYE", self._step, self.agent_id)).encode("ascii")
+                )
+                self._rfile.readline()
         finally:
             self._rfile.close()
             self._sock.close()

@@ -6,11 +6,21 @@ Everything is float64 numpy; forward passes cache activations and the
 backward pass is hand-written reverse mode, so gradient checks against
 central finite differences are meaningful to ~1e-9.
 
+Each network's parameters live in one flat float64 vector, ``w1 b1 w2 b2
+w3 b3`` in that order, each array row-major; the named arrays are views of
+it. Gradients and optimizer velocities use the same layout, so the PPO
+update writes gradients into reused buffers and steps the whole network
+with a few vector operations. The layout changes where the values sit, not
+the arithmetic: every product and sum keeps its operands, shapes and order,
+so an acting row's output has the same bits as with separately allocated
+arrays, and so do trained parameters.
+
 Checkpoints are a line-oriented text format (shape header, then one
 whitespace-separated row of repr floats per array) so that saved parameters
 round-trip bit-for-bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,23 +30,55 @@ EPS_P = 1e-8  # probability floor; keeps ln p finite at near-one-hot policies
 FINAL_LAYER_SCALE = 0.1  # shrinks initial logits so the starting policy is near-uniform
 
 
-@dataclass
-class MLPParams:
-    """Weights and biases of one three-layer network (also used for grads)."""
+def layer_shapes(in_dim: int, hidden1: int, hidden2: int, out_dim: int) -> tuple:
+    """(name, shape) of each array, in the order they sit in the flat vector."""
+    return (
+        ("w1", (in_dim, hidden1)), ("b1", (hidden1,)),
+        ("w2", (hidden1, hidden2)), ("b2", (hidden2,)),
+        ("w3", (hidden2, out_dim)), ("b3", (out_dim,)),
+    )
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+
+class MLPParams:
+    """Weights and biases of one three-layer network (also used for grads
+    and optimizer velocities).
+
+    ``vector`` holds every value as one float64 array; ``w1 b1 w2 b2 w3 b3``
+    are row-major views of consecutive slices of it, made once here. Writing
+    through either side changes the other. ``dims`` is
+    ``(in_dim, hidden1, hidden2, out_dim)``; without a ``vector`` the
+    parameters start at zero.
+    """
+
+    def __init__(self, dims: tuple, vector: np.ndarray = None):
+        shapes = layer_shapes(*dims)
+        size = sum(math.prod(shape) for _, shape in shapes)
+        if vector is None:
+            vector = np.zeros(size)
+        elif vector.shape != (size,) or vector.dtype != np.float64:
+            raise ValueError("parameter vector does not match dims %s" % (dims,))
+        self.dims = tuple(dims)
+        self.vector = vector
+        lo = 0
+        for name, shape in shapes:
+            hi = lo + math.prod(shape)
+            setattr(self, name, vector[lo:hi].reshape(shape))
+            lo = hi
+
+    def __reduce__(self):
+        # copy.deepcopy (and pickle) copy the vector once and rebuild the views
+        return MLPParams, (self.dims, self.vector)
 
     def validate(self):
-        if self.w1.shape[1] != self.w2.shape[0] or self.w2.shape[1] != self.w3.shape[0]:
-            raise ValueError("layer dimensions do not chain")
+        if not np.isfinite(self.vector).all():
+            raise ValueError("non-finite parameters in %s" % self.first_nonfinite())
+
+    def first_nonfinite(self):
+        """Name of the first array holding a non-finite value, or None."""
         for name, arr in self.arrays():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite parameters in %s" % name)
+            if not np.isfinite(arr).all():
+                return name
+        return None
 
     def arrays(self):
         return (
@@ -47,11 +89,11 @@ class MLPParams:
 
     @property
     def in_dim(self):
-        return self.w1.shape[0]
+        return self.dims[0]
 
     @property
     def out_dim(self):
-        return self.w3.shape[1]
+        return self.dims[3]
 
 
 def init_params(seed, in_dim: int, out_dim: int, hidden: int = HIDDEN) -> MLPParams:
@@ -62,25 +104,16 @@ def init_params(seed, in_dim: int, out_dim: int, hidden: int = HIDDEN) -> MLPPar
     stays under 2 on O(1) inputs).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    def glorot(n_in, n_out, scale=1.0):
-        limit = scale * np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-limit, limit, size=(n_in, n_out))
-
-    params = MLPParams(
-        w1=glorot(in_dim, hidden),
-        b1=np.zeros(hidden),
-        w2=glorot(hidden, hidden),
-        b2=np.zeros(hidden),
-        w3=glorot(hidden, out_dim, scale=FINAL_LAYER_SCALE),
-        b3=np.zeros(out_dim),
-    )
+    params = MLPParams((in_dim, hidden, hidden, out_dim))
+    for w, scale in ((params.w1, 1.0), (params.w2, 1.0), (params.w3, FINAL_LAYER_SCALE)):
+        limit = scale * np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
     params.validate()
     return params
 
 
 def zeros_like_params(params: MLPParams) -> MLPParams:
-    return MLPParams(*(np.zeros_like(arr) for _, arr in params.arrays()))
+    return MLPParams(params.dims)
 
 
 @dataclass(frozen=True)
@@ -107,37 +140,47 @@ def forward_cache(params: MLPParams, x: np.ndarray):
     ``x`` is (B, in_dim) or (in_dim,); the output keeps the leading shape.
     """
     x = _check_obs(params, x)
-    h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    out = h2 @ params.w3 + params.b3
+    # Bias adds and tanh run in place on each product: the same arithmetic
+    # as ``np.tanh(x @ w + b)`` without its temporaries.
+    h1 = x @ params.w1
+    h1 += params.b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ params.w2
+    h2 += params.b2
+    np.tanh(h2, out=h2)
+    out = h2 @ params.w3
+    out += params.b3
     return out, (x, h1, h2)
 
 
-def backward(params: MLPParams, cache, d_out: np.ndarray) -> MLPParams:
+def backward(params: MLPParams, cache, d_out: np.ndarray, out: MLPParams = None) -> MLPParams:
     """Reverse-mode gradients from d(loss)/d(raw output).
 
-    Returns parameter-shaped gradients. Raises on non-finite intermediates
-    so a diverging update fails loudly instead of poisoning the parameters.
+    Writes parameter-shaped gradients into ``out`` (a fresh MLPParams when
+    None) and returns it. Raises on a non-finite gradient so a diverging
+    update fails loudly instead of poisoning the parameters.
     """
     x, h1, h2 = cache
     d_out = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
     x2, h1, h2 = np.atleast_2d(x), np.atleast_2d(h1), np.atleast_2d(h2)
+    grads = MLPParams(params.dims) if out is None else out
 
-    dw3 = h2.T @ d_out
-    db3 = d_out.sum(axis=0)
-    dh2 = d_out @ params.w3.T
-    dz2 = dh2 * (1.0 - h2 * h2)
-    dw2 = h1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dh1 = dz2 @ params.w2.T
-    dz1 = dh1 * (1.0 - h1 * h1)
-    dw1 = x2.T @ dz1
-    db1 = dz1.sum(axis=0)
+    # dz = dh * (1 - h * h), built in place on dh and on one h * h temporary
+    np.matmul(h2.T, d_out, out=grads.w3)
+    np.add.reduce(d_out, axis=0, out=grads.b3)
+    dz2 = d_out @ params.w3.T
+    tanh_grad2 = h2 * h2
+    dz2 *= np.subtract(1.0, tanh_grad2, out=tanh_grad2)
+    np.matmul(h1.T, dz2, out=grads.w2)
+    np.add.reduce(dz2, axis=0, out=grads.b2)
+    dz1 = dz2 @ params.w2.T
+    tanh_grad1 = h1 * h1
+    dz1 *= np.subtract(1.0, tanh_grad1, out=tanh_grad1)
+    np.matmul(x2.T, dz1, out=grads.w1)
+    np.add.reduce(dz1, axis=0, out=grads.b1)
 
-    grads = MLPParams(w1=dw1, b1=db1, w2=dw2, b2=db2, w3=dw3, b3=db3)
-    for name, arr in grads.arrays():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite gradient in %s" % name)
+    if not np.isfinite(grads.vector).all():
+        raise ValueError("non-finite gradient in %s" % grads.first_nonfinite())
     return grads
 
 
@@ -200,25 +243,23 @@ def params_from_text(text: str) -> MLPParams:
     head = lines[0].split()
     if head[0] != "mlp" or len(head) != 5:
         raise ValueError("bad checkpoint header: %r" % lines[0])
-    in_dim, h1, h2, out_dim = (int(v) for v in head[1:])
-    shapes = {
-        "w1": (in_dim, h1), "b1": (h1,),
-        "w2": (h1, h2), "b2": (h2,),
-        "w3": (h2, out_dim), "b3": (out_dim,),
-    }
+    dims = tuple(int(v) for v in head[1:])
+    if min(dims) < 1:
+        raise ValueError("bad checkpoint header: %r" % lines[0])
+    shapes = dict(layer_shapes(*dims))
     arrays = {}
     for ln in lines[1:]:
         name, _, rest = ln.partition(" ")
         if name not in shapes:
             raise ValueError("unknown checkpoint array %r" % name)
-        vals = np.array([float(v) for v in rest.split()], dtype=np.float64)
-        want = int(np.prod(shapes[name]))
-        if vals.size != want:
-            raise ValueError("%s has %d values, expected %d" % (name, vals.size, want))
-        arrays[name] = vals.reshape(shapes[name])
+        vals = [float(v) for v in rest.split()]
+        want = math.prod(shapes[name])
+        if len(vals) != want:
+            raise ValueError("%s has %d values, expected %d" % (name, len(vals), want))
+        arrays[name] = vals
     missing = set(shapes) - set(arrays)
     if missing:
         raise ValueError("checkpoint missing arrays: %s" % sorted(missing))
-    params = MLPParams(**arrays)
+    params = MLPParams(dims, np.array([v for name in shapes for v in arrays[name]]))
     params.validate()
     return params

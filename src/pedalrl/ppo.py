@@ -12,6 +12,7 @@ layers) and are checked against central finite differences in the tests.
 Optimization is plain gradient descent with optional momentum.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,13 +111,14 @@ def compute_advantages(rewards, values, next_values, terminals, gamma: float):
     """
     mask = np.where(terminals, 0.0, 1.0)
     delta = rewards + gamma * mask * next_values - values
-    n = len(delta)
-    q = np.empty(n)
+    # The backward pass runs on Python floats, which round like float64.
+    q = delta.tolist()
+    discount = (gamma * mask).tolist()
     acc = 0.0
-    for t in range(n - 1, -1, -1):
-        acc = delta[t] + gamma * mask[t] * acc
+    for t in range(len(q) - 1, -1, -1):
+        acc = q[t] + discount[t] * acc
         q[t] = acc
-    return q
+    return np.array(q)
 
 
 def compute_returns(advantages: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -133,19 +135,23 @@ def clip_ratio(ratio, eps: float):
     return np.maximum(np.minimum(ratio, 1.0 + eps), 1.0 - eps)
 
 
-def entropy_term(probabilities: np.ndarray) -> np.ndarray:
-    """Shannon entropy per row, in nats."""
+def entropy_term(probabilities: np.ndarray, log_probabilities: np.ndarray = None) -> np.ndarray:
+    """Shannon entropy per row, in nats (``log_probabilities`` saves the log)."""
     p = probabilities
-    return -(p * np.log(p)).sum(axis=-1)
+    log_p = np.log(p) if log_probabilities is None else log_probabilities
+    return -(p * log_p).sum(axis=-1)
 
 
-def critic_grads(params: MLPParams, obs: np.ndarray, returns: np.ndarray):
-    """(loss, exact parameter gradients) of the squared-error value loss."""
-    out, cache = forward_cache(params, obs)
-    v = out[:, 0]
+def critic_grads(params: MLPParams, obs: np.ndarray, returns: np.ndarray, out=None):
+    """(loss, exact parameter gradients) of the squared-error value loss.
+
+    The gradients are written into ``out`` when given (see ``nets.backward``).
+    """
+    raw, cache = forward_cache(params, obs)
+    v = raw[:, 0]
     loss = critic_loss(returns, v)
     d_out = ((v - returns) / len(returns))[:, None]
-    return loss, backward(params, cache, d_out)
+    return loss, backward(params, cache, d_out, out)
 
 
 def actor_loss_parts(
@@ -163,30 +169,32 @@ def actor_loss_parts(
     p_a = p[idx, actions]
     q_a = np.exp(log_prob_old)
     ratio = p_a / q_a
-    if not np.all(np.isfinite(ratio)):
+    if not np.isfinite(ratio).all():
         raise ValueError("non-finite policy ratio")
     surr_raw = ratio * advantages
     surr_clip = clip_ratio(ratio, hyper.clip) * advantages
     unclipped = surr_raw <= surr_clip  # ties keep the differentiable branch
-    ent = entropy_term(p)
+    log_p = np.log(p)
+    ent = entropy_term(p, log_p)
     ent_sign = 1.0 if hyper.entropy_as_printed else -1.0
     b = len(actions)
     loss = float(
         (-np.minimum(surr_raw, surr_clip) + ent_sign * hyper.entropy_weight * ent).sum()
         / b
     )
-    return loss, p, cache, ratio, unclipped, ent, ent_sign
+    return loss, p, log_p, cache, ratio, unclipped, ent, ent_sign
 
 
-def actor_grads(params, obs, actions, log_prob_old, advantages, hyper):
+def actor_grads(params, obs, actions, log_prob_old, advantages, hyper, out=None):
     """(loss, exact parameter gradients) of the clipped surrogate loss.
 
     d/dlogits of the surrogate is nonzero only on the unclipped branch:
     -Q * (p_a/q_a) * (1[j=a] - p_j). The entropy part contributes
     -sign * (-p_j (ln p_j + K)). The probability floor is treated as
-    inactive; it binds only at logit spreads past ~18.
+    inactive; it binds only at logit spreads past ~18. The gradients are
+    written into ``out`` when given (see ``nets.backward``).
     """
-    loss, p, cache, ratio, unclipped, ent, ent_sign = actor_loss_parts(
+    loss, p, log_p, cache, ratio, unclipped, ent, ent_sign = actor_loss_parts(
         params, obs, actions, log_prob_old, advantages, hyper
     )
     b, n_act = p.shape
@@ -195,17 +203,17 @@ def actor_grads(params, obs, actions, log_prob_old, advantages, hyper):
     d_logits = -(g * ratio)[:, None] * (-p)
     d_logits[idx, actions] -= g * ratio
     # entropy: dK/dz_j = -p_j (ln p_j + K)
-    d_logits += ent_sign * hyper.entropy_weight * (-p * (np.log(p) + ent[:, None]))
+    d_logits += ent_sign * hyper.entropy_weight * (-p * (log_p + ent[:, None]))
     d_logits /= b
-    return loss, backward(params, cache, d_logits)
+    return loss, backward(params, cache, d_logits, out)
 
 
 def sgd_step(params: MLPParams, grads: MLPParams, velocity: MLPParams, hyper: PPOHyper):
-    """In-place descent step with optional momentum."""
-    for (_, p), (_, g), (_, v) in zip(params.arrays(), grads.arrays(), velocity.arrays()):
-        v *= hyper.momentum
-        v -= hyper.learning_rate * g
-        p += v
+    """In-place descent step with optional momentum, on the flat vectors."""
+    v = velocity.vector
+    v *= hyper.momentum
+    v -= hyper.learning_rate * grads.vector
+    params.vector += v
 
 
 @dataclass
@@ -237,7 +245,10 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
     Advantages and returns are computed once against the pre-update critic
     and stay frozen across the epochs; ratio denominators are the log-probs
     stored at collection time, i.e. the policy snapshot that filled the
-    buffer. Any non-finite loss aborts before parameters are touched.
+    buffer. Any non-finite loss or gradient aborts before parameters are
+    touched. Every minibatch's gradients are written into the same two flat
+    buffers, allocated here so that an agent that is never updated holds
+    none.
     """
     if not agent.buffer.full:
         raise ValueError(
@@ -250,16 +261,21 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
     returns = compute_returns(advantages, values)
 
     n = len(actions)
+    grad_actor, grad_critic = zeros_like_params(agent.actor), zeros_like_params(agent.critic)
     trace = []
     for _ in range(hyper.update_epochs):
+        # One gather per epoch; each minibatch is then a contiguous slice.
         order = rng.permutation(n)
+        ob, act, lp, adv, ret = (
+            a[order] for a in (obs, actions, logp_old, advantages, returns)
+        )
         for lo in range(0, n, hyper.batch_size):
-            sel = order[lo : lo + hyper.batch_size]
-            loss_c, grads_c = critic_grads(agent.critic, obs[sel], returns[sel])
+            mb = slice(lo, lo + hyper.batch_size)
+            loss_c, grads_c = critic_grads(agent.critic, ob[mb], ret[mb], grad_critic)
             loss_a, grads_a = actor_grads(
-                agent.actor, obs[sel], actions[sel], logp_old[sel], advantages[sel], hyper
+                agent.actor, ob[mb], act[mb], lp[mb], adv[mb], hyper, grad_actor
             )
-            if not (np.isfinite(loss_c) and np.isfinite(loss_a)):
+            if not (math.isfinite(loss_c) and math.isfinite(loss_a)):
                 raise RuntimeError(
                     "diverged: critic loss %r, actor loss %r" % (loss_c, loss_a)
                 )

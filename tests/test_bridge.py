@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_test_env
 from pedalrl import bridge
@@ -40,6 +42,29 @@ def test_extreme_floats_survive_the_wire():
     back = decode_frame(encode_frame(Frame("OBS", 0, 0, payload))).payload
     for orig, got in zip(payload, back):
         assert got == orig
+        assert math.copysign(1.0, got) == math.copysign(1.0, orig)
+
+
+# Valid frames: any kind, a non-negative step, agent 0 or 1, and a payload of
+# ints and non-NaN floats (NaN never compares equal, so no frame holding it does).
+frames = st.builds(
+    Frame,
+    kind=st.sampled_from(bridge.KINDS),
+    step=st.integers(0, 10**18),
+    agent=st.sampled_from((0, 1)),
+    payload=st.lists(
+        st.one_of(st.integers(-(10**18), 10**18), st.floats(allow_nan=False)), max_size=8
+    ).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames)
+def test_decode_inverts_encode(frame):
+    back = decode_frame(encode_frame(frame))
+    assert back == frame
+    for orig, got in zip(frame.payload, back.payload):
+        assert type(got) is type(orig)
         assert math.copysign(1.0, got) == math.copysign(1.0, orig)
 
 
@@ -192,6 +217,20 @@ def test_remote_policy_gives_up_on_silent_or_absent_server(monkeypatch):
     # nothing listens on the port any more
     with pytest.raises(OSError):
         RemotePolicy(host, port, agent_id=0)
+
+
+def test_remote_policy_timeout_survives_with_block(monkeypatch):
+    # leaving the with block must not replace the TimeoutError with an error
+    # from closing a socket whose read timed out
+    monkeypatch.setattr(bridge, "REMOTE_TIMEOUT_S", 0.2)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()
+        with pytest.raises(TimeoutError):
+            with RemotePolicy(host, port, agent_id=0) as remote:
+                conn, _ = listener.accept()  # accepts, never replies
+                with conn:
+                    remote.act(np.zeros(5), None)
+    assert remote._sock.fileno() == -1  # closed all the same
 
 
 def test_remote_policy_matches_local_greedy(server):

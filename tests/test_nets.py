@@ -1,12 +1,16 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pedalrl.nets import (
     EPS_P,
     ActionDistribution,
+    MLPParams,
     actor_forward,
     backward,
     forward_cache,
@@ -179,3 +183,135 @@ def test_zeros_like_params():
     for name, arr in z.arrays():
         assert not arr.any(), name
         assert arr.shape == dict(p.arrays())[name].shape
+
+
+def assert_flat_views(p):
+    """Every array of ``p`` is a view of its vector, in w1 b1 w2 b2 w3 b3 order."""
+    base = p.vector.__array_interface__["data"][0]
+    offset = 0
+    for name, arr in p.arrays():
+        assert np.shares_memory(arr, p.vector), name
+        assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+        offset += arr.size
+    assert offset == p.vector.size
+    p.vector[-1] += 1.0  # a write through the vector shows in the last view
+    assert p.b3[-1] == p.vector[-1]
+    p.vector[-1] -= 1.0
+
+
+def test_params_are_views_of_one_vector(tmp_path):
+    rng = np.random.default_rng(9)
+    p = init_params(rng, 5, 3, hidden=7)
+    assert p.vector.shape == (5 * 7 + 7 + 7 * 7 + 7 + 7 * 3 + 3,)
+    assert_flat_views(p)
+    assert_flat_views(params_from_text(params_to_text(p)))
+    assert_flat_views(zeros_like_params(p))
+    path = tmp_path / "agents.ckpt"
+    save_checkpoint(path, make_agent(rng, 5, 5, 8), make_agent(rng, 6, 2, 8))
+    for name, net in load_checkpoint(path).items():
+        if name != "meta":
+            assert_flat_views(net)
+
+    q = copy.deepcopy(p)
+    assert_flat_views(q)
+    assert q.dims == p.dims
+    assert not np.shares_memory(q.vector, p.vector)
+    assert np.array_equal(q.vector, p.vector)
+    q.w2[0, 0] += 1.0
+    assert q.vector[5 * 7 + 7] == p.vector[5 * 7 + 7] + 1.0  # the copy alone moved
+
+
+def test_backward_into_buffer_matches_plain_products():
+    # writing into a reused flat buffer gives the bits of the plain products
+    rng = np.random.default_rng(13)
+    for out_dim in (5, 2, 1):
+        p = init_params(rng, 6, out_dim)
+        buf = zeros_like_params(p)
+        for b in (1, 7, 64):
+            x = rng.uniform(-1, 1, (b, 6))
+            d_out = rng.normal(size=(b, out_dim))
+            _, (x2, h1, h2) = forward_cache(p, x)
+            dz2 = (d_out @ p.w3.T) * (1.0 - h2 * h2)
+            dz1 = (dz2 @ p.w2.T) * (1.0 - h1 * h1)
+            want = {
+                "w3": h2.T @ d_out, "b3": d_out.sum(axis=0),
+                "w2": h1.T @ dz2, "b2": dz2.sum(axis=0),
+                "w1": x2.T @ dz1, "b1": dz1.sum(axis=0),
+            }
+            grads = backward(p, forward_cache(p, x)[1], d_out, buf)
+            assert grads is buf
+            for name, arr in grads.arrays():
+                assert np.array_equal(arr.view(np.uint64), want[name].view(np.uint64)), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gradient_names_its_array():
+    # the message names the first array, in w1 b1 w2 b2 w3 b3 order
+    p = init_params(0, 3, 2, hidden=4)
+    out, cache = forward_cache(p, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite gradient in w1"):
+        backward(p, cache, np.array([[np.inf, 0.0], [0.0, 0.0]]))
+    p.w2[1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite parameters in w2"):
+        p.validate()
+
+
+def test_vector_must_match_dims():
+    with pytest.raises(ValueError, match="does not match"):
+        MLPParams((2, 3, 3, 1), np.zeros(5))
+
+
+# Checkpoint-like text: a header of small or odd tokens, then named rows of
+# numeric-looking tokens, or free text.
+_tokens = st.one_of(
+    st.integers(-2, 4).map(str), st.floats().map(repr), st.text(max_size=4)
+)
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(("w1", "b1", "w2", "b2", "w3", "b3", "w4", "")),
+        st.lists(_tokens, max_size=12),
+    ),
+    max_size=8,
+)
+_blocks = st.one_of(
+    st.text(),
+    st.builds(
+        lambda head, rows: "\n".join(
+            ["mlp " + " ".join(head)] + ["%s %s" % (n, " ".join(t)) for n, t in rows]
+        ),
+        st.lists(_tokens, min_size=3, max_size=5),
+        _rows,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks)
+def test_params_from_text_raises_only_value_error(text):
+    try:
+        p = params_from_text(text)
+    except ValueError:
+        return
+    assert_flat_views(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 5)] * 4), data=st.data())
+def test_text_round_trip_is_bitwise(dims, data):
+    p = MLPParams(dims)
+    n = p.vector.size
+    values = data.draw(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from((-0.0, 1e-300, 5e-324, 1.0 / 3.0)),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    p.vector[:] = values
+    p.vector[0], p.vector[-1] = -0.0, 1e-300
+    q = params_from_text(params_to_text(p))
+    assert q.dims == dims
+    assert np.array_equal(q.vector.view(np.uint64), p.vector.view(np.uint64))

@@ -3,11 +3,13 @@
 ``perfbench/layers.py`` wraps functions by the names their callers look up
 and counts kernel substeps from the kernel's last argument;
 ``perfbench/workloads.py`` builds the bridge replay from each episode's
-``transitions_*[i].obs``. A refactor that renames one of them, or moves
-``n_sub``, breaks the benchmark; these tests catch that in the unit suite.
+``transitions_*[i].obs``. A refactor that renames one of them, moves
+``n_sub`` or stops calling a wrapped name, breaks the benchmark; these tests
+catch that in the unit suite.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -37,6 +39,15 @@ def test_train_hooks_count_substeps():
         episodes * env.n_decisions * env.decision_interval
     )
     assert tracer.counts["ppo.transitions_collected"] > 0
+    # the per-layer PPO metrics read these spans: one update per agent, and
+    # one actor and one critic gradient call per minibatch
+    # (2 agents x 4 epochs x 120 / 60 minibatches)
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["ppo.update_agent"] == 2
+    assert calls["ppo.compute_advantages"] == 2
+    assert calls["ppo.buffer_arrays"] == 2
+    assert calls["ppo.actor_grads"] == 16
+    assert calls["ppo.critic_grads"] == 16
 
 
 def test_bridge_inputs_replay_both_agents(tmp_path):

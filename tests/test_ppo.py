@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import make_test_env
+from pedalrl import ppo
 from pedalrl.episode import experience
 from pedalrl.nets import actor_forward, init_params, zeros_like_params
 from pedalrl.ppo import (
@@ -95,6 +96,26 @@ def test_advantages_match_double_loop_oracle():
         )
         for got, want in zip(q, expected):
             assert oracles.relative_error(got, want) <= 1e-12
+
+
+def test_advantages_match_numpy_scalar_loop_bitwise():
+    # the backward pass on Python floats rounds exactly like float64 scalars
+    rng = np.random.default_rng(3)
+    critic = init_params(rng, 3, 1)
+    buf = fill_buffer(rng, 200)
+    obs, _, _, rewards, next_obs, terminals = buf.arrays()
+    values, next_values = critic_values(critic, obs), critic_values(critic, next_obs)
+    gamma = 0.99
+    mask = np.where(terminals, 0.0, 1.0)
+    delta = rewards + gamma * mask * next_values - values
+    expected = np.empty(len(delta))
+    acc = np.float64(0.0)
+    for t in range(len(delta) - 1, -1, -1):
+        acc = delta[t] + gamma * mask[t] * acc
+        expected[t] = acc
+    got = compute_advantages(rewards, values, next_values, terminals, gamma)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_advantages_gamma_zero_reduces_to_td():
@@ -254,6 +275,74 @@ def test_sgd_step_momentum_semantics():
     # steps: -0.1, then -0.1*0.5 - 0.1 = -0.15; total -0.25
     for (_, p), (_, s) in zip(params.arrays(), start.arrays()):
         assert np.allclose(p, s - 0.25, atol=1e-15)
+
+
+def test_sgd_step_moves_arrays_through_the_flat_views():
+    hyper = PPOHyper(learning_rate=0.1, momentum=0.5)
+    rng = np.random.default_rng(4)
+    params = init_params(rng, 3, 2, hidden=5)
+    grads, vel = zeros_like_params(params), zeros_like_params(params)
+    grads.vector[:] = rng.normal(size=grads.vector.size)
+    vel.vector[:] = rng.normal(size=vel.vector.size)
+    before = copy.deepcopy(params)
+    vel_before = copy.deepcopy(vel)
+    sgd_step(params, grads, vel, hyper)
+    for (name, p), (_, s), (_, g), (_, v0), (_, v) in zip(
+        params.arrays(), before.arrays(), grads.arrays(), vel_before.arrays(), vel.arrays()
+    ):
+        want_v = v0 * 0.5 - 0.1 * g
+        assert np.array_equal(v, want_v), name
+        assert np.array_equal(p, s + want_v), name
+        assert np.shares_memory(p, params.vector) and np.shares_memory(v, vel.vector), name
+
+
+def _agent_state(agent):
+    return [net.vector.copy() for net in (agent.actor, agent.critic, agent.vel_actor, agent.vel_critic)]
+
+
+def _corrupt_buffer(buf, corruption, row):
+    obs, actions, logp, rewards, next_obs, terminals = buf.arrays()
+    if corruption == "inf_observation":
+        obs[row, 1] = np.inf
+    elif corruption == "stale_log_prob":
+        logp[row] = -1e4  # exp underflows to 0: an infinite policy ratio
+    else:  # "overflowing_reward": finite reward, advantage sums and losses overflow
+        rewards[row] = rewards[row + 1] = 1e308
+    out = ExperienceBuffer(buf.capacity)
+    out.extend(experience(obs, actions, logp, rewards, next_obs, terminals))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("corruption", ["inf_observation", "stale_log_prob", "overflowing_reward"])
+def test_divergence_stops_before_parameters_move(corruption, monkeypatch):
+    rng = np.random.default_rng(21)
+    agent = make_agent(rng, 3, 4, buffer_size=32)
+    agent.buffer = _corrupt_buffer(
+        fill_buffer(rng, 32, terminal_pattern=[False] * 31 + [True]), corruption, 20
+    )
+    hyper = PPOHyper(learning_rate=0.05, momentum=0.9, buffer_size=32, batch_size=4)
+    # a snapshot of both networks and both velocities as each minibatch begins,
+    # and whether the failing minibatch's critic gradient came back finite
+    snapshots, critic_ok = [], []
+    real_critic_grads = ppo.critic_grads
+
+    def critic_grads(params, *args):
+        snapshots.append(_agent_state(agent))
+        critic_ok.append(False)
+        result = real_critic_grads(params, *args)
+        critic_ok[-1] = bool(np.isfinite(result[1].vector).all())
+        return result
+
+    monkeypatch.setattr(ppo, "critic_grads", critic_grads)
+    with pytest.raises((ValueError, RuntimeError)):
+        update_agent(agent, hyper, np.random.default_rng(5))
+    for got, want in zip(_agent_state(agent), snapshots[-1]):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if corruption == "stale_log_prob":
+        # the failing step is not the first, and its critic gradient was finite
+        assert len(snapshots) > 1 and critic_ok[-1]
+        assert not np.array_equal(snapshots[0][0], snapshots[-1][0])
 
 
 def test_update_requires_full_buffer():
