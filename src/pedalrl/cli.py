@@ -29,12 +29,23 @@ def parse_settings(text: str) -> list:
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            ids = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in text.split("..", 1))
         else:
             ids = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError("--settings %r: expected ids like 3, 2,4,6 or 1..8" % text) from None
+    if ".." in text:
+        # Check a range's bounds before building its list: it can be huge.
+        first, last = min(SETTINGS), max(SETTINGS)
+        outside = [
+            (a, b) for a, b in ((lo, min(hi, first - 1)), (max(lo, last + 1), hi)) if a <= b
+        ]
+        if outside:
+            spans = ", ".join(str(a) if a == b else "%d..%d" % (a, b) for a, b in outside)
+            raise ValueError(
+                "--settings %r: unknown setting ids %s (expected 1..8)" % (text, spans)
+            )
+        ids = list(range(lo, hi + 1))
     if not ids:
         raise ValueError("--settings %r: no settings" % text)
     unknown = [sid for sid in ids if sid not in SETTINGS]

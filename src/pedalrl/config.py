@@ -78,7 +78,11 @@ def coerce(key: str, value, kind):
         if isinstance(value, float) and value.is_integer():
             return int(value)
     elif kind is float and isinstance(value, (int, float)):
-        if math.isfinite(value):
-            return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
         raise ValueError("config key %r: %r is not finite" % (key, value))
     raise ValueError("config key %r: expected %s, got %r" % (key, kind.__name__, value))

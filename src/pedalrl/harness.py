@@ -224,25 +224,47 @@ TRACE_COLUMNS = (
 )
 
 
-def trace_to_csv(trace: EpisodeTrace) -> str:
-    """Exact-precision CSV, one row per plant substep."""
+def _reprs(col: np.ndarray, shared) -> list:
+    """``repr`` of each value of a float column; with a ``shared`` dict, once
+    per distinct column.
+
+    The key is the column's bytes, not its values: ``-0.0 == 0.0``, but their
+    ``repr``s differ.
+    """
+    if shared is None:
+        return list(map(repr, col.tolist()))
+    key = col.tobytes()
+    text = shared.get(key)
+    if text is None:
+        text = shared[key] = list(map(repr, col.tolist()))
+    return text
+
+
+def trace_to_csv(trace: EpisodeTrace, shared: dict = None) -> str:
+    """Exact-precision CSV, one row per plant substep.
+
+    Each column is rendered once (``repr`` of each float, ``str`` of each
+    int), then joined row by row. ``shared`` is a dict owned by one export:
+    the time and reference columns depend only on the env, never on the
+    policy or the noise, so every trace of a sweep has the same two, and
+    they are rendered once per export. The other columns are not shared.
+    They repeat across settings only when nothing is trained (every setting
+    then starts from the same networks and evaluation seeds), and a real
+    sweep does not repeat them.
+    """
+    columns = (
+        _reprs(trace.time, shared),
+        _reprs(trace.reference, shared),
+        map(repr, trace.position.tolist()),
+        map(repr, trace.omega.tolist()),
+        map(repr, trace.tau_machine.tolist()),
+        map(repr, trace.tau_human.tolist()),
+        map(str, trace.digit.tolist()),
+        map(str, trace.machine_action.tolist()),
+        map(repr, trace.reward.tolist()),
+    )
     lines = [",".join(TRACE_COLUMNS)]
-    for i in range(len(trace)):
-        lines.append(
-            ",".join(
-                (
-                    repr(float(trace.time[i])),
-                    repr(float(trace.reference[i])),
-                    repr(float(trace.position[i])),
-                    repr(float(trace.omega[i])),
-                    repr(float(trace.tau_machine[i])),
-                    repr(float(trace.tau_human[i])),
-                    str(int(trace.digit[i])),
-                    str(int(trace.machine_action[i])),
-                    repr(float(trace.reward[i])),
-                )
-            )
-        )
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -265,9 +287,10 @@ def export_results(reports: dict, traces: dict, out_dir, run_info: dict) -> dict
         )
     files["value_table.csv"] = "\n".join(table_lines) + "\n"
 
+    shared = {}  # time and reference columns, rendered once per export
     for sid in sorted(traces):
         for i, trace in enumerate(traces[sid]):
-            files["trace_setting%d_ep%d.csv" % (sid, i)] = trace_to_csv(trace)
+            files["trace_setting%d_ep%d.csv" % (sid, i)] = trace_to_csv(trace, shared)
 
     hashes = {}
     for name in sorted(files):

@@ -232,7 +232,7 @@ def params_to_text(params: MLPParams) -> str:
     ]
     for name, arr in params.arrays():
         flat = arr.reshape(-1)
-        lines.append("%s %s" % (name, " ".join(repr(float(v)) for v in flat)))
+        lines.append("%s %s" % (name, " ".join(map(repr, flat.tolist()))))
     return "\n".join(lines) + "\n"
 
 

@@ -68,6 +68,34 @@ def test_decode_inverts_encode(frame):
         assert math.copysign(1.0, got) == math.copysign(1.0, orig)
 
 
+# Frame-like lines: comma-separated kinds, numbers and free text, with or
+# without the newline, or any text at all.
+_fields = st.one_of(
+    st.sampled_from(bridge.KINDS),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+_lines = st.one_of(
+    st.text(),
+    st.builds(
+        lambda toks, end: ",".join(toks) + end,
+        st.lists(_fields, max_size=8),
+        st.sampled_from(("\n", "", "\r\n")),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lines)
+def test_decode_raises_only_protocol_error(line):
+    try:
+        frame = decode_frame(line)
+    except ProtocolError:
+        return
+    assert frame.kind in bridge.KINDS and frame.step >= 0 and frame.agent in (0, 1)
+
+
 def test_thousand_frame_round_trip_identity():
     rng = np.random.default_rng(1)
     for i in range(1000):

@@ -78,6 +78,19 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert not sweep_out.exists()
 
 
+def test_huge_settings_range_fails_before_allocating(tmp_path, capsys):
+    # the range's bounds are checked before its list is built
+    out = tmp_path / "sweep"
+    args = ["sweep", "--settings", "1..1000000000000", "--seed", "7", "--out", str(out)]
+    assert main(args + FAST) == 2
+    err = capsys.readouterr().err
+    assert "--settings" in err and "9..1000000000000" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match=r"unknown setting ids 0, 9\.\.100 "):
+        parse_settings("0..100")
+    assert parse_settings("3..5") == [3, 4, 5]
+
+
 def test_bench_smoke(capsys):
     rc = main(["bench", "--blocks", "50", "--interval", "10"])
     assert rc == 0

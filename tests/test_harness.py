@@ -1,15 +1,18 @@
 import hashlib
 import json
 import os
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ConstantPolicy, make_test_env
 from pedalrl.config import apply_overrides, parse_config_text, parse_scalar
-from pedalrl.episode import EpisodeTrace, run_episode
+from pedalrl.episode import EpisodeTrace, SamplingPolicy, run_episode
 from pedalrl.harness import (
+    CONFIG_KEYS,
     SUBJECTS,
     TRACE_COLUMNS,
     ExperimentConfig,
@@ -111,6 +114,7 @@ BAD_VALUES = [
     ("episode.window", 12.7),
     ("plant.inertia", float("nan")),
     ("human.noise_std", float("inf")),
+    ("plant.dt", 10**400),  # an int beyond the float range
     ("setting", True),
     ("hyper.entropy_as_printed", 1),
     ("eval.episodes", 0),
@@ -133,6 +137,42 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"seed": 1, "plant.inertia": 0.0})
     # integral floats are accepted for int keys
     assert config_from_dict({"seed": 1, "episode.window": 12.0}).window == 12
+
+
+# Config text: lines of known or arbitrary keys with numeric, boolean, odd or
+# free-text values, or any text at all.
+_section_keys = [
+    "%s.%s" % (f.name, g.name)
+    for f in fields(ExperimentConfig)
+    if is_dataclass(f.type)
+    for g in fields(f.type)
+]
+_config_keys = st.one_of(
+    st.sampled_from(sorted(CONFIG_KEYS) + _section_keys), st.text(max_size=12)
+)
+_config_values = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(("true", "off", "-0", "nan", "-inf", "1e400", "1" + "0" * 400)),
+    st.text(max_size=8),
+)
+_config_texts = st.one_of(
+    st.text(),
+    st.lists(
+        st.builds("{} = {}".format, _config_keys, _config_values), max_size=6
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_config_texts)
+def test_config_text_raises_only_value_error(text):
+    try:
+        cfg = parse_config_text(text)
+        cfg.setdefault("seed", 0)
+        config_from_dict(cfg)
+    except ValueError:
+        pass
 
 
 def test_make_env_wiring():
@@ -160,6 +200,28 @@ def trace_from_csv(text: str, decision_interval: int) -> EpisodeTrace:
         digit=as_i(cols[6]), machine_action=as_i(cols[7]), reward=as_f(cols[8]),
         decision_interval=decision_interval,
     )
+
+
+def trace_to_csv_rows(trace: EpisodeTrace) -> str:
+    """The per-row renderer ``trace_to_csv`` must equal byte for byte."""
+    lines = [",".join(TRACE_COLUMNS)]
+    for i in range(len(trace)):
+        lines.append(
+            ",".join(
+                (
+                    repr(float(trace.time[i])),
+                    repr(float(trace.reference[i])),
+                    repr(float(trace.position[i])),
+                    repr(float(trace.omega[i])),
+                    repr(float(trace.tau_machine[i])),
+                    repr(float(trace.tau_human[i])),
+                    str(int(trace.digit[i])),
+                    str(int(trace.machine_action[i])),
+                    repr(float(trace.reward[i])),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def hand_trace():
@@ -213,6 +275,63 @@ def test_trace_csv_round_trip_is_exact():
 def test_trace_from_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         trace_from_csv("a,b,c\n1,2,3\n", 10)
+
+
+def test_trace_csv_equals_row_oracle_on_episodes():
+    shared = {}
+    for setting_id, seed in ((2, 0), (5, 1), (8, 2)):
+        env = make_test_env(setting_id)
+        rng = np.random.default_rng(seed)
+        human = SamplingPolicy(init_params(rng, 5, 5))
+        machine = SamplingPolicy(init_params(rng, 6, 2))
+        trace = run_episode(env, human, machine, rng).trace
+        expected = trace_to_csv_rows(trace)
+        assert trace_to_csv(trace) == expected
+        assert trace_to_csv(trace, shared) == expected
+    # every trace of the shipped env shares one time and one reference column
+    assert len(shared) == 2
+
+
+def special_trace():
+    """Float columns holding values whose repr is easy to get wrong."""
+    values = [-0.0, 1e-05, 1e16, 5e-324, float("inf"), float("nan"), 0.0, -1e-310]
+    n = len(values)
+    col = np.array(values)
+    return EpisodeTrace(
+        time=col.copy(), reference=col[::-1].copy(), position=col.copy(),
+        omega=-col, tau_machine=col[::-1].copy(), tau_human=col.copy(),
+        digit=np.arange(-3, n - 3, dtype=np.int64),
+        machine_action=np.arange(n, dtype=np.int64) % 2,
+        reward=col.copy(), decision_interval=1,
+    )
+
+
+def test_trace_csv_equals_row_oracle_on_special_values():
+    trace = special_trace()
+    expected = trace_to_csv_rows(trace)
+    assert "-0.0," in expected and "5e-324" in expected and "nan" in expected
+    assert trace_to_csv(trace) == expected
+    shared = {}
+    assert trace_to_csv(trace, shared) == expected
+    assert trace_to_csv(trace, shared) == expected  # served from ``shared``
+
+
+def test_export_shares_columns_by_bytes_not_values(tmp_path):
+    # two traces whose time columns differ only in the sign of one zero:
+    # equal as values, different as text
+    a = special_trace()
+    b = special_trace()
+    a.time[:] = np.arange(len(a)) * 0.01
+    b.time[:] = a.time
+    b.time[0] = -0.0
+    assert np.array_equal(a.time, b.time)
+    report = mse_metrics(hand_trace(), unit_torque=1.0)
+    export_results({2: report, 6: report}, {2: [a, b], 6: [b, a]}, tmp_path, {})
+    for name, trace in (
+        ("trace_setting2_ep0.csv", a), ("trace_setting2_ep1.csv", b),
+        ("trace_setting6_ep0.csv", b), ("trace_setting6_ep1.csv", a),
+    ):
+        assert (tmp_path / name).read_text() == trace_to_csv_rows(trace), name
 
 
 def test_eval_seeds_deterministic_and_distinct():

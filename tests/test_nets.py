@@ -154,6 +154,27 @@ def test_text_round_trip_exact():
         assert np.array_equal(a, b), name
 
 
+def params_to_text_per_element(params):
+    """The per-element formula ``params_to_text`` must equal byte for byte."""
+    lines = ["mlp %d %d %d %d" % params.dims]
+    for name, arr in params.arrays():
+        lines.append("%s %s" % (name, " ".join(repr(float(v)) for v in arr.reshape(-1))))
+    return "\n".join(lines) + "\n"
+
+
+def test_text_equals_per_element_repr():
+    rng = np.random.default_rng(8)
+    awkward = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e16])
+    for in_dim, out_dim, hidden in ((5, 5, 64), (6, 2, 64), (3, 1, 7)):
+        p = init_params(rng, in_dim, out_dim, hidden=hidden)
+        spots = rng.choice(p.vector.size, size=3 * awkward.size, replace=False)
+        p.vector[spots] = np.tile(awkward, 3)
+        p.vector[:] *= rng.choice((1.0, 1e-310), size=p.vector.size)  # subnormals
+        subnormal = (p.vector != 0.0) & (np.abs(p.vector) < np.finfo(float).tiny)
+        assert np.count_nonzero(subnormal) > p.vector.size // 4
+        assert params_to_text(p) == params_to_text_per_element(p)
+
+
 def test_text_rejects_corruption(tmp_path):
     p = init_params(0, 3, 2, hidden=4)
     text = params_to_text(p)

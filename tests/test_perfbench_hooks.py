@@ -4,8 +4,8 @@
 and counts kernel substeps from the kernel's last argument;
 ``perfbench/workloads.py`` builds the bridge replay from each episode's
 ``transitions_*[i].obs``. A refactor that renames one of them, moves
-``n_sub`` or stops calling a wrapped name, breaks the benchmark; these tests
-catch that in the unit suite.
+``n_sub`` or changes how often a wrapped name is called, breaks the
+benchmark; these tests catch that in the unit suite.
 """
 
 import sys
@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
-from pedalrl import ppo  # noqa: E402
+from pedalrl import harness, ppo  # noqa: E402
 from pedalrl.episode import OBS_DIM_HUMAN, OBS_DIM_MACHINE  # noqa: E402
 from pedalrl.harness import config_from_dict, make_env  # noqa: E402
 
@@ -48,6 +48,25 @@ def test_train_hooks_count_substeps():
     assert calls["ppo.buffer_arrays"] == 2
     assert calls["ppo.actor_grads"] == 16
     assert calls["ppo.critic_grads"] == 16
+
+
+def test_sweep_hooks_count_spans(tmp_path):
+    cfg = config_from_dict({"seed": 0, "train.n_updates": 0, "eval.episodes": 2})
+    tracer = tracing.Tracer()
+    layers.install_sweep(tracer)
+    try:
+        harness.sweep([2, 6], cfg, out_dir=str(tmp_path))
+    finally:
+        tracer.restore()
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["harness.sweep"] == 1
+    assert calls["harness.train_setting"] == 2
+    assert calls["harness.evaluate_agents"] == 2
+    assert calls["episode.run_episode"] == 4  # 2 settings x 2 evaluation episodes
+    assert calls["harness.save_checkpoint"] == 2
+    assert calls["harness.export_results"] == 1
+    assert calls["harness.trace_to_csv"] == 4  # one call per exported trace
+    assert tracer.counts["kernels.substeps"] == 4 * cfg.n_decisions * cfg.decision_interval
 
 
 def test_bridge_inputs_replay_both_agents(tmp_path):
