@@ -77,22 +77,26 @@ def decode_frame(line: str) -> Frame:
     """Inverse of encode_frame; raises ProtocolError echoing the bad line."""
     if not line.endswith("\n"):
         raise ProtocolError(ERR_MALFORMED, "frame not newline-terminated: %r" % line)
-    parts = line[:-1].split(",")
+    body = line[:-1]
+    # int() and float() also accept underscores, surrounding whitespace and
+    # non-ASCII digits, none of which the grammar allows
+    if "_" in body or not body.isascii() or body.split() != [body]:
+        raise ProtocolError(ERR_MALFORMED, "stray characters in %r" % line)
+    parts = body.split(",")
     if len(parts) < 3:
         raise ProtocolError(ERR_MALFORMED, "expected KIND,step,agent...: %r" % line)
-    kind = parts[0]
+    kind, step, agent = parts[:3]
     if kind not in KINDS:
         raise ProtocolError(ERR_MALFORMED, "unknown frame kind in %r" % line)
-    try:
-        step = int(parts[1])
-    except ValueError:
+    # step and agent are bare digits: no sign
+    if not step.isdigit():
         raise ProtocolError(ERR_MALFORMED, "bad step index in %r" % line)
-    if step < 0:
-        raise ProtocolError(ERR_MALFORMED, "negative step index in %r" % line)
-    try:
-        agent = int(parts[2])
-    except ValueError:
+    if not agent.isdigit():
         raise ProtocolError(ERR_MALFORMED, "bad agent id in %r" % line)
+    try:
+        step, agent = int(step), int(agent)
+    except ValueError:  # more digits than int() converts
+        raise ProtocolError(ERR_MALFORMED, "overlong step or agent in %r" % line)
     if agent not in (0, 1):
         raise ProtocolError(ERR_BAD_AGENT, "agent id out of range in %r" % line)
     payload = tuple(_parse_number(tok) for tok in parts[3:])

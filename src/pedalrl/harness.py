@@ -56,8 +56,11 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        # Zero updates is a valid run (evaluate the initial policies); zero
-        # evaluation episodes would average an empty list into NaN metrics.
+        # numpy seeds are non-negative. Zero updates is a valid run (evaluate
+        # the initial policies); zero evaluation episodes would average an
+        # empty list into NaN metrics.
+        if self.seed < 0:
+            raise ValueError("config key 'seed' must be >= 0, got %d" % self.seed)
         if self.n_updates < 0:
             raise ValueError(
                 "config key 'train.n_updates' must be >= 0, got %d" % self.n_updates

@@ -15,6 +15,12 @@ the arithmetic: every product and sum keeps its operands, shapes and order,
 so an acting row's output has the same bits as with separately allocated
 arrays, and so do trained parameters.
 
+Acting normalizes one row of 5 or 2 logits per call. ``softmax_probs``
+does that on Python floats (one ``exp`` ufunc, then plain loops) rather
+than with nine ufunc calls on a 5- or 2-element array. It adds in the
+order numpy uses for rows that short, so a row gets the bits it would get
+inside a PPO minibatch.
+
 Checkpoints are a line-oriented text format (shape header, then one
 whitespace-separated row of repr floats per array) so that saved parameters
 round-trip bit-for-bit.
@@ -28,6 +34,7 @@ import numpy as np
 HIDDEN = 64
 EPS_P = 1e-8  # probability floor; keeps ln p finite at near-one-hot policies
 FINAL_LAYER_SCALE = 0.1  # shrinks initial logits so the starting policy is near-uniform
+ROW_PATH_MAX = 8  # softmax_probs normalizes 1-D rows narrower than this on Python floats
 
 
 def layer_shapes(in_dim: int, hidden1: int, hidden2: int, out_dim: int) -> tuple:
@@ -189,9 +196,34 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 
     The floor only binds when a raw probability drops below 1e-8 (logit
     spreads past ~18); the backward pass treats it as inactive.
+
+    A 1-D row of fewer than ``ROW_PATH_MAX`` logits (every acting row) is
+    normalized on Python floats; anything else (PPO minibatches, wider
+    rows) on arrays. Both give the same bits: numpy sums fewer than 8
+    values left to right, which the row path's explicit ``+=`` loops repeat
+    (``sum()`` may compensate, so it is not used), and ``EPS_P if q <
+    EPS_P else q`` keeps a NaN as ``np.maximum`` does. From 8 values on,
+    numpy sums in unrolled partial sums, so wider rows stay on arrays.
     """
+    if logits.ndim == 1 and len(logits) < ROW_PATH_MAX:
+        e = np.exp(logits - max(logits.tolist())).tolist()
+        s = 0.0
+        for v in e:
+            s += v
+        p = []
+        t = 0.0
+        for v in e:
+            q = v / s
+            q = EPS_P if q < EPS_P else q
+            p.append(q)
+            t += q
+        out = []
+        for v in p:
+            q = v / t
+            out.append(EPS_P if q < EPS_P else q)
+        return np.array(out)
     # ``.max``/``.sum`` dispatch to these reductions; calling them directly
-    # skips the methods' Python wrappers on the one-row acting path.
+    # skips the methods' Python wrappers.
     z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / np.add.reduce(e, axis=-1, keepdims=True)

@@ -127,12 +127,40 @@ def test_thousand_frame_round_trip_identity():
         ("OBS,-1,0\n", ERR_MALFORMED),  # negative step
         ("OBS,1,0,abc\n", ERR_MALFORMED),  # non-numeric payload
         ("OBS,1,5\n", ERR_BAD_AGENT),
+        ("OBS,1_0,0,0.5,1_0.5\n", ERR_MALFORMED),  # underscores in step and payload
+        ("OBS,1,0,1_0.5\n", ERR_MALFORMED),
+        ("OBS, 7,+1,0.5\n", ERR_MALFORMED),  # space before the step
+        ("OBS,7,+1,0.5\n", ERR_MALFORMED),  # signed agent
+        ("OBS,7,-1,0.5\n", ERR_MALFORMED),
+        ("OBS,+7,1,0.5\n", ERR_MALFORMED),  # signed step
+        ("OBS,7,1,0.5 \n", ERR_MALFORMED),  # trailing space in the payload
+        ("OBS,7,1,0.5\r\n", ERR_MALFORMED),
+        ("OBS,7,1,0.5,\t1.0\n", ERR_MALFORMED),
+        ("OBS,\u0663,0,0.5\n", ERR_MALFORMED),  # a non-ASCII digit
+        ("OBS,7,1,\u0661.5\n", ERR_MALFORMED),
+        # beyond int()'s digit limit
+        pytest.param("OBS,%s,0\n" % ("9" * 5000), ERR_MALFORMED, id="overlong-step"),
     ],
 )
 def test_decode_rejections(line, code):
     with pytest.raises(ProtocolError) as exc:
         decode_frame(line)
     assert exc.value.code == code
+
+
+def test_decode_keeps_repr_floats_and_defers_non_finite():
+    frame = decode_frame("OBS,0,0,1e-05,1e+16,-0.0,-2.5,3\n")
+    assert frame.payload == (1e-05, 1e16, -0.0, -2.5, 3)
+    assert math.copysign(1.0, frame.payload[2]) == -1.0
+    srv = PolicyServer(("127.0.0.1", 0), make_actors())
+    try:
+        for bad in ("nan", "inf", "-inf"):
+            frame = decode_frame("OBS,0,0,0.5,0.5,0.5,0.5,%s\n" % bad)
+            with pytest.raises(ProtocolError) as exc:
+                srv.respond(frame)
+            assert exc.value.code == ERR_BAD_PAYLOAD
+    finally:
+        srv.server_close()
 
 
 def test_parse_endpoint():

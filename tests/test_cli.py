@@ -53,6 +53,8 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["train", "--setting", "2", "--seed", "1", "--set", "plant.dt=abc"]) == 2
     assert "'plant.dt'" in capsys.readouterr().err
+    assert main(["train", "--setting", "2", "--seed", "-1"] + FAST) == 2
+    assert "'seed'" in capsys.readouterr().err
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
     capsys.readouterr()
     # the server announces itself only once it has loaded and bound

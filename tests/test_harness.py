@@ -119,6 +119,7 @@ BAD_VALUES = [
     ("hyper.entropy_as_printed", 1),
     ("eval.episodes", 0),
     ("train.n_updates", -1),
+    ("seed", -1),
 ]
 
 

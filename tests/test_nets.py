@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from pedalrl.nets import (
     EPS_P,
+    ROW_PATH_MAX,
     ActionDistribution,
     MLPParams,
     actor_forward,
@@ -73,6 +74,77 @@ def test_softmax_floor_under_extreme_logits():
     p = softmax_probs(np.array([0.0, -1000.0, -1000.0]))
     assert p.min() >= EPS_P / 2
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def assert_row_matches_batch(row):
+    """A 1-D row's probabilities have the bits of the same row in a batch;
+    NaN sits exactly where the batch path puts it."""
+    row = np.asarray(row, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = softmax_probs(row)
+        want = softmax_probs(row[None])[0]
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), (row, got, want)
+    assert got[~nan].tobytes() == want[~nan].tobytes(), (row, got, want)
+
+
+def test_softmax_row_path_is_bitwise_batch_path():
+    rng = np.random.default_rng(11)
+    for width in range(1, 8):
+        for scale in (1e-3, 0.1, 1.0, 5.0, 30.0, 300.0):  # 30 and up bind the floor
+            for _ in range(60):
+                assert_row_matches_batch(rng.normal(0.0, scale, size=width))
+        assert_row_matches_batch(np.full(width, 2.5))  # all tied
+        assert_row_matches_batch(np.r_[[-0.0], np.zeros(width - 1)])
+        assert_row_matches_batch(np.r_[np.full(width - 1, -np.inf), [0.0]])
+    for row in (
+        [1.0, 1.0, 0.5, -0.5, 1.0],  # tied maxima
+        [0.0, -0.0, -0.0],
+        [-0.0, 0.0],
+        [0.0, -20.0, -40.0, 3.0, -19.5],  # floor binds on two entries
+        [0.0, -np.inf, 1.0],
+        [-np.inf, -np.inf],  # NaN everywhere
+        [np.inf, 0.0, 1.0],
+        [np.inf, np.inf, 0.0],
+        [np.nan, 0.0, 1.0],
+        [0.0, 1.0, np.nan],
+        [np.nan],
+    ):
+        assert_row_matches_batch(row)
+    with np.errstate(invalid="ignore"):
+        for row in ([np.inf, 0.0], [0.0, np.nan, 2.0]):
+            assert np.isnan(softmax_probs(np.array(row))).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=7))
+def test_softmax_row_path_matches_batch_on_any_finite_row(row):
+    assert_row_matches_batch(row)
+
+
+def test_numpy_sums_fewer_than_eight_left_to_right():
+    """The reason for ROW_PATH_MAX: numpy's reduction adds fewer than 8
+    values left to right, as the row path does, and 8 or more in unrolled
+    partial sums, so a left-to-right row of 8 would change bits."""
+    rng = np.random.default_rng(5)
+
+    def left_to_right(values):
+        s = 0.0
+        for v in values.tolist():
+            s += v
+        return s
+
+    assert ROW_PATH_MAX == 8
+    for width in range(1, 8):
+        for _ in range(500):
+            e = rng.uniform(0.0, 1.0, size=width)
+            assert left_to_right(e) == np.add.reduce(e)
+    rows = rng.uniform(0.0, 1.0, size=(500, 8))
+    assert any(left_to_right(e) != np.add.reduce(e) for e in rows)
+    # so a row of 8 or more takes the batch path and keeps its bits
+    for width in (8, 9, 12):
+        for row in rng.normal(0.0, 3.0, size=(200, width)):
+            assert_row_matches_batch(row)
 
 
 def test_forward_rejects_wrong_dimension():

@@ -39,6 +39,9 @@ def test_train_hooks_count_substeps():
         episodes * env.n_decisions * env.decision_interval
     )
     assert tracer.counts["ppo.transitions_collected"] > 0
+    # both agents act once per decision, one observation row per call
+    assert tracer.counts["nets.calls"] == 2 * episodes * env.n_decisions
+    assert tracer.counts["nets.rows"] == tracer.counts["nets.calls"]
     # the per-layer PPO metrics read these spans: one update per agent, and
     # one actor and one critic gradient call per minibatch
     # (2 agents x 4 epochs x 120 / 60 minibatches)
