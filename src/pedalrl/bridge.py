@@ -11,9 +11,19 @@ line longer than ``MAX_FRAME_BYTES``, which ends it. BYE ends the session.
 Serving is greedy (argmax) by default so that a run over the wire is
 reproducible; the loopback tests pin it bit-for-bit against in-process
 episodes. Floats are rendered with ``repr`` (shortest round-trip form), so
-values survive the wire exactly.
+values survive the wire exactly. A client that sends nothing for
+``IDLE_TIMEOUT_S`` is dropped, so one idle client cannot hold the
+single-threaded server.
+
+Serving path: parsing a valid frame raises nothing (``_parse_number``
+picks ``int`` or ``float`` from the token's characters rather than by
+catching a failed ``int``), and the observation stays Python floats,
+checked with ``math.isfinite``, until the one ``np.array`` handed to
+``actor_forward``. The greedy index comes from ``nets.greedy_action``, the
+function ``GreedyPolicy`` uses in process.
 """
 
+import math
 import socket
 import socketserver
 from dataclasses import dataclass
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .episode import OBS_DIM_HUMAN, OBS_DIM_MACHINE
-from .nets import actor_forward, sample_action
+from .nets import actor_forward, greedy_action, sample_action
 from .ppo import load_checkpoint
 
 KINDS = ("OBS", "ACT", "ERR", "BYE")
@@ -38,6 +48,9 @@ ERR_UNEXPECTED_KIND = 4  # server accepts only OBS and BYE
 MAX_FRAME_BYTES = 4096
 # Seconds RemotePolicy waits to connect and for each reply.
 REMOTE_TIMEOUT_S = 10.0
+# Seconds the server waits for a client's next line before it closes the
+# connection and accepts the next one.
+IDLE_TIMEOUT_S = 60.0
 
 
 class ProtocolError(Exception):
@@ -63,10 +76,13 @@ def encode_frame(frame: Frame) -> str:
 
 
 def _parse_number(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        pass
+    # An optional sign and digits is an int, anything else a float. Only
+    # ASCII reaches here (decode_frame checks), so isdigit() means 0-9.
+    if token.isdigit() or (token[:1] in ("+", "-") and token[1:].isdigit()):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
     try:
         return float(token)
     except ValueError:
@@ -99,7 +115,7 @@ def decode_frame(line: str) -> Frame:
         raise ProtocolError(ERR_MALFORMED, "overlong step or agent in %r" % line)
     if agent not in (0, 1):
         raise ProtocolError(ERR_BAD_AGENT, "agent id out of range in %r" % line)
-    payload = tuple(_parse_number(tok) for tok in parts[3:])
+    payload = tuple(map(_parse_number, parts[3:]))
     return Frame(kind=kind, step=step, agent=agent, payload=payload)
 
 
@@ -132,19 +148,30 @@ class PolicyServer(socketserver.TCPServer):
                 ERR_BAD_PAYLOAD,
                 "agent %d expects %d fields, got %d" % (frame.agent, want, len(frame.payload)),
             )
-        obs = np.array([float(v) for v in frame.payload])
-        if not np.all(np.isfinite(obs)):
+        try:
+            obs = [float(v) for v in frame.payload]
+        except OverflowError:
+            raise ProtocolError(ERR_BAD_PAYLOAD, "observation beyond the float range")
+        if not all(map(math.isfinite, obs)):
             raise ProtocolError(ERR_BAD_PAYLOAD, "non-finite observation")
-        dist = actor_forward(self.actors[frame.agent], obs)
+        dist = actor_forward(self.actors[frame.agent], np.array(obs))
         if self.stochastic:
             idx, _ = sample_action(dist, self.rng)
         else:
-            idx = int(np.argmax(dist.probabilities))
+            idx, _ = greedy_action(dist)
         return Frame(kind="ACT", step=frame.step, agent=frame.agent, payload=(idx,))
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    timeout = IDLE_TIMEOUT_S  # applied to the connection by setup()
+
     def handle(self):
+        try:
+            self._serve()
+        except TimeoutError:  # idle client: close quietly, serve the next
+            pass
+
+    def _serve(self):
         while True:
             raw = self.rfile.readline(MAX_FRAME_BYTES + 1)
             if not raw:

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .controllers import SettingConfig
 from .human import DIGITS, HumanParams
-from .nets import actor_forward, sample_action
+from .nets import actor_forward, greedy_action, sample_action
 from .plant import PlantParams, ReferenceTrajectory, sample_reference
 from .rewards import RewardWeights, comfort_term, machine_reward, shared_reward
 
@@ -142,9 +142,7 @@ class GreedyPolicy:
         self.params = params
 
     def act(self, obs, rng):
-        dist = actor_forward(self.params, obs)
-        idx = int(np.argmax(dist.probabilities))
-        return idx, float(dist.log_probabilities[idx])
+        return greedy_action(actor_forward(self.params, obs))
 
 
 def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeResult:

@@ -256,6 +256,19 @@ def sample_action(dist: ActionDistribution, rng) -> tuple:
     return idx, float(dist.log_probabilities[idx])
 
 
+def greedy_action(dist: ActionDistribution) -> tuple:
+    """The most probable action index; returns (index, log_prob).
+
+    The first of tied maxima, as ``np.argmax`` picks, found on Python
+    floats. ``softmax_probs`` gives a row with no NaN or with NaN
+    everywhere; the latter yields index 0, as ``np.argmax`` does. Consumes
+    no randomness.
+    """
+    p = dist.probabilities.tolist()
+    idx = p.index(max(p))
+    return idx, float(dist.log_probabilities[idx])
+
+
 def params_to_text(params: MLPParams) -> str:
     """Serialize to the text checkpoint block (exact float round-trip)."""
     lines = [

@@ -8,11 +8,17 @@ dataclasses and the digit table, never its arithmetic.
 The per-substep models (plant step, PD/PID updates, the human chain) and
 their state dataclasses are the readable reference the fused kernel in
 ``pedalrl.kernels`` is pinned against, step by step and bit for bit.
+
+``reference_decode_frame`` is the bridge's frame decoder in its plain
+form, which tries ``int`` on every payload token and falls back to
+``float``; ``pedalrl.bridge.decode_frame`` is pinned against it. It takes
+only the protocol's types and constants from ``pedalrl.bridge``.
 """
 
 import math
 from dataclasses import dataclass, replace
 
+from pedalrl.bridge import ERR_BAD_AGENT, ERR_MALFORMED, KINDS, Frame, ProtocolError
 from pedalrl.controllers import PDGains, PIDGains
 from pedalrl.human import DIGITS, HumanParams
 from pedalrl.plant import PlantParams
@@ -280,3 +286,39 @@ def human_step(
     tau_h = min(max(tau_h, -torque_limit), torque_limit)
     new_state = HumanState(digit_queue=queue, applied=applied, pd_state=pd_state)
     return tau_h, new_state
+
+
+def _reference_number(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        raise ProtocolError(ERR_MALFORMED, "non-numeric payload %r" % token)
+
+
+def reference_decode_frame(line: str) -> Frame:
+    """A frame line decoded by trying ``int`` then ``float`` on each token."""
+    if not line.endswith("\n"):
+        raise ProtocolError(ERR_MALFORMED, "frame not newline-terminated: %r" % line)
+    body = line[:-1]
+    if "_" in body or not body.isascii() or body.split() != [body]:
+        raise ProtocolError(ERR_MALFORMED, "stray characters in %r" % line)
+    parts = body.split(",")
+    if len(parts) < 3:
+        raise ProtocolError(ERR_MALFORMED, "expected KIND,step,agent...: %r" % line)
+    kind, step, agent = parts[:3]
+    if kind not in KINDS:
+        raise ProtocolError(ERR_MALFORMED, "unknown frame kind in %r" % line)
+    if not step.isdigit() or not agent.isdigit():
+        raise ProtocolError(ERR_MALFORMED, "bad step or agent in %r" % line)
+    try:
+        step, agent = int(step), int(agent)
+    except ValueError:
+        raise ProtocolError(ERR_MALFORMED, "overlong step or agent in %r" % line)
+    if agent not in (0, 1):
+        raise ProtocolError(ERR_BAD_AGENT, "agent id out of range in %r" % line)
+    payload = tuple(_reference_number(tok) for tok in parts[3:])
+    return Frame(kind=kind, step=step, agent=agent, payload=payload)

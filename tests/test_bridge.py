@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_test_env
 from pedalrl import bridge
 from pedalrl.bridge import (
@@ -96,6 +97,61 @@ def test_decode_raises_only_protocol_error(line):
     assert frame.kind in bridge.KINDS and frame.step >= 0 and frame.agent in (0, 1)
 
 
+def _decoded(decode, line):
+    """What ``decode`` makes of ``line``: the frame with each payload value's
+    type and repr (which tells -0.0 from 0.0 and matches NaN), or the code."""
+    try:
+        f = decode(line)
+    except ProtocolError as exc:
+        return ("error", exc.code)
+    return (f.kind, f.step, f.agent, tuple((type(v), repr(v)) for v in f.payload))
+
+
+# Payload tokens built from the characters of numbers, signs and words.
+_numeric_lines = st.builds(
+    lambda toks: "OBS,1,0," + ",".join(toks) + "\n",
+    st.lists(st.text(alphabet="+-0123456789.eEinfatyx", max_size=7), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(frames.map(encode_frame), _lines, _numeric_lines))
+def test_decode_matches_reference_decoder(line):
+    assert _decoded(decode_frame, line) == _decoded(oracles.reference_decode_frame, line)
+
+
+@pytest.mark.parametrize(
+    "token,want",
+    [
+        ("+5", (int, "5")),
+        ("-0", (int, "0")),
+        ("007", (int, "7")),
+        ("0x10", None),
+        ("1e5", (float, "100000.0")),
+        ("-0.0", (float, "-0.0")),
+        ("nan", (float, "nan")),
+        ("-inf", (float, "-inf")),
+        ("+-5", None),
+        ("--5", None),
+        ("-", None),
+        ("", None),
+        ("\u00b2", None),  # isdigit() is true, int() rejects it
+        ("\u0661", None),
+        # under int()'s digit limit, and past it, where float() reads it
+        pytest.param("4" * 4000, (int, "4" * 4000), id="4000-digits"),
+        pytest.param("9" * 5000, (float, "inf"), id="5000-digits"),
+    ],
+)
+def test_decode_payload_tokens(token, want):
+    line = "OBS,1,0,0.5,%s\n" % token
+    got = _decoded(decode_frame, line)
+    assert got == _decoded(oracles.reference_decode_frame, line)
+    if want is None:
+        assert got == ("error", ERR_MALFORMED)
+    else:
+        assert got == ("OBS", 1, 0, ((float, "0.5"), want))
+
+
 def test_thousand_frame_round_trip_identity():
     rng = np.random.default_rng(1)
     for i in range(1000):
@@ -161,6 +217,20 @@ def test_decode_keeps_repr_floats_and_defers_non_finite():
             assert exc.value.code == ERR_BAD_PAYLOAD
     finally:
         srv.server_close()
+
+
+def test_payload_beyond_float_range_is_bad_payload(server):
+    # an int token too large for a float is answered with ERR, and the
+    # connection stays up
+    with socket.create_connection(server.server_address, timeout=10) as sock:
+        rfile = sock.makefile("r", encoding="ascii", newline="\n")
+        try:
+            sock.sendall(("OBS,0,0,1,1,1,1,%s\n" % ("9" * 400)).encode())
+            assert decode_frame(rfile.readline()) == Frame("ERR", 0, 0, (ERR_BAD_PAYLOAD,))
+            sock.sendall(b"OBS,1,0,1,1,1,1,1\n")
+            assert decode_frame(rfile.readline()).kind == "ACT"
+        finally:
+            rfile.close()
 
 
 def test_parse_endpoint():
@@ -257,6 +327,19 @@ def test_overlong_line_gets_one_err_and_close(server):
     with RemotePolicy(*server.server_address, agent_id=0) as remote:
         idx, _ = remote.act(np.zeros(5), None)
     assert 0 <= idx < 5
+
+
+def test_idle_client_is_dropped(server, monkeypatch, capsys):
+    assert bridge._Handler.timeout == bridge.IDLE_TIMEOUT_S
+    monkeypatch.setattr(bridge._Handler, "timeout", 0.3)
+    with socket.create_connection(server.server_address, timeout=10) as idle:
+        # sends nothing; the server closes the connection after the timeout
+        assert idle.recv(1) == b""
+    # and goes on serving the next client
+    with RemotePolicy(*server.server_address, agent_id=1) as remote:
+        idx, _ = remote.act(np.zeros(6), None)
+    assert 0 <= idx < 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_remote_policy_gives_up_on_silent_or_absent_server(monkeypatch):

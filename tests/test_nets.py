@@ -15,6 +15,7 @@ from pedalrl.nets import (
     actor_forward,
     backward,
     forward_cache,
+    greedy_action,
     init_params,
     params_from_text,
     params_to_text,
@@ -202,6 +203,56 @@ def test_sample_action_frequencies():
     freq = counts / n
     sigma = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(freq - p) < 3.5 * sigma)
+
+
+def _dist(p):
+    p = np.asarray(p, dtype=np.float64)
+    return ActionDistribution(probabilities=p, log_probabilities=np.log(p))
+
+
+@pytest.mark.parametrize("width", [2, 5])
+def test_greedy_action_is_numpy_argmax(width):
+    rng = np.random.default_rng(width)
+    for _ in range(2000):
+        logits = rng.normal(size=width) * 10.0 ** rng.integers(-3, 3)
+        dist = _dist(softmax_probs(logits))
+        idx, logp = greedy_action(dist)
+        assert idx == int(np.argmax(dist.probabilities))
+        assert logp == float(dist.log_probabilities[idx])
+    for _ in range(500):  # unnormalized rows, any scale
+        p = rng.random(width) * 10.0 ** rng.integers(-12, 3)
+        assert greedy_action(_dist(p))[0] == int(np.argmax(p))
+
+
+def test_greedy_action_takes_first_of_ties():
+    assert greedy_action(_dist([0.2, 0.4, 0.4]))[0] == 1
+    assert greedy_action(_dist([0.25] * 4))[0] == 0
+    assert greedy_action(_dist([0.5, 0.5]))[0] == 0
+    assert greedy_action(_dist([EPS_P, 1.0 - EPS_P, 1.0 - EPS_P]))[0] == 1
+
+
+def test_greedy_action_on_a_nan_row_is_numpy_argmax():
+    # a non-finite logit makes every probability of the row NaN
+    for logits in ([0.0, np.inf, 1.0], [np.nan, 0.0], [-np.inf] * 5):
+        with np.errstate(invalid="ignore"):
+            p = softmax_probs(np.array(logits))
+        assert np.isnan(p).all()
+        assert greedy_action(_dist(p))[0] == int(np.argmax(p)) == 0
+
+
+def test_greedy_action_returns_greedy_policy_log_prob():
+    # the (index, log-probability) pair GreedyPolicy.act returned as
+    # int(np.argmax(p)) and float(log_probabilities[index])
+    rng = np.random.default_rng(11)
+    for in_dim, n_actions in ((5, 5), (6, 2)):
+        params = init_params(rng, in_dim, n_actions)
+        params.vector *= 20.0  # sharpen the policy so the argmax varies
+        for _ in range(300):
+            dist = actor_forward(params, rng.normal(size=in_dim))
+            want = int(np.argmax(dist.probabilities))
+            idx, logp = greedy_action(dist)
+            assert (idx, logp) == (want, float(dist.log_probabilities[want]))
+            assert type(idx) is int and type(logp) is float
 
 
 def test_entropy_bounds_and_hand_value():

@@ -8,18 +8,23 @@ and counts kernel substeps from the kernel's last argument;
 benchmark; these tests catch that in the unit suite.
 """
 
+import socket
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import layers  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
-from pedalrl import harness, ppo  # noqa: E402
+from pedalrl import bridge, harness, ppo  # noqa: E402
 from pedalrl.episode import OBS_DIM_HUMAN, OBS_DIM_MACHINE  # noqa: E402
 from pedalrl.harness import config_from_dict, make_env  # noqa: E402
+from pedalrl.nets import init_params  # noqa: E402
 
 
 def test_train_hooks_count_substeps():
@@ -81,3 +86,42 @@ def test_bridge_inputs_replay_both_agents(tmp_path):
     for agent, payload, action in frames:
         assert len(payload) == dims[agent]
         assert 0 <= action < n_actions[agent]
+
+
+def test_server_hooks_count_frames():
+    # the client writes and reads raw bytes, so every span below is the
+    # server's own
+    n = 6
+    rng = np.random.default_rng(0)
+    actors = {0: init_params(rng, OBS_DIM_HUMAN, 5), 1: init_params(rng, OBS_DIM_MACHINE, 2)}
+    tracer = tracing.Tracer(op=-1)
+    layers.install_server(tracer)
+    try:
+        with bridge.PolicyServer(("127.0.0.1", 0), actors) as srv:
+            srv.timeout = 10  # handle_request gives up if nobody connects
+            thread = threading.Thread(target=srv.handle_request)
+            thread.start()
+            try:
+                with socket.create_connection(srv.server_address, timeout=10) as sock:
+                    with sock.makefile("rb") as rfile:
+                        for step in range(n):
+                            agent = step % 2
+                            obs = ",".join(["0.25"] * (OBS_DIM_HUMAN + agent))
+                            sock.sendall(b"OBS,%d,%d,%s\n" % (step, agent, obs.encode()))
+                            assert rfile.readline().startswith(b"ACT,%d,%d," % (step, agent))
+                        sock.sendall(b"BYE,%d,0\n" % n)
+                        assert rfile.readline() == b"BYE,%d,0\n" % n
+            finally:
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        tracer.restore()
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["bridge.respond"] == n
+    assert calls["bridge.server_decode_frame"] == n + 1  # the BYE frame too
+    assert calls["bridge.server_encode_frame"] == n + 1
+    assert calls["nets.actor_forward"] == n
+    assert tracer.counts["nets.calls"] == tracer.counts["nets.rows"] == n
+    # each decoded frame starts the next op, numbered from 0
+    ops = [span[4] for span in tracer.spans if span[0] == "bridge.respond"]
+    assert ops == list(range(n))
