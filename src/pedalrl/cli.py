@@ -117,10 +117,10 @@ def cmd_sweep(args) -> int:
     ids = parse_settings(args.settings)
     cfg = config_from_dict(_config_dict(args))
     out = args.out or cfg.output_dir
-    rows = sweep(ids, cfg, out_dir=out)
+    reports = sweep(ids, cfg, out_dir=out)
     print("setting  value        human_action_mse  tracking_error_mse")
-    for sid in sorted(rows):
-        mean, _ = rows[sid]
+    for sid in sorted(reports):
+        mean = reports[sid]
         print(
             "%7d  %-11.4f  %-16.4f  %.6f"
             % (sid, mean.value, mean.human_action_mse, mean.tracking_error_mse)

@@ -271,16 +271,40 @@ def trace_to_csv(trace: EpisodeTrace, shared: dict = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_results(reports: dict, traces: dict, out_dir, run_info: dict) -> dict:
-    """Write the value table, per-setting traces and a hashed manifest.
+def _write(out_dir, name, text: str) -> str:
+    """Write ``text`` to ``out_dir/name``; returns the sha256 of its bytes."""
+    data = text.encode()
+    with open(os.path.join(out_dir, name), "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
-    ``reports`` maps setting id -> MetricsReport; ``traces`` maps setting
-    id -> list of EpisodeTrace. Returns {filename: sha256} as written to
-    the manifest.
+
+def export_traces(sid: int, traces, out_dir, shared: dict) -> dict:
+    """Write one setting's evaluation traces, one CSV per episode in order.
+
+    Each CSV is written as soon as it is rendered, so one text at a time is
+    held. ``shared`` is the export's dict of rendered columns (see
+    ``trace_to_csv``); pass the same one for every setting of a sweep.
+    Returns {filename: sha256}.
     """
     os.makedirs(out_dir, exist_ok=True)
-    files = {}
+    hashes = {}
+    for i, trace in enumerate(traces):
+        name = "trace_setting%d_ep%d.csv" % (sid, i)
+        hashes[name] = _write(out_dir, name, trace_to_csv(trace, shared))
+    return hashes
 
+
+def export_results(reports: dict, hashes: dict, out_dir, run_info: dict) -> dict:
+    """Write the value table, then the manifest that hashes it and ``hashes``.
+
+    ``reports`` maps setting id -> MetricsReport; ``hashes`` maps each file
+    already written to ``out_dir`` (the trace CSVs) to its sha256. The
+    manifest is written last, so a directory holding one is complete.
+    Checkpoints are not hashed. Returns {filename: sha256} as written to the
+    manifest.
+    """
+    os.makedirs(out_dir, exist_ok=True)
     table_lines = ["setting,value,human_action_mse,tracking_error_mse"]
     for sid in sorted(reports):
         r = reports[sid]
@@ -288,19 +312,8 @@ def export_results(reports: dict, traces: dict, out_dir, run_info: dict) -> dict
             "%d,%s,%s,%s"
             % (sid, repr(r.value), repr(r.human_action_mse), repr(r.tracking_error_mse))
         )
-    files["value_table.csv"] = "\n".join(table_lines) + "\n"
-
-    shared = {}  # time and reference columns, rendered once per export
-    for sid in sorted(traces):
-        for i, trace in enumerate(traces[sid]):
-            files["trace_setting%d_ep%d.csv" % (sid, i)] = trace_to_csv(trace, shared)
-
-    hashes = {}
-    for name in sorted(files):
-        data = files[name].encode()
-        hashes[name] = hashlib.sha256(data).hexdigest()
-        with open(os.path.join(out_dir, name), "wb") as fh:
-            fh.write(data)
+    table = "\n".join(table_lines) + "\n"
+    hashes = {**hashes, "value_table.csv": _write(out_dir, "value_table.csv", table)}
 
     manifest = {"run": run_info, "files": hashes}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -309,29 +322,37 @@ def export_results(reports: dict, traces: dict, out_dir, run_info: dict) -> dict
     return hashes
 
 
+def _sweep_setting(cfg: ExperimentConfig, out_dir, shared: dict, hashes: dict):
+    """Train, evaluate and, with ``out_dir``, export one setting of a sweep.
+
+    Returns its MetricsReport; the TrainResult, traces and CSV texts die on
+    return, so a sweep holds one setting's at a time.
+    """
+    result, mean, traces = train_setting(cfg)
+    if out_dir is not None:
+        hashes.update(export_traces(cfg.setting_id, traces, out_dir, shared))
+        save_checkpoint(
+            os.path.join(out_dir, "setting%d.ckpt" % cfg.setting_id),
+            result.human,
+            result.machine,
+            meta={"setting": cfg.setting_id, "seed": cfg.seed, "subject": cfg.subject},
+        )
+    return mean
+
+
 def sweep(settings, cfg: ExperimentConfig, out_dir=None) -> dict:
     """Train and evaluate each setting with identical seeds; export results.
 
-    Returns {setting id: (MetricsReport, TrainResult)}. Checkpoints and
-    CSVs land in ``out_dir`` when given.
+    Returns {setting id: MetricsReport}. With ``out_dir``, each setting's
+    trace CSVs and checkpoint are written as soon as it is evaluated, and
+    the value table and manifest after the last setting, so a sweep that
+    stops part-way leaves no manifest.
     """
-    rows = {}
     reports = {}
-    traces = {}
+    hashes = {}
+    shared = {}  # time and reference columns, rendered once per sweep
     for sid in settings:
-        run_cfg = replace(cfg, setting_id=sid)
-        result, mean, ep_traces = train_setting(run_cfg)
-        rows[sid] = (mean, result)
-        reports[sid] = mean
-        traces[sid] = ep_traces
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            save_checkpoint(
-                os.path.join(out_dir, "setting%d.ckpt" % sid),
-                result.human,
-                result.machine,
-                meta={"setting": sid, "seed": cfg.seed, "subject": cfg.subject},
-            )
+        reports[sid] = _sweep_setting(replace(cfg, setting_id=sid), out_dir, shared, hashes)
     if out_dir is not None:
         run_info = {
             "settings": list(settings),
@@ -343,5 +364,5 @@ def sweep(settings, cfg: ExperimentConfig, out_dir=None) -> dict:
             "n_updates": cfg.n_updates,
             "eval_episodes": cfg.eval_episodes,
         }
-        export_results(reports, traces, out_dir, run_info)
-    return rows
+        export_results(reports, hashes, out_dir, run_info)
+    return reports

@@ -239,6 +239,9 @@ def make_agent(rng, obs_dim: int, n_actions: int, buffer_size: int) -> Agent:
     )
 
 
+# Overflow inside an update is caught by the finiteness checks, which name
+# the minibatch; numpy's own warnings would only repeat it.
+@np.errstate(all="ignore")
 def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
     """One PPO update cycle on a filled buffer; clears the buffer after.
 
@@ -246,9 +249,9 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
     and stay frozen across the epochs; ratio denominators are the log-probs
     stored at collection time, i.e. the policy snapshot that filled the
     buffer. Any non-finite loss or gradient aborts before parameters are
-    touched. Every minibatch's gradients are written into the same two flat
-    buffers, allocated here so that an agent that is never updated holds
-    none.
+    touched, with a ValueError naming the epoch and the minibatch. Every
+    minibatch's gradients are written into the same two flat buffers,
+    allocated here so that an agent that is never updated holds none.
     """
     if not agent.buffer.full:
         raise ValueError(
@@ -261,24 +264,31 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
     returns = compute_returns(advantages, values)
 
     n = len(actions)
+    n_batches = -(-n // hyper.batch_size)
     grad_actor, grad_critic = zeros_like_params(agent.actor), zeros_like_params(agent.critic)
     trace = []
-    for _ in range(hyper.update_epochs):
+    for epoch in range(hyper.update_epochs):
         # One gather per epoch; each minibatch is then a contiguous slice.
         order = rng.permutation(n)
         ob, act, lp, adv, ret = (
             a[order] for a in (obs, actions, logp_old, advantages, returns)
         )
-        for lo in range(0, n, hyper.batch_size):
-            mb = slice(lo, lo + hyper.batch_size)
-            loss_c, grads_c = critic_grads(agent.critic, ob[mb], ret[mb], grad_critic)
-            loss_a, grads_a = actor_grads(
-                agent.actor, ob[mb], act[mb], lp[mb], adv[mb], hyper, grad_actor
-            )
-            if not (math.isfinite(loss_c) and math.isfinite(loss_a)):
-                raise RuntimeError(
-                    "diverged: critic loss %r, actor loss %r" % (loss_c, loss_a)
+        for k in range(n_batches):
+            mb = slice(k * hyper.batch_size, (k + 1) * hyper.batch_size)
+            try:
+                loss_c, grads_c = critic_grads(agent.critic, ob[mb], ret[mb], grad_critic)
+                loss_a, grads_a = actor_grads(
+                    agent.actor, ob[mb], act[mb], lp[mb], adv[mb], hyper, grad_actor
                 )
+                if not (math.isfinite(loss_c) and math.isfinite(loss_a)):
+                    raise ValueError(
+                        "non-finite loss: critic %r, actor %r" % (loss_c, loss_a)
+                    )
+            except ValueError as exc:
+                raise ValueError(
+                    "epoch %d of %d, minibatch %d of %d: %s"
+                    % (epoch + 1, hyper.update_epochs, k + 1, n_batches, exc)
+                ) from None
             sgd_step(agent.critic, grads_c, agent.vel_critic, hyper)
             sgd_step(agent.actor, grads_a, agent.vel_actor, hyper)
             trace.append((loss_c, loss_a))
@@ -287,8 +297,17 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
 
 
 def update_agents(agents: dict, hyper: PPOHyper, rng) -> dict:
-    """Update every agent in turn (stable key order); returns loss traces."""
-    return {name: update_agent(agents[name], hyper, rng) for name in sorted(agents)}
+    """Update every agent in turn (stable key order); returns loss traces.
+
+    A failed update raises ValueError naming the agent.
+    """
+    traces = {}
+    for name in sorted(agents):
+        try:
+            traces[name] = update_agent(agents[name], hyper, rng)
+        except ValueError as exc:
+            raise ValueError("agent %s, %s" % (name, exc)) from None
+    return traces
 
 
 @dataclass
@@ -318,7 +337,7 @@ def train(env: EnvParams, hyper: PPOHyper, seed: int, n_updates: int) -> TrainRe
 
     values = []
     loss_traces = []
-    for _ in range(n_updates):
+    for update in range(n_updates):
         while not human.buffer.full:
             res = run_episode(
                 env, SamplingPolicy(human.actor), SamplingPolicy(machine.actor), rollout_rng
@@ -326,7 +345,12 @@ def train(env: EnvParams, hyper: PPOHyper, seed: int, n_updates: int) -> TrainRe
             human.buffer.extend(res.transitions_human)
             machine.buffer.extend(res.transitions_machine)
             values.append(res.total_reward)
-        loss_traces.append(update_agents(agents, hyper, update_rng))
+        try:
+            loss_traces.append(update_agents(agents, hyper, update_rng))
+        except ValueError as exc:
+            raise ValueError(
+                "PPO update %d of %d diverged: %s" % (update + 1, n_updates, exc)
+            ) from None
     return TrainResult(
         human=human, machine=machine, value_curve=np.array(values), loss_traces=loss_traces
     )

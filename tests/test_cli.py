@@ -1,6 +1,13 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pedalrl
 from pedalrl.cli import main, parse_settings
 from pedalrl.ppo import load_checkpoint
 
@@ -78,6 +85,28 @@ def test_bad_input_exits_2(tmp_path, capsys):
         assert main(args + FAST) == 2
         assert "--settings" in capsys.readouterr().err
     assert not sweep_out.exists()
+
+
+@pytest.mark.parametrize("learning_rate", ["1e3", "1e2"])
+def test_divergence_exits_2_naming_the_failed_step(tmp_path, learning_rate):
+    # in a fresh process, so that stderr shows what a user sees: 1e3 overflows
+    # a loss, 1e2 a gradient
+    src = str(Path(pedalrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = [
+        sys.executable, "-m", "pedalrl.cli", "train", "--setting", "2", "--seed", "1",
+        "--set", "hyper.learning_rate=" + learning_rate, "--set", "train.n_updates=6",
+        "--set", "hyper.buffer_size=120", "--set", "hyper.batch_size=60",
+        "--out", str(tmp_path),
+    ]
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(
+        r"error: PPO update \d of 6 diverged: agent (human|machine), "
+        r"epoch \d of 4, minibatch \d of 2: non-finite \S.*\n",
+        proc.stderr,
+    ), proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def test_huge_settings_range_fails_before_allocating(tmp_path, capsys):

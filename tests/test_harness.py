@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import os
+import weakref
 from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ConstantPolicy, make_test_env
+from pedalrl import harness
 from pedalrl.config import apply_overrides, parse_config_text, parse_scalar
 from pedalrl.episode import EpisodeTrace, SamplingPolicy, run_episode
 from pedalrl.harness import (
@@ -16,10 +19,12 @@ from pedalrl.harness import (
     SUBJECTS,
     TRACE_COLUMNS,
     ExperimentConfig,
+    MetricsReport,
     config_from_dict,
     eval_seeds,
     evaluate_agents,
     export_results,
+    export_traces,
     make_env,
     mse_metrics,
     sweep,
@@ -327,7 +332,10 @@ def test_export_shares_columns_by_bytes_not_values(tmp_path):
     b.time[0] = -0.0
     assert np.array_equal(a.time, b.time)
     report = mse_metrics(hand_trace(), unit_torque=1.0)
-    export_results({2: report, 6: report}, {2: [a, b], 6: [b, a]}, tmp_path, {})
+    shared = {}  # one dict across both settings, as in a sweep
+    hashes = export_traces(2, [a, b], tmp_path, shared)
+    hashes.update(export_traces(6, [b, a], tmp_path, shared))
+    export_results({2: report, 6: report}, hashes, tmp_path, {})
     for name, trace in (
         ("trace_setting2_ep0.csv", a), ("trace_setting2_ep1.csv", b),
         ("trace_setting6_ep0.csv", b), ("trace_setting6_ep1.csv", a),
@@ -370,10 +378,16 @@ def test_export_results_stable_and_hashed(tmp_path):
     traces = {2: [res.trace], 6: [res.trace]}
     info = {"settings": [2, 6], "seed": 7}
 
+    def export(out):
+        shared, hashes = {}, {}
+        for sid in sorted(traces):
+            hashes.update(export_traces(sid, traces[sid], out, shared))
+        return export_results(reports, hashes, out, info)
+
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    hashes_a = export_results(reports, traces, out_a, info)
-    hashes_b = export_results(reports, traces, out_b, info)
+    hashes_a = export(out_a)
+    hashes_b = export(out_b)
     assert hashes_a == hashes_b
     for name, digest in hashes_a.items():
         data_a = (out_a / name).read_bytes()
@@ -409,7 +423,7 @@ def test_sweep_deterministic_and_exports(tmp_path):
     rows_b = sweep([2, 6], cfg, out_dir=out_b)
     assert set(rows_a) == {2, 6}
     for sid in (2, 6):
-        assert rows_a[sid][0] == rows_b[sid][0]
+        assert rows_a[sid] == rows_b[sid]
         assert (out_a / ("setting%d.ckpt" % sid)).exists()
     for name in sorted(os.listdir(out_a)):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
@@ -418,4 +432,68 @@ def test_sweep_deterministic_and_exports(tmp_path):
 def test_sweep_seed_changes_results(tmp_path):
     rows_a = sweep([2], light_config(seed=3))
     rows_b = sweep([2], light_config(seed=4))
-    assert rows_a[2][0] != rows_b[2][0]
+    assert rows_a[2] != rows_b[2]
+
+
+def test_sweep_holds_one_setting_at_a_time(tmp_path, monkeypatch):
+    # nothing a setting's training and evaluation returned outlives it; only
+    # its MetricsReport does
+    real_train_setting = harness.train_setting
+    refs = []
+
+    def train_setting(cfg, *args):
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == [], cfg.setting_id
+        result, mean, traces = real_train_setting(cfg, *args)
+        refs.extend(weakref.ref(obj) for obj in [result, *traces])
+        return result, mean, traces
+
+    monkeypatch.setattr(harness, "train_setting", train_setting)
+    cfg = light_config()
+    reports = sweep([2, 6, 3], cfg, out_dir=tmp_path)
+    assert len(refs) == 3 * (1 + cfg.eval_episodes)
+    assert all(isinstance(r, MetricsReport) for r in reports.values())
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
+
+
+def eval_only_config(episodes):
+    return config_from_dict(
+        {"seed": 5, "train.n_updates": 0, "eval.episodes": episodes, "episode.n_decisions": 12}
+    )
+
+
+def test_sweep_stopped_part_way_leaves_no_manifest(tmp_path, monkeypatch):
+    cfg = eval_only_config(2)
+    sweep([2, 6], cfg, out_dir=tmp_path / "full")
+    real_train_setting = harness.train_setting
+
+    def train_setting(cfg, *args):
+        if cfg.setting_id == 6:
+            raise RuntimeError("stopped at setting 6")
+        return real_train_setting(cfg, *args)
+
+    monkeypatch.setattr(harness, "train_setting", train_setting)
+    out = tmp_path / "part"
+    with pytest.raises(RuntimeError, match="stopped at setting 6"):
+        sweep([2, 6], cfg, out_dir=out)
+    # the first setting's files are complete, and there is no manifest
+    names = ["setting2.ckpt", "trace_setting2_ep0.csv", "trace_setting2_ep1.csv"]
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_sweep_manifest_hashes_every_exported_csv(tmp_path):
+    # eleven episodes: two-digit episode numbers sort between ep1 and ep2
+    cfg = eval_only_config(11)
+    sweep([2, 6], cfg, out_dir=tmp_path)
+    on_disk = set(os.listdir(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    csvs = {name for name in on_disk if name.endswith(".csv")}
+    assert len(csvs) == 2 * 11 + 1 and "trace_setting6_ep10.csv" in csvs
+    assert set(manifest["files"]) == csvs
+    assert on_disk == csvs | {"manifest.json", "setting2.ckpt", "setting6.ckpt"}
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert manifest["run"]["eval_episodes"] == 11

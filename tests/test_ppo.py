@@ -313,7 +313,7 @@ def _corrupt_buffer(buf, corruption, row):
     return out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("corruption", ["inf_observation", "stale_log_prob", "overflowing_reward"])
 def test_divergence_stops_before_parameters_move(corruption, monkeypatch):
     rng = np.random.default_rng(21)
@@ -335,8 +335,11 @@ def test_divergence_stops_before_parameters_move(corruption, monkeypatch):
         return result
 
     monkeypatch.setattr(ppo, "critic_grads", critic_grads)
-    with pytest.raises((ValueError, RuntimeError)):
+    with pytest.raises(ValueError) as failed:
         update_agent(agent, hyper, np.random.default_rng(5))
+    # the message names the failing minibatch, 32 / 4 = 8 to an epoch
+    epoch, k = divmod(len(snapshots) - 1, 8)
+    assert "epoch %d of 4, minibatch %d of 8: " % (epoch + 1, k + 1) in str(failed.value)
     for got, want in zip(_agent_state(agent), snapshots[-1]):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if corruption == "stale_log_prob":
