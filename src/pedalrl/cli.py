@@ -12,13 +12,15 @@ from .bridge import PolicyServer, actors_from_checkpoint, parse_endpoint
 from .config import apply_overrides, load_config, parse_scalar
 from .controllers import SETTINGS
 from .harness import (
+    CHECKPOINT_KEYS,
     config_from_dict,
     evaluate_agents,
     make_env,
+    save_setting_checkpoint,
     sweep,
     train_setting,
 )
-from .ppo import load_checkpoint, save_checkpoint
+from .ppo import load_checkpoint
 
 
 def parse_settings(text: str) -> list:
@@ -51,6 +53,9 @@ def parse_settings(text: str) -> list:
     unknown = [sid for sid in ids if sid not in SETTINGS]
     if unknown:
         raise ValueError("--settings %r: unknown setting ids %s (expected 1..8)" % (text, unknown))
+    repeated = [sid for sid in sorted(set(ids)) if ids.count(sid) > 1]
+    if repeated:
+        raise ValueError("--settings %r: repeated setting ids %s" % (text, repeated))
     return ids
 
 
@@ -73,13 +78,7 @@ def cmd_train(args) -> int:
     result, mean, traces = train_setting(cfg)
     out = args.out or cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    ckpt = os.path.join(out, "setting%d.ckpt" % cfg.setting_id)
-    save_checkpoint(
-        ckpt,
-        result.human,
-        result.machine,
-        meta={"setting": cfg.setting_id, "seed": cfg.seed, "subject": cfg.subject},
-    )
+    ckpt = save_setting_checkpoint(cfg, result, out)
     curve_path = os.path.join(out, "value_curve_setting%d.csv" % cfg.setting_id)
     with open(curve_path, "w") as fh:
         fh.write("episode,value\n")
@@ -98,7 +97,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     meta = ckpt.get("meta", {})
     cfg_dict = _config_dict(args)
-    for key in ("setting", "seed", "subject"):
+    for key in CHECKPOINT_KEYS:
         if key not in cfg_dict and key in meta:
             cfg_dict[key] = parse_scalar(meta[key])
     cfg = config_from_dict(cfg_dict)
@@ -141,6 +140,9 @@ def cmd_bridge_serve(args) -> int:
 
 def cmd_bench(args) -> int:
     """Time the fused substep kernel: compiled backend vs pure Python."""
+    for flag, value in (("--blocks", args.blocks), ("--interval", args.interval)):
+        if value < 1:
+            raise ValueError("%s must be >= 1, got %d" % (flag, value))
     interval = args.interval
     noise = np.zeros(interval)
     # Shipped plant, reference and human; setting 1, machine sub-controller 0.

@@ -1,12 +1,14 @@
 """PD/PID gains and the eight fixed sub-controller banks.
 
-Each experiment setting pairs one reward weighting with two human PD gain
-pairs and two machine PID gain triples. Agents act by switching between the
-two entries of their bank; the PD/PID updates themselves run inside the
-fused kernel (:mod:`pedalrl.kernels`).
+Each experiment setting pairs one shared-reward ``RewardWeights`` with two
+human PD gain pairs and two machine PID gain triples. Agents act by switching
+between the two entries of their bank; the PD/PID updates themselves run
+inside the fused kernel (:mod:`pedalrl.kernels`).
 """
 
 from dataclasses import dataclass
+
+from .rewards import RewardWeights
 
 EPS_GAIN = 1e-12  # floor used when deriving the anti-windup limit from ki
 
@@ -33,20 +35,11 @@ class PIDGains:
 
 
 @dataclass(frozen=True)
-class RewardWeightsSpec:
-    """(mu, kappa, rho) weighting of the shared reward for one setting."""
-
-    mu: float
-    kappa: float
-    rho: float
-
-
-@dataclass(frozen=True)
 class SettingConfig:
     """One row of the sub-controller bank table."""
 
     setting_id: int
-    weights: RewardWeightsSpec
+    weights: RewardWeights
     human_pd: tuple  # (PDGains, PDGains): high-intensity pair first
     machine_pid: tuple  # (PIDGains, PIDGains)
 
@@ -54,7 +47,7 @@ class SettingConfig:
 def _setting(sid, weights, pd1, pd2, pid1, pid2):
     return SettingConfig(
         setting_id=sid,
-        weights=RewardWeightsSpec(*weights),
+        weights=RewardWeights(*weights),
         human_pd=(PDGains(*pd1), PDGains(*pd2)),
         machine_pid=(PIDGains(*pid1), PIDGains(*pid2)),
     )

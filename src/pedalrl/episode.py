@@ -4,9 +4,9 @@ Agents act every ``decision_interval`` plant substeps. One decision step is:
 observe (both agents), pick a digit and a machine sub-controller, run the
 substep block through the hot kernel, then score the shared reward over
 sliding windows of block-boundary samples. The trace records every plant
-substep; rewards land on block-final rows. Each agent's observations are
-the block-final trace values over a fixed divisor vector (``obs_divisors``),
-and its experience is one record array per episode (``experience``).
+substep; the reward lands on block-final rows and in both agents' experience,
+one record array per agent and episode (``experience``). Each agent's
+observations are the block-final trace values over ``obs_divisors``.
 
 RNG discipline: per decision step the stream is consumed in a fixed order
 (human sample, machine sample, one noise vector), and non-sampling policies
@@ -24,7 +24,7 @@ from .controllers import SettingConfig
 from .human import DIGITS, HumanParams
 from .nets import actor_forward, greedy_action, sample_action
 from .plant import PlantParams, ReferenceTrajectory, sample_reference
-from .rewards import RewardWeights, comfort_term, machine_reward, shared_reward
+from .rewards import comfort_term, shared_reward
 
 OBS_DIM_HUMAN = 5  # position, error, comfort, previous digit, machine torque
 OBS_DIM_MACHINE = 6  # reference, position, error, omega, previous action, human torque
@@ -41,12 +41,10 @@ class EnvParams:
     plant: PlantParams
     reference: ReferenceTrajectory
     human: HumanParams
-    setting: SettingConfig
-    weights: RewardWeights
+    setting: SettingConfig  # its ``weights`` score the shared reward
     window: int  # k: decision steps per reward window
     decision_interval: int  # plant substeps per decision
     n_decisions: int
-    use_machine_reward: bool = False  # give agent 1 its own omega-penalized variant
 
     def __post_init__(self):
         # Each message starts with the field name; ``harness.make_env``
@@ -151,6 +149,7 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     interval = env.decision_interval
     n = env.n_decisions
     n_total = n * interval
+    weights = env.setting.weights
     div_h, div_m = (d.tolist() for d in obs_divisors(env))
 
     sim = np.zeros(kernels.SIM_SIZE)
@@ -176,7 +175,6 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     act_m = np.empty(n, dtype=np.int64)
     logp_h = np.empty(n)
     logp_m = np.empty(n)
-    reward_m_col = np.empty(n)
 
     total_reward = 0.0
     for z in range(n):
@@ -195,8 +193,8 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
             sim, queue, digit, a_m, constants, bank, noise, block, start, interval
         )
         row = start + interval - 1
-        # The block-final column as Python floats: the observation rows and
-        # the machine reward are computed off numpy scalars.
+        # The block-final column as Python floats: the observation rows are
+        # computed off numpy scalars.
         _, ref, pos, om, tm, th = block[:, row].tolist()
         digit_arr[start : start + interval] = digit
         maction_arr[start : start + interval] = a_m
@@ -206,21 +204,11 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         positions = pos_arr[lo : row + 1 : interval].tolist()
 
         reward = 0.0
-        reward_m = 0.0
         if z >= k - 1:
             reference = ref_arr[lo : row + 1 : interval].tolist()
             actions = digit_arr[lo : row + 1 : interval].tolist()
-            reward = shared_reward(positions, reference, actions, env.weights)
-            reward_m = reward
-            if env.use_machine_reward and z >= k:
-                lo_m = lo - interval  # the machine window is one decision longer
-                reward_m = machine_reward(
-                    pos_arr[lo_m : row + 1 : interval].tolist(),
-                    ref_arr[lo_m : row + 1 : interval].tolist(),
-                    om, env.weights.sigma, env.weights.beta,
-                )
+            reward = shared_reward(positions, reference, actions, weights)
         reward_arr[row] = reward
-        reward_m_col[z] = reward_m
         total_reward += reward
 
         err = ref - pos
@@ -234,14 +222,14 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         decision_interval=interval,
     )
     terminal = np.arange(n) == n - 1
-    reward_h_col = reward_arr[interval - 1 :: interval]
+    reward_col = reward_arr[interval - 1 :: interval]
     return EpisodeResult(
         trace=trace,
         transitions_human=experience(
-            obs_h[:-1], act_h, logp_h, reward_h_col, obs_h[1:], terminal
+            obs_h[:-1], act_h, logp_h, reward_col, obs_h[1:], terminal
         ),
         transitions_machine=experience(
-            obs_m[:-1], act_m, logp_m, reward_m_col, obs_m[1:], terminal
+            obs_m[:-1], act_m, logp_m, reward_col, obs_m[1:], terminal
         ),
         total_reward=total_reward,
     )

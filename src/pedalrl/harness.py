@@ -20,7 +20,7 @@ from .episode import EnvParams, EpisodeTrace, SamplingPolicy, run_episode
 from .human import HumanParams
 from .plant import PlantParams, ReferenceTrajectory
 from .ppo import PPOHyper, save_checkpoint, train
-from .rewards import RewardWeights, weights_for_setting
+from .rewards import RewardWeights
 
 # Synthetic subject profiles: a moderate baseline and a strong-biofeedback
 # variant (doubled commanded torque per digit).
@@ -84,6 +84,8 @@ CONFIG_KEYS = {
     "output_dir": "output_dir",
 }
 
+CHECKPOINT_KEYS = ("setting", "seed", "subject")  # checkpoint meta, read back by eval
+
 
 def _pick(cfg: dict, prefix: str, base):
     """``base`` with its fields replaced by the ``prefix.field`` keys of ``cfg``."""
@@ -139,14 +141,16 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
 
 
 def make_env(cfg: ExperimentConfig, weights: RewardWeights = None) -> EnvParams:
+    """The env of ``cfg``'s setting; ``weights`` replaces the setting's own."""
     setting = load_setting(cfg.setting_id)
+    if weights is not None:
+        setting = replace(setting, weights=weights)
     try:
         return EnvParams(
             plant=cfg.plant,
             reference=cfg.reference,
             human=cfg.human,
             setting=setting,
-            weights=weights if weights is not None else weights_for_setting(setting),
             window=cfg.window,
             decision_interval=cfg.decision_interval,
             n_decisions=cfg.n_decisions,
@@ -322,6 +326,14 @@ def export_results(reports: dict, hashes: dict, out_dir, run_info: dict) -> dict
     return hashes
 
 
+def save_setting_checkpoint(cfg: ExperimentConfig, result, out_dir) -> str:
+    """Write ``result``'s networks to ``out_dir/setting<id>.ckpt``; returns the path."""
+    path = os.path.join(out_dir, "setting%d.ckpt" % cfg.setting_id)
+    meta = {key: getattr(cfg, CONFIG_KEYS[key]) for key in CHECKPOINT_KEYS}
+    save_checkpoint(path, result.human, result.machine, meta=meta)
+    return path
+
+
 def _sweep_setting(cfg: ExperimentConfig, out_dir, shared: dict, hashes: dict):
     """Train, evaluate and, with ``out_dir``, export one setting of a sweep.
 
@@ -331,12 +343,7 @@ def _sweep_setting(cfg: ExperimentConfig, out_dir, shared: dict, hashes: dict):
     result, mean, traces = train_setting(cfg)
     if out_dir is not None:
         hashes.update(export_traces(cfg.setting_id, traces, out_dir, shared))
-        save_checkpoint(
-            os.path.join(out_dir, "setting%d.ckpt" % cfg.setting_id),
-            result.human,
-            result.machine,
-            meta={"setting": cfg.setting_id, "seed": cfg.seed, "subject": cfg.subject},
-        )
+        save_setting_checkpoint(cfg, result, out_dir)
     return mean
 
 

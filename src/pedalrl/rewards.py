@@ -1,17 +1,16 @@
-"""Sliding-window reward terms and their weighted combinations.
+"""Sliding-window reward terms and their weighted combination.
 
 All terms are evaluated at decision cadence: the windows hold the last k
 decision-step samples of pedal position, reference position and human digit
 actions. Tracking error and motion roughness are penalties, action
 variability under engagement is a bonus; the combined scalar is shared by
-both agents each decision step.
+both agents each decision step, weighted by the setting's RewardWeights.
 
-The machine-specific variant sums the squared tracking error over one extra
-sample (k+1 summands for window parameter k) and adds a weighted angular
-velocity term. That index-range difference is deliberate and preserved. The
-variability term keeps a matching quirk: the mean is taken over all k
-actions while the deviations are summed over the first k-1 and normalized by
-k-2.
+:func:`machine_reward`, which no episode uses, sums the squared tracking
+error over one extra sample (k+1 summands for window parameter k) and adds a
+signed angular velocity term. The variability term has a quirk of its own:
+the mean is taken over all k actions while the deviations are summed over
+the first k-1 and normalized by k-2.
 """
 
 from dataclasses import dataclass
@@ -19,30 +18,19 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class RewardWeights:
-    """Term weights: (mu, kappa, rho) human side, (sigma, beta) machine side.
+    """(mu, kappa, rho) weighting of the shared reward.
 
-    The human-side weights are magnitudes; the sign convention (tracking and
-    roughness penalized, variability rewarded) is fixed inside
-    :func:`human_reward`. sigma and beta carry their own signs. beta
-    defaults to 0: the default experiments do not punish angular velocity
-    and give both agents the shared scalar.
+    The weights are magnitudes; the sign convention (tracking and roughness
+    penalized, variability rewarded) is fixed inside :func:`human_reward`.
     """
 
     mu: float
     kappa: float
     rho: float
-    sigma: float = -1.0
-    beta: float = 0.0
 
     def __post_init__(self):
         if self.mu < 0.0 or self.kappa < 0.0 or self.rho < 0.0:
             raise ValueError("mu, kappa, rho must be non-negative")
-
-
-def weights_for_setting(setting) -> RewardWeights:
-    """RewardWeights for a SettingConfig row (machine terms at defaults)."""
-    w = setting.weights
-    return RewardWeights(mu=w.mu, kappa=w.kappa, rho=w.rho)
 
 
 def tracking_term(actual, reference) -> float:

@@ -1,11 +1,7 @@
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from pedalrl.harness import config_from_dict, make_env
 

@@ -52,6 +52,8 @@ def _report(n, ok, detail, elapsed, budget=None):
 
 
 def test_criterion_01_reward_terms_match_brute_force():
+    # the machine reward's weights: squared error penalized, angular velocity not
+    sigma, beta = -1.0, 0.0
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     worst = 0.0
@@ -73,8 +75,8 @@ def test_criterion_01_reward_terms_match_brute_force():
             (comfort_term(w_actual), oracles.comfort_sum(actual[1:])),
             (effort_term(digits), oracles.effort_value(list(digits), flag)),
             (
-                machine_reward(actual, reference, omega, weights.sigma, weights.beta),
-                oracles.machine_value(actual, reference, omega, weights.sigma, weights.beta),
+                machine_reward(actual, reference, omega, sigma, beta),
+                oracles.machine_value(actual, reference, omega, sigma, beta),
             ),
             (
                 shared_reward(w_actual, w_reference, digits, weights),

@@ -18,6 +18,8 @@ def test_parse_settings_forms():
     assert parse_settings("1..8") == [1, 2, 3, 4, 5, 6, 7, 8]
     with pytest.raises(ValueError):
         parse_settings(",")
+    with pytest.raises(ValueError, match=r"--settings '2,4,2': repeated setting ids \[2\]"):
+        parse_settings("2,4,2")
 
 
 FAST = [
@@ -80,11 +82,16 @@ def test_bad_input_exits_2(tmp_path, capsys):
         assert key.split("=")[0] in capsys.readouterr().err
     # bad settings fail before the sweep trains or checkpoints anything
     sweep_out = tmp_path / "sweep"
-    for settings in ("1..9", "a..3"):
+    for settings in ("1..9", "a..3", "2,2"):
         args = ["sweep", "--settings", settings, "--seed", "7", "--out", str(sweep_out)]
         assert main(args + FAST) == 2
         assert "--settings" in capsys.readouterr().err
     assert not sweep_out.exists()
+    for flags in (["--blocks", "0"], ["--blocks", "-1"], ["--interval", "-3"],
+                  ["--interval", "0", "--blocks", "5"]):
+        assert main(["bench"] + flags) == 2
+        shown = capsys.readouterr()
+        assert shown.out == "" and "error: %s must be >= 1" % flags[0] in shown.err
 
 
 @pytest.mark.parametrize("learning_rate", ["1e3", "1e2"])

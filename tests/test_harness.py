@@ -185,9 +185,9 @@ def test_make_env_wiring():
     cfg = config_from_dict({"seed": 1, "setting": 6})
     env = make_env(cfg)
     assert env.setting.setting_id == 6
-    assert env.weights.kappa == 8.0
+    assert env.setting.weights.kappa == 8.0
     custom = RewardWeights(mu=1.0, kappa=1.0, rho=1.0)
-    assert make_env(cfg, custom).weights is custom
+    assert make_env(cfg, custom).setting.weights is custom
 
 
 def trace_from_csv(text: str, decision_interval: int) -> EpisodeTrace:

@@ -12,7 +12,6 @@ from pedalrl.rewards import (
     machine_reward,
     shared_reward,
     tracking_term,
-    weights_for_setting,
 )
 
 
@@ -139,9 +138,11 @@ def test_shared_reward_equals_human_reward():
 def test_weights_for_setting():
     from pedalrl.controllers import load_setting
 
-    w2 = weights_for_setting(load_setting(2))
+    w2 = load_setting(2).weights
+    assert isinstance(w2, RewardWeights)
     assert (w2.mu, w2.kappa, w2.rho) == (1, 1, 5)
-    w6 = weights_for_setting(load_setting(6))
+    w6 = load_setting(6).weights
+    assert isinstance(w6, RewardWeights)
     assert (w6.mu, w6.kappa, w6.rho) == (1, 8, 1)
 
 
