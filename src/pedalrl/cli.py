@@ -9,7 +9,7 @@ import numpy as np
 
 from . import kernels
 from .bridge import PolicyServer, actors_from_checkpoint, parse_endpoint
-from .config import apply_overrides, load_config, parse_scalar
+from .config import apply_overrides, load_config
 from .controllers import SETTINGS
 from .harness import (
     CHECKPOINT_KEYS,
@@ -99,7 +99,7 @@ def cmd_eval(args) -> int:
     cfg_dict = _config_dict(args)
     for key in CHECKPOINT_KEYS:
         if key not in cfg_dict and key in meta:
-            cfg_dict[key] = parse_scalar(meta[key])
+            cfg_dict[key] = meta[key]
     cfg = config_from_dict(cfg_dict)
     env = make_env(cfg)
     mean, _ = evaluate_agents(

@@ -1,32 +1,13 @@
 """Flat key-value experiment configuration.
 
 One ``key = value`` per line; ``#`` starts a comment; blank lines are
-ignored. Values become int, float or bool where they parse as one, else
-stay strings. Keys are dotted paths (``plant.inertia``, ``hyper.gamma``)
-consumed by the harness; the same ``key=value`` syntax is accepted as CLI
-overrides, which win over the file. :func:`coerce` then turns each value
-into the type of the dataclass field it sets.
+ignored. Values stay as their stripped text. Keys are dotted paths
+(``plant.inertia``, ``hyper.gamma``) consumed by the harness; the same
+``key=value`` syntax is accepted as CLI overrides, which win over the file.
+:func:`coerce` then types each value once, by the dataclass field it sets.
 """
 
 import math
-
-
-def parse_scalar(text: str):
-    t = text.strip()
-    low = t.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    return t
 
 
 def parse_config_text(text: str) -> dict:
@@ -41,7 +22,7 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ValueError("config line %d: empty key" % ln_no)
-        out[key] = parse_scalar(val)
+        out[key] = val.strip()
     return out
 
 
@@ -57,21 +38,31 @@ def apply_overrides(cfg: dict, pairs) -> dict:
         if "=" not in pair:
             raise ValueError("override %r is not key=value" % pair)
         key, val = pair.split("=", 1)
-        out[key.strip()] = parse_scalar(val)
+        out[key.strip()] = val.strip()
     return out
 
 
 def coerce(key: str, value, kind):
-    """``value`` as type ``kind`` (int, float, bool or str) for config ``key``.
+    """``value`` as type ``kind`` (int, float or str) for config ``key``.
 
-    Ints accept integral floats, floats accept ints and must be finite,
-    bools accept only booleans. Anything else raises ValueError naming the key.
+    A str field keeps text as written. For an int or float field, text is
+    read with ``int()``, else ``float()``; ints then accept integral floats,
+    floats accept ints and must be finite. Python values from code are
+    checked the same way, and a bool is rejected for every field. Anything
+    else raises ValueError naming the key.
     """
-    if kind is str:
-        return str(value)
+    if isinstance(value, str) and kind is not str:
+        try:
+            value = int(value)
+        except ValueError:
+            try:
+                value = float(value)
+            except ValueError:
+                pass
     if isinstance(value, bool):
-        if kind is bool:
-            return value
+        pass  # rejected below, whatever the field
+    elif kind is str:
+        return str(value)
     elif kind is int:
         if isinstance(value, int):
             return value

@@ -8,12 +8,11 @@ central finite differences are meaningful to ~1e-9.
 
 Each network's parameters live in one flat float64 vector, ``w1 b1 w2 b2
 w3 b3`` in that order, each array row-major; the named arrays are views of
-it. Gradients and optimizer velocities use the same layout, so the PPO
-update writes gradients into reused buffers and steps the whole network
-with a few vector operations. The layout changes where the values sit, not
-the arithmetic: every product and sum keeps its operands, shapes and order,
-so an acting row's output has the same bits as with separately allocated
-arrays, and so do trained parameters.
+it. Gradients share the layout, so the PPO update writes them into reused
+buffers and steps a network with one vector operation. The layout changes
+where the values sit, not the arithmetic: every product and sum keeps its
+operands, shapes and order, so an acting row's output has the same bits as
+with separately allocated arrays, and so do trained parameters.
 
 Acting normalizes one row of 5 or 2 logits per call. ``softmax_probs``
 does that on Python floats (one ``exp`` ufunc, then plain loops) rather
@@ -47,8 +46,7 @@ def layer_shapes(in_dim: int, hidden1: int, hidden2: int, out_dim: int) -> tuple
 
 
 class MLPParams:
-    """Weights and biases of one three-layer network (also used for grads
-    and optimizer velocities).
+    """Weights and biases of one three-layer network (also used for grads).
 
     ``vector`` holds every value as one float64 array; ``w1 b1 w2 b2 w3 b3``
     are row-major views of consecutive slices of it, made once here. Writing

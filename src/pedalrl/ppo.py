@@ -2,14 +2,12 @@
 
 Advantages are discounted sums of one-step TD errors computed backward over
 the whole buffer; returns add the critic baseline back. The actor minimizes
-the clipped surrogate; by default the entropy term enters as an exploration
-bonus (subtracted from the minimized loss). Setting
-``entropy_as_printed=True`` flips it to a penalty for literal reproduction
-of the published form, at the cost of suppressing exploration.
+the clipped surrogate minus the weighted entropy, an exploration bonus. The
+paper prints the entropy term with the other sign; this code uses the bonus.
 
 Gradients are exact (hand-derived through the softmax and both tanh
 layers) and are checked against central finite differences in the tests.
-Optimization is plain gradient descent with optional momentum.
+Optimization is plain gradient descent.
 """
 
 import math
@@ -44,8 +42,6 @@ class PPOHyper:
     # A minimum: rollouts add whole episodes until the buffer holds at least
     # this many transitions, so 60-decision episodes give 2100 per update.
     buffer_size: int = 2048
-    momentum: float = 0.0
-    entropy_as_printed: bool = False  # +entropy in the minimized loss (literal form)
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -121,10 +117,6 @@ def compute_advantages(rewards, values, next_values, terminals, gamma: float):
     return np.array(q)
 
 
-def compute_returns(advantages: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return advantages + values
-
-
 def critic_loss(returns: np.ndarray, values: np.ndarray) -> float:
     diff = returns - values
     return float((diff * diff).sum() / (2.0 * len(returns)))
@@ -176,25 +168,21 @@ def actor_loss_parts(
     unclipped = surr_raw <= surr_clip  # ties keep the differentiable branch
     log_p = np.log(p)
     ent = entropy_term(p, log_p)
-    ent_sign = 1.0 if hyper.entropy_as_printed else -1.0
     b = len(actions)
-    loss = float(
-        (-np.minimum(surr_raw, surr_clip) + ent_sign * hyper.entropy_weight * ent).sum()
-        / b
-    )
-    return loss, p, log_p, cache, ratio, unclipped, ent, ent_sign
+    loss = float((-np.minimum(surr_raw, surr_clip) - hyper.entropy_weight * ent).sum() / b)
+    return loss, p, log_p, cache, ratio, unclipped, ent
 
 
 def actor_grads(params, obs, actions, log_prob_old, advantages, hyper, out=None):
     """(loss, exact parameter gradients) of the clipped surrogate loss.
 
     d/dlogits of the surrogate is nonzero only on the unclipped branch:
-    -Q * (p_a/q_a) * (1[j=a] - p_j). The entropy part contributes
-    -sign * (-p_j (ln p_j + K)). The probability floor is treated as
+    -Q * (p_a/q_a) * (1[j=a] - p_j). The entropy bonus contributes
+    p_j (ln p_j + K) per unit weight. The probability floor is treated as
     inactive; it binds only at logit spreads past ~18. The gradients are
     written into ``out`` when given (see ``nets.backward``).
     """
-    loss, p, log_p, cache, ratio, unclipped, ent, ent_sign = actor_loss_parts(
+    loss, p, log_p, cache, ratio, unclipped, ent = actor_loss_parts(
         params, obs, actions, log_prob_old, advantages, hyper
     )
     b, n_act = p.shape
@@ -202,41 +190,30 @@ def actor_grads(params, obs, actions, log_prob_old, advantages, hyper, out=None)
     g = np.where(unclipped, advantages, 0.0)  # surrogate weight per sample
     d_logits = -(g * ratio)[:, None] * (-p)
     d_logits[idx, actions] -= g * ratio
-    # entropy: dK/dz_j = -p_j (ln p_j + K)
-    d_logits += ent_sign * hyper.entropy_weight * (-p * (log_p + ent[:, None]))
+    # entropy: dK/dz_j = -p_j (ln p_j + K), and the loss subtracts K
+    d_logits += hyper.entropy_weight * (p * (log_p + ent[:, None]))
     d_logits /= b
     return loss, backward(params, cache, d_logits, out)
 
 
-def sgd_step(params: MLPParams, grads: MLPParams, velocity: MLPParams, hyper: PPOHyper):
-    """In-place descent step with optional momentum, on the flat vectors."""
-    v = velocity.vector
-    v *= hyper.momentum
-    v -= hyper.learning_rate * grads.vector
-    params.vector += v
+def sgd_step(params: MLPParams, grads: MLPParams, hyper: PPOHyper):
+    """In-place descent step on the flat vectors."""
+    params.vector -= hyper.learning_rate * grads.vector
 
 
 @dataclass
 class Agent:
-    """Actor, critic, optimizer state and the experience buffer of one agent."""
+    """Actor, critic and the experience buffer of one agent."""
 
     actor: MLPParams
     critic: MLPParams
     buffer: ExperienceBuffer
-    vel_actor: MLPParams
-    vel_critic: MLPParams
 
 
 def make_agent(rng, obs_dim: int, n_actions: int, buffer_size: int) -> Agent:
     actor = init_params(rng, obs_dim, n_actions)
     critic = init_params(rng, obs_dim, 1)
-    return Agent(
-        actor=actor,
-        critic=critic,
-        buffer=ExperienceBuffer(buffer_size),
-        vel_actor=zeros_like_params(actor),
-        vel_critic=zeros_like_params(critic),
-    )
+    return Agent(actor=actor, critic=critic, buffer=ExperienceBuffer(buffer_size))
 
 
 # Overflow inside an update is caught by the finiteness checks, which name
@@ -261,7 +238,7 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
     values = critic_values(agent.critic, obs)
     next_values = critic_values(agent.critic, next_obs)
     advantages = compute_advantages(rewards, values, next_values, terminals, hyper.gamma)
-    returns = compute_returns(advantages, values)
+    returns = advantages + values
 
     n = len(actions)
     n_batches = -(-n // hyper.batch_size)
@@ -289,8 +266,8 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
                     "epoch %d of %d, minibatch %d of %d: %s"
                     % (epoch + 1, hyper.update_epochs, k + 1, n_batches, exc)
                 ) from None
-            sgd_step(agent.critic, grads_c, agent.vel_critic, hyper)
-            sgd_step(agent.actor, grads_a, agent.vel_actor, hyper)
+            sgd_step(agent.critic, grads_c, hyper)
+            sgd_step(agent.actor, grads_a, hyper)
             trace.append((loss_c, loss_a))
     agent.buffer.clear()
     return trace
@@ -357,7 +334,12 @@ def train(env: EnvParams, hyper: PPOHyper, seed: int, n_updates: int) -> TrainRe
 
 
 CHECKPOINT_HEADER = "pedalrl-checkpoint 1"
-CHECKPOINT_SECTIONS = ("human.actor", "human.critic", "machine.actor", "machine.critic")
+# Each section's network as (inputs, outputs): what its agent feeds it and reads.
+CHECKPOINT_SIZES = {
+    "human.actor": (OBS_DIM_HUMAN, HUMAN_ACTIONS), "human.critic": (OBS_DIM_HUMAN, 1),
+    "machine.actor": (OBS_DIM_MACHINE, MACHINE_ACTIONS), "machine.critic": (OBS_DIM_MACHINE, 1),
+}
+CHECKPOINT_SECTIONS = tuple(CHECKPOINT_SIZES)
 
 
 def save_checkpoint(path, human: Agent, machine: Agent, meta: dict = None):
@@ -377,7 +359,7 @@ def save_checkpoint(path, human: Agent, machine: Agent, meta: dict = None):
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back as {section name: MLPParams} plus 'meta'."""
+    """Read a checkpoint back as {section name: MLPParams} plus 'meta', sizes checked."""
     with open(path) as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -409,5 +391,12 @@ def load_checkpoint(path) -> dict:
     missing = set(CHECKPOINT_SECTIONS) - set(sections)
     if missing:
         raise ValueError("checkpoint missing sections: %s" % sorted(missing))
+    for name, want in CHECKPOINT_SIZES.items():
+        dims = sections[name].dims
+        if (dims[0], dims[-1]) != want:
+            raise ValueError(
+                "%s: section %s has %d inputs and %d outputs, expected %d and %d"
+                % (path, name, dims[0], dims[-1], *want)
+            )
     sections["meta"] = meta
     return sections

@@ -13,6 +13,11 @@ their state dataclasses are the readable reference the fused kernel in
 form, which tries ``int`` on every payload token and falls back to
 ``float``; ``pedalrl.bridge.decode_frame`` is pinned against it. It takes
 only the protocol's types and constants from ``pedalrl.bridge``.
+
+``reference_parse_scalar`` is the config value typing that guessed int,
+float or bool from the text alone, before the field's type was known;
+``pedalrl.config.coerce`` on text is pinned against ``coerce`` on its guess
+for the numeric fields.
 """
 
 import math
@@ -322,3 +327,22 @@ def reference_decode_frame(line: str) -> Frame:
         raise ProtocolError(ERR_BAD_AGENT, "agent id out of range in %r" % line)
     payload = tuple(_reference_number(tok) for tok in parts[3:])
     return Frame(kind=kind, step=step, agent=agent, payload=payload)
+
+
+def reference_parse_scalar(text: str):
+    """A config value guessed from its text: bool word, int, float, else str."""
+    t = text.strip()
+    low = t.lower()
+    if low in ("true", "yes", "on"):
+        return True
+    if low in ("false", "no", "off"):
+        return False
+    try:
+        return int(t)
+    except ValueError:
+        pass
+    try:
+        return float(t)
+    except ValueError:
+        pass
+    return t

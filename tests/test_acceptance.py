@@ -2,8 +2,9 @@
 
 Each test prints one ``criterion N: PASS/FAIL`` line with its measured
 runtime; run ``pytest tests/test_acceptance.py -v -s`` to see them all.
-The slow entries are 7 (trains four settings at shipped defaults) and 9
-(trains one setting twice); everything else finishes in seconds.
+The slow entries, marked ``slow``, are 7 (trains four settings at shipped
+defaults), 8 (trains one setting twice) and 9 (sweeps setting 2 twice);
+everything else finishes in seconds. ``pytest -m "not slow"`` leaves them out.
 """
 
 import os
@@ -11,6 +12,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from conftest import ConstantPolicy, make_test_env
@@ -210,9 +212,7 @@ ARMS = (0.0, 0.2, 0.4, 0.6, 1.0)
 
 
 def _bandit_updates_to_converge(seed, max_updates=200):
-    hyper = PPOHyper(
-        gamma=0.0, buffer_size=200, batch_size=50, learning_rate=0.1, momentum=0.0
-    )
+    hyper = PPOHyper(gamma=0.0, buffer_size=200, batch_size=50, learning_rate=0.1)
     init_s, roll_s, up_s = np.random.SeedSequence(seed).spawn(3)
     r_roll = np.random.default_rng(roll_s)
     agent = make_agent(np.random.default_rng(init_s), 1, len(ARMS), buffer_size=200)
@@ -262,6 +262,7 @@ def test_criterion_06_stronger_pid_tracks_better():
     _report(6, hi < lo, "tracking MSE %.3e (hi) < %.3e (lo)" % (hi, lo), elapsed, 10.0)
 
 
+@pytest.mark.slow
 def test_criterion_07_training_reproduces_setting_orderings():
     start = time.perf_counter()
     tracking = {}
@@ -284,6 +285,7 @@ def test_criterion_07_training_reproduces_setting_orderings():
     _report(7, ok, detail, elapsed, 1800.0)
 
 
+@pytest.mark.slow
 def test_criterion_08_effort_weight_monotonicity():
     start = time.perf_counter()
 
@@ -304,6 +306,7 @@ def test_criterion_08_effort_weight_monotonicity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_sweep_is_byte_deterministic(tmp_path):
     start = time.perf_counter()
     out_a = tmp_path / "a"

@@ -426,3 +426,7 @@ def test_actors_from_checkpoint(tmp_path):
         assert np.array_equal(a, b)
     for (_, a), (_, b) in zip(actors[1].arrays(), machine.actor.arrays()):
         assert np.array_equal(a, b)
+    # networks that do not fit the agents are refused, naming file and section
+    save_checkpoint(path, machine, human)
+    with pytest.raises(ValueError, match="a.ckpt: section human.actor has 6 inputs"):
+        actors_from_checkpoint(path)

@@ -9,7 +9,7 @@ import pytest
 
 import pedalrl
 from pedalrl.cli import main, parse_settings
-from pedalrl.ppo import load_checkpoint
+from pedalrl.ppo import load_checkpoint, make_agent, save_checkpoint
 
 
 def test_parse_settings_forms():
@@ -92,6 +92,28 @@ def test_bad_input_exits_2(tmp_path, capsys):
         assert main(["bench"] + flags) == 2
         shown = capsys.readouterr()
         assert shown.out == "" and "error: %s must be >= 1" % flags[0] in shown.err
+
+
+def test_string_keys_keep_their_text(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--setting", "2", "--seed", "1", "--set", "output_dir=007"] + FAST) == 0
+    assert (tmp_path / "007" / "setting2.ckpt").exists()
+    assert main(["train", "--setting", "2", "--seed", "1", "--set", "subject=1e3"]) == 2
+    assert "unknown subject '1e3'" in capsys.readouterr().err
+
+
+def test_mismatched_checkpoint_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    human, machine = make_agent(rng, 5, 5, 4), make_agent(rng, 6, 2, 4)
+    seven = make_agent(rng, 5, 7, 4)  # a human actor with 7 outputs
+    for name, agents in (("seven.ckpt", (seven, machine)), ("swapped.ckpt", (machine, human))):
+        path = str(tmp_path / name)
+        save_checkpoint(path, *agents, meta={"seed": 1})
+        for args in (["eval", "--episodes", "1"], ["bridge-serve", "--endpoint", "127.0.0.1:0"]):
+            assert main(args + ["--checkpoint", path]) == 2
+            shown = capsys.readouterr()
+            assert shown.out == "" and "Traceback" not in shown.err
+            assert "%s: section human.actor has " % path in shown.err
 
 
 @pytest.mark.parametrize("learning_rate", ["1e3", "1e2"])

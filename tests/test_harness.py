@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import ConstantPolicy, make_test_env
 from pedalrl import harness
-from pedalrl.config import apply_overrides, parse_config_text, parse_scalar
+from pedalrl.config import apply_overrides, coerce, parse_config_text
 from pedalrl.episode import EpisodeTrace, SamplingPolicy, run_episode
 from pedalrl.harness import (
     CONFIG_KEYS,
@@ -34,14 +35,21 @@ from pedalrl.nets import init_params
 from pedalrl.rewards import RewardWeights
 
 
-def test_parse_scalar_types():
-    assert parse_scalar("3") == 3 and isinstance(parse_scalar("3"), int)
-    assert parse_scalar("0.5") == 0.5 and isinstance(parse_scalar("0.5"), float)
-    assert parse_scalar("true") is True
-    assert parse_scalar("off") is False
-    assert parse_scalar(" 42 ") == 42
-    assert parse_scalar("subject_13") == "subject_13"
-    assert parse_scalar("1e-3") == 1e-3
+def test_coerce_types_text_by_field():
+    assert coerce("k", "3", int) == 3 and isinstance(coerce("k", "3", int), int)
+    assert coerce("k", "3", float) == 3.0 and isinstance(coerce("k", "3", float), float)
+    assert coerce("k", "0.5", float) == 0.5
+    assert coerce("k", "1e-3", float) == 1e-3
+    assert coerce("k", "1e3", int) == 1000 and coerce("k", "-0", float) == 0.0
+    # a str field keeps the text as written
+    for text in ("007", "1e3", "true", "off", "subject_13"):
+        assert coerce("k", text, str) == text
+    for text, kind in (("true", int), ("off", float), ("0.5", int), ("nan", float), ("", int)):
+        with pytest.raises(ValueError, match="'k'"):
+            coerce("k", text, kind)
+    for kind in (int, float, str):
+        with pytest.raises(ValueError, match="'k'"):
+            coerce("k", True, kind)
 
 
 def test_parse_config_text():
@@ -55,7 +63,7 @@ def test_parse_config_text():
         )
     )
     cfg = parse_config_text(text)
-    assert cfg == {"setting": 4, "hyper.gamma": 0.9, "subject": "subject_13"}
+    assert cfg == {"setting": "4", "hyper.gamma": "0.9", "subject": "subject_13"}
 
 
 def test_parse_config_errors_carry_line_numbers():
@@ -68,7 +76,7 @@ def test_parse_config_errors_carry_line_numbers():
 def test_apply_overrides():
     cfg = {"setting": 1, "seed": 3}
     out = apply_overrides(cfg, ["setting=5", "hyper.clip = 0.1"])
-    assert out == {"setting": 5, "seed": 3, "hyper.clip": 0.1}
+    assert out == {"setting": "5", "seed": 3, "hyper.clip": "0.1"}
     assert cfg["setting"] == 1  # original untouched
     with pytest.raises(ValueError):
         apply_overrides(cfg, ["no-equals-sign"])
@@ -121,7 +129,8 @@ BAD_VALUES = [
     ("human.noise_std", float("inf")),
     ("plant.dt", 10**400),  # an int beyond the float range
     ("setting", True),
-    ("hyper.entropy_as_printed", 1),
+    ("setting", "true"),
+    ("hyper.gamma", "off"),
     ("eval.episodes", 0),
     ("train.n_updates", -1),
     ("seed", -1),
@@ -179,6 +188,24 @@ def test_config_text_raises_only_value_error(text):
         config_from_dict(cfg)
     except ValueError:
         pass
+
+
+def _typed(key, value, kind):
+    """(type, repr) of ``coerce``'s result, or ValueError if it rejects the value."""
+    try:
+        got = coerce(key, value, kind)
+    except ValueError:
+        return ValueError
+    return type(got), repr(got)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_config_values, _config_texts))
+def test_coerce_text_matches_reference_typing(text):
+    # typing the text by its field gives what typing the old guess gave
+    for kind in (int, float):
+        want = _typed("k", oracles.reference_parse_scalar(text), kind)
+        assert _typed("k", text.strip(), kind) == want, kind
 
 
 def test_make_env_wiring():

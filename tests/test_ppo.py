@@ -16,7 +16,6 @@ from pedalrl.ppo import (
     actor_loss_parts,
     clip_ratio,
     compute_advantages,
-    compute_returns,
     critic_grads,
     critic_loss,
     critic_values,
@@ -141,12 +140,6 @@ def test_advantages_zero_critic_terminal_free():
         assert q[t] == pytest.approx(expected, rel=1e-12)
 
 
-def test_returns_are_advantages_plus_values():
-    q = np.array([1.0, -2.0, 0.5])
-    v = np.array([0.25, 0.5, -1.0])
-    assert np.array_equal(compute_returns(q, v), q + v)
-
-
 def test_critic_loss_hand_value():
     assert critic_loss(np.array([2.0]), np.array([0.0])) == pytest.approx(2.0)
     assert critic_loss(np.array([1.0, 3.0]), np.array([1.0, 1.0])) == pytest.approx(1.0)
@@ -202,15 +195,10 @@ def test_actor_entropy_sign_flag():
     adv = rng.normal(size=6)
     base = actor_loss_parts(params, obs, actions, logp_old, adv, PPOHyper(entropy_weight=0.0))[0]
     bonus = actor_loss_parts(params, obs, actions, logp_old, adv, PPOHyper(entropy_weight=0.5))[0]
-    printed = actor_loss_parts(
-        params, obs, actions, logp_old, adv,
-        PPOHyper(entropy_weight=0.5, entropy_as_printed=True),
-    )[0]
     mean_ent = entropy_term(
         np.stack([actor_forward(params, o).probabilities for o in obs])
     ).mean()
     assert bonus == pytest.approx(base - 0.5 * mean_ent, rel=1e-12)
-    assert printed == pytest.approx(base + 0.5 * mean_ent, rel=1e-12)
 
 
 def _fd_check_actor(hyper, seed):
@@ -242,7 +230,7 @@ def _fd_check_actor(hyper, seed):
 def test_actor_grads_match_finite_differences():
     assert _fd_check_actor(PPOHyper(entropy_weight=0.0), 5) < 1e-5
     assert _fd_check_actor(PPOHyper(entropy_weight=0.1), 6) < 1e-5
-    assert _fd_check_actor(PPOHyper(entropy_weight=0.1, entropy_as_printed=True), 7) < 1e-5
+    assert _fd_check_actor(PPOHyper(entropy_weight=0.1), 7) < 1e-5
 
 
 def test_critic_grads_match_finite_differences():
@@ -263,41 +251,34 @@ def test_critic_grads_match_finite_differences():
 
 
 def test_sgd_step_momentum_semantics():
-    hyper = PPOHyper(learning_rate=0.1, momentum=0.5)
+    hyper = PPOHyper(learning_rate=0.1)
     params = init_params(0, 2, 2, hidden=4)
     start = copy.deepcopy(params)
     grads = zeros_like_params(params)
-    vel = zeros_like_params(params)
     for _, g in grads.arrays():
         g[:] = 1.0
-    sgd_step(params, grads, vel, hyper)
-    sgd_step(params, grads, vel, hyper)
-    # steps: -0.1, then -0.1*0.5 - 0.1 = -0.15; total -0.25
+    sgd_step(params, grads, hyper)
+    sgd_step(params, grads, hyper)
+    # two plain steps of -0.1 each: no velocity carries over
     for (_, p), (_, s) in zip(params.arrays(), start.arrays()):
-        assert np.allclose(p, s - 0.25, atol=1e-15)
+        assert np.allclose(p, s - 0.2, atol=1e-15)
 
 
 def test_sgd_step_moves_arrays_through_the_flat_views():
-    hyper = PPOHyper(learning_rate=0.1, momentum=0.5)
+    hyper = PPOHyper(learning_rate=0.1)
     rng = np.random.default_rng(4)
     params = init_params(rng, 3, 2, hidden=5)
-    grads, vel = zeros_like_params(params), zeros_like_params(params)
+    grads = zeros_like_params(params)
     grads.vector[:] = rng.normal(size=grads.vector.size)
-    vel.vector[:] = rng.normal(size=vel.vector.size)
     before = copy.deepcopy(params)
-    vel_before = copy.deepcopy(vel)
-    sgd_step(params, grads, vel, hyper)
-    for (name, p), (_, s), (_, g), (_, v0), (_, v) in zip(
-        params.arrays(), before.arrays(), grads.arrays(), vel_before.arrays(), vel.arrays()
-    ):
-        want_v = v0 * 0.5 - 0.1 * g
-        assert np.array_equal(v, want_v), name
-        assert np.array_equal(p, s + want_v), name
-        assert np.shares_memory(p, params.vector) and np.shares_memory(v, vel.vector), name
+    sgd_step(params, grads, hyper)
+    for (name, p), (_, s), (_, g) in zip(params.arrays(), before.arrays(), grads.arrays()):
+        assert np.array_equal(p, s - 0.1 * g), name
+        assert np.shares_memory(p, params.vector) and np.shares_memory(g, grads.vector), name
 
 
 def _agent_state(agent):
-    return [net.vector.copy() for net in (agent.actor, agent.critic, agent.vel_actor, agent.vel_critic)]
+    return [net.vector.copy() for net in (agent.actor, agent.critic)]
 
 
 def _corrupt_buffer(buf, corruption, row):
@@ -321,8 +302,8 @@ def test_divergence_stops_before_parameters_move(corruption, monkeypatch):
     agent.buffer = _corrupt_buffer(
         fill_buffer(rng, 32, terminal_pattern=[False] * 31 + [True]), corruption, 20
     )
-    hyper = PPOHyper(learning_rate=0.05, momentum=0.9, buffer_size=32, batch_size=4)
-    # a snapshot of both networks and both velocities as each minibatch begins,
+    hyper = PPOHyper(learning_rate=0.05, buffer_size=32, batch_size=4)
+    # a snapshot of both networks as each minibatch begins,
     # and whether the failing minibatch's critic gradient came back finite
     snapshots, critic_ok = [], []
     real_critic_grads = ppo.critic_grads
