@@ -140,13 +140,14 @@ def cmd_bridge_serve(args) -> int:
 
 def cmd_bench(args) -> int:
     """Time the fused substep kernel: compiled backend vs pure Python."""
-    for flag, value in (("--blocks", args.blocks), ("--interval", args.interval)):
+    # Shipped plant, reference, human and decision interval; setting 1,
+    # machine sub-controller 0.
+    env = make_env(config_from_dict({"seed": 0, "setting": 1}))
+    interval = env.decision_interval if args.interval is None else args.interval
+    for flag, value in (("--blocks", args.blocks), ("--interval", interval)):
         if value < 1:
             raise ValueError("%s must be >= 1, got %d" % (flag, value))
-    interval = args.interval
     noise = np.zeros(interval)
-    # Shipped plant, reference and human; setting 1, machine sub-controller 0.
-    env = make_env(config_from_dict({"seed": 0, "setting": 1}))
     constants, bank = kernels.pack(env)
 
     def run(fn, blocks):
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="compare kernel backends")
     p_bench.add_argument("--blocks", type=int, default=20000)
-    p_bench.add_argument("--interval", type=int, default=10)
+    p_bench.add_argument("--interval", type=int, help="default: the decision interval")
     p_bench.set_defaults(fn=cmd_bench)
 
     return parser

@@ -2,11 +2,14 @@
 
 Agents act every ``decision_interval`` plant substeps. One decision step is:
 observe (both agents), pick a digit and a machine sub-controller, run the
-substep block through the hot kernel, then score the shared reward over
-sliding windows of block-boundary samples. The trace records every plant
-substep; the reward lands on block-final rows and in both agents' experience,
-one record array per agent and episode (``experience``). Each agent's
-observations are the block-final trace values over ``obs_divisors``.
+substep block through the hot kernel (which owns the switch rule), then
+score the shared reward over a sliding window of the last ``window``
+block-final samples. The kernel's block-final column is read once per
+decision into Python lists, from which the windows and both agents'
+observations (block-final values over ``obs_divisors``) are taken. The trace
+records every plant substep; the reward lands on block-final rows and in
+both agents' experience, one record array per agent and episode
+(``experience``).
 
 RNG discipline: per decision step the stream is consumed in a fixed order
 (human sample, machine sample, one noise vector), and non-sampling policies
@@ -148,88 +151,67 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     k = env.window
     interval = env.decision_interval
     n = env.n_decisions
-    n_total = n * interval
     weights = env.setting.weights
+    noise_std = env.human.noise_std
     div_h, div_m = (d.tolist() for d in obs_divisors(env))
 
     sim = np.zeros(kernels.SIM_SIZE)
     queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
     constants, bank = kernels.pack(env)
+    block = np.empty((kernels.TRACE_ROWS, n * interval))
 
-    block = np.empty((kernels.TRACE_ROWS, n_total))
-    # Views of the trace block's reference and position rows (the rows are
-    # the float fields of EpisodeTrace, in order).
-    ref_arr, pos_arr = block[1], block[2]
-    digit_arr = np.zeros(n_total, dtype=np.int64)
-    maction_arr = np.zeros(n_total, dtype=np.int64)
-    reward_arr = np.zeros(n_total)
-
-    # Row z of obs_* is the observation at decision z and the next_obs of
-    # decision z - 1. Row 0 is the pedal at rest at t = 0.
-    obs_h = np.empty((n + 1, OBS_DIM_HUMAN))
-    obs_m = np.empty((n + 1, OBS_DIM_MACHINE))
+    # obs_*[z] is the observation at decision z and the next_obs of decision
+    # z - 1; the first is the pedal at rest at t = 0.
     ref0 = sample_reference(env.reference, 0.0)
-    obs_h[0] = [v / d for v, d in zip((0.0, ref0, 0.0, 0.0, 0.0), div_h)]
-    obs_m[0] = [v / d for v, d in zip((ref0, 0.0, ref0, 0.0, 0.0, 0.0), div_m)]
-    act_h = np.empty(n, dtype=np.int64)
-    act_m = np.empty(n, dtype=np.int64)
-    logp_h = np.empty(n)
-    logp_m = np.empty(n)
-
+    obs_h = [np.array([v / d for v, d in zip((0.0, ref0, 0.0, 0.0, 0.0), div_h)])]
+    obs_m = [np.array([v / d for v, d in zip((ref0, 0.0, ref0, 0.0, 0.0, 0.0), div_m)])]
+    act_h, act_m, logp_h, logp_m = [], [], [], []
+    # Block-final position, reference and digit per decision: the reward
+    # windows are their last k entries.
+    positions, references, digits, rewards = [], [], [], []
     total_reward = 0.0
     for z in range(n):
-        a_h, logp_h[z] = human_policy.act(obs_h[z], rng)
-        a_m, logp_m[z] = machine_policy.act(obs_m[z], rng)
-        act_h[z] = a_h
-        act_m[z] = a_m
+        a_h, lp_h = human_policy.act(obs_h[z], rng)
+        a_m, lp_m = machine_policy.act(obs_m[z], rng)
         digit = DIGITS[a_h]
-        if z > 0 and a_m != act_m[z - 1]:
-            # stale windup belongs to the other gain set; derivative history carries
-            sim[kernels.SIM_M_INTEGRAL] = 0.0
-        noise = rng.standard_normal(interval) * env.human.noise_std
-
-        start = z * interval
+        noise = rng.standard_normal(interval)
+        noise *= noise_std
         kernels.run_substeps(
-            sim, queue, digit, a_m, constants, bank, noise, block, start, interval
+            sim, queue, digit, a_m, constants, bank, noise, block, z * interval, interval
         )
-        row = start + interval - 1
-        # The block-final column as Python floats: the observation rows are
-        # computed off numpy scalars.
-        _, ref, pos, om, tm, th = block[:, row].tolist()
-        digit_arr[start : start + interval] = digit
-        maction_arr[start : start + interval] = a_m
-        # Windows are the block-final rows of the trace: the last k decisions,
-        # or fewer before the k-th one.
-        lo = max(row - (k - 1) * interval, interval - 1)
-        positions = pos_arr[lo : row + 1 : interval].tolist()
+        _, ref, pos, om, tm, th = block[:, (z + 1) * interval - 1].tolist()
+        act_h.append(a_h)
+        act_m.append(a_m)
+        logp_h.append(lp_h)
+        logp_m.append(lp_m)
+        positions.append(pos)
+        references.append(ref)
+        digits.append(digit)
+        window = positions[-k:]
 
         reward = 0.0
         if z >= k - 1:
-            reference = ref_arr[lo : row + 1 : interval].tolist()
-            actions = digit_arr[lo : row + 1 : interval].tolist()
-            reward = shared_reward(positions, reference, actions, weights)
-        reward_arr[row] = reward
+            reward = shared_reward(window, references[-k:], digits[-k:], weights)
+        rewards.append(reward)
         total_reward += reward
 
         err = ref - pos
-        obs_h[z + 1] = [
-            v / d for v, d in zip((pos, err, comfort_term(positions), digit, tm), div_h)
-        ]
-        obs_m[z + 1] = [v / d for v, d in zip((ref, pos, err, om, a_m, th), div_m)]
+        h_row = (pos, err, comfort_term(window), digit, tm)
+        obs_h.append(np.array([v / d for v, d in zip(h_row, div_h)]))
+        obs_m.append(np.array([v / d for v, d in zip((ref, pos, err, om, a_m, th), div_m)]))
 
+    reward_arr = np.zeros(n * interval)
+    reward_arr[interval - 1 :: interval] = rewards
     trace = EpisodeTrace(
-        *block, digit=digit_arr, machine_action=maction_arr, reward=reward_arr,
+        *block, digit=np.repeat(np.array(digits, dtype=np.int64), interval),
+        machine_action=np.repeat(np.array(act_m, dtype=np.int64), interval), reward=reward_arr,
         decision_interval=interval,
     )
+    obs_h, obs_m = np.array(obs_h), np.array(obs_m)
     terminal = np.arange(n) == n - 1
-    reward_col = reward_arr[interval - 1 :: interval]
     return EpisodeResult(
         trace=trace,
-        transitions_human=experience(
-            obs_h[:-1], act_h, logp_h, reward_col, obs_h[1:], terminal
-        ),
-        transitions_machine=experience(
-            obs_m[:-1], act_m, logp_m, reward_col, obs_m[1:], terminal
-        ),
+        transitions_human=experience(obs_h[:-1], act_h, logp_h, rewards, obs_h[1:], terminal),
+        transitions_machine=experience(obs_m[:-1], act_m, logp_m, rewards, obs_m[1:], terminal),
         total_reward=total_reward,
     )

@@ -20,7 +20,6 @@ from .episode import EnvParams, EpisodeTrace, SamplingPolicy, run_episode
 from .human import HumanParams
 from .plant import PlantParams, ReferenceTrajectory
 from .ppo import PPOHyper, save_checkpoint, train
-from .rewards import RewardWeights
 
 # Synthetic subject profiles: a moderate baseline and a strong-biofeedback
 # variant (doubled commanded torque per digit).
@@ -140,17 +139,14 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(**top, **sections)
 
 
-def make_env(cfg: ExperimentConfig, weights: RewardWeights = None) -> EnvParams:
-    """The env of ``cfg``'s setting; ``weights`` replaces the setting's own."""
-    setting = load_setting(cfg.setting_id)
-    if weights is not None:
-        setting = replace(setting, weights=weights)
+def make_env(cfg: ExperimentConfig) -> EnvParams:
+    """The env of ``cfg``'s setting."""
     try:
         return EnvParams(
             plant=cfg.plant,
             reference=cfg.reference,
             human=cfg.human,
-            setting=setting,
+            setting=load_setting(cfg.setting_id),
             window=cfg.window,
             decision_interval=cfg.decision_interval,
             n_decisions=cfg.n_decisions,
@@ -215,9 +211,9 @@ def evaluate_agents(human_actor, machine_actor, env: EnvParams, n_episodes: int,
     return mean, traces
 
 
-def train_setting(cfg: ExperimentConfig, weights: RewardWeights = None):
+def train_setting(cfg: ExperimentConfig):
     """Train one setting and evaluate it; returns (TrainResult, MetricsReport, traces)."""
-    env = make_env(cfg, weights)
+    env = make_env(cfg)
     result = train(env, cfg.hyper, cfg.seed, cfg.n_updates)
     mean, traces = evaluate_agents(
         result.human.actor, result.machine.actor, env, cfg.eval_episodes, cfg.seed

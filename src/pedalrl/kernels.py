@@ -16,26 +16,29 @@ controller and human step functions in ``tests/oracles.py``.
 The kernel's rule, which keeps the uncompiled body fast and the compiled one
 possible:
 
-- every array value it uses becomes a Python scalar at entry (``float(...)``
-  for constants, gains, state and noise, ``int(...)`` for digits), so the
-  arithmetic runs on Python floats, which round exactly as ``np.float64``;
+- constants and gains arrive as tuples of Python floats and are unpacked
+  once per call; every state, noise and digit value becomes a Python scalar
+  at entry, so the arithmetic runs on Python floats, which round exactly as
+  ``np.float64``;
 - arrays are touched only by element reads and writes (the trace through
   its six 1-D row views);
 - the reaction-delay line shifts once per call, by ``n_sub`` places:
   substep ``s`` reads ``digit_queue[s]`` while ``s`` is below the delay,
   and the commanded digit after that;
-- the body stays within numba's supported subset (scalars, ``math``,
-  loops and array indexing).
+- the body stays within numba's supported subset (scalars, homogeneous
+  tuples, ``math``, loops and array indexing).
 
 This module also owns the kernel's calling convention: :func:`pack` turns an
-episode's parameters into one constants vector and one gain bank, the packed
-simulation state has the ``SIM_*`` layout, and the kernel writes the six
-float fields of ``EpisodeTrace`` as the rows of one ``(TRACE_ROWS, n)`` block.
+episode's parameters into a tuple of 17 constants and a bank of gain tuples,
+the packed simulation state has the ``SIM_*`` layout, and the kernel writes
+the six float fields of ``EpisodeTrace`` as the rows of one ``(TRACE_ROWS,
+n)`` block. The sub-controller switch rule lives here too: the state keeps
+the previous block's sub-controller, and a block that runs another one
+starts from a zero integral while the derivative history carries over. A
+fresh state holds sub-controller 0 and a zero integral.
 """
 
 import math
-
-import numpy as np
 
 from .controllers import default_integral_limit
 
@@ -64,19 +67,8 @@ SIM_M_INIT = 5
 SIM_H_APPLIED = 6
 SIM_H_PREV_ERR = 7
 SIM_H_INIT = 8
-SIM_SIZE = 9
-
-# Indices into the constants vector built by ``pack``: plant, reference,
-# human model, then the strong and weak human PD pairs.
-(
-    C_INERTIA, C_DAMPING, C_TORQUE_LIMIT, C_DT, C_ANGLE_MIN, C_ANGLE_MAX, C_OMEGA_MAX,
-    C_AMPLITUDE, C_PERIOD, C_PHASE, C_OFFSET,
-    C_UNIT_TORQUE, C_LAG_TC,
-    C_HI_KP, C_HI_KD, C_LO_KP, C_LO_KD,
-) = range(17)
-
-# Columns of a gain-bank row: one machine sub-controller.
-B_KP, B_KI, B_KD, B_LIMIT = range(4)
+SIM_M_IDX = 9  # sub-controller of the previous block
+SIM_SIZE = 10
 
 # Rows of the trace block: time, reference, position, omega, machine
 # torque, human torque (the float fields of ``EpisodeTrace``, in order).
@@ -84,65 +76,54 @@ TRACE_ROWS = 6
 
 
 def pack(env):
-    """``(constants, bank)`` for the kernel from an ``EnvParams``.
+    """``(constants, bank)`` for the kernel from an ``EnvParams``, as float tuples.
 
-    ``bank`` has one ``(kp, ki, kd, anti-windup limit)`` row per machine
-    sub-controller; the machine agent's action is a row index.
+    ``constants`` holds the 17 plant, reference, human-model and human PD
+    values in the order :func:`_run_substeps` unpacks them. ``bank`` has one
+    ``(kp, ki, kd, anti-windup limit)`` tuple per machine sub-controller; the
+    machine agent's action is an index into it.
     """
     p, r, h = env.plant, env.reference, env.human
     strong, weak = env.setting.human_pd
-    constants = np.array([
+    constants = tuple(float(v) for v in (
         p.inertia, p.damping, p.torque_limit, p.dt, p.angle_min, p.angle_max, p.omega_max,
         r.amplitude, r.period, r.phase, r.offset,
         h.unit_torque, h.lag_time_constant,
         strong.kp, strong.kd, weak.kp, weak.kd,
-    ])
-    bank = np.array([
-        (g.kp, g.ki, g.kd, default_integral_limit(g, p.torque_limit))
+    ))
+    bank = tuple(
+        tuple(float(v) for v in (g.kp, g.ki, g.kd, default_integral_limit(g, p.torque_limit)))
         for g in env.setting.machine_pid
-    ])
+    )
     return constants, bank
 
 
 def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noise, out, start, n_sub):
     """Advance the closed loop by ``n_sub`` plant substeps.
 
-    Runs machine sub-controller ``bank[m_idx]``, mutates ``sim`` and
-    ``digit_queue`` in place and writes columns ``start .. start+n_sub-1``
-    of the trace block ``out``. ``noise`` holds one pre-drawn, pre-scaled
-    torque perturbation per substep (drawn outside so that the RNG stream
-    never depends on the backend).
+    Runs machine sub-controller ``bank[m_idx]`` (zeroing the integral if the
+    previous block ran another one), mutates ``sim`` and ``digit_queue`` in
+    place and writes columns ``start .. start+n_sub-1`` of the trace block
+    ``out``. ``noise`` holds one pre-drawn, pre-scaled torque perturbation
+    per substep (drawn outside so that the RNG stream never depends on the
+    backend).
     """
-    inertia = float(constants[C_INERTIA])
-    damping = float(constants[C_DAMPING])
-    torque_limit = float(constants[C_TORQUE_LIMIT])
-    dt = float(constants[C_DT])
-    angle_min = float(constants[C_ANGLE_MIN])
-    angle_max = float(constants[C_ANGLE_MAX])
-    omega_max = float(constants[C_OMEGA_MAX])
-
-    amp = float(constants[C_AMPLITUDE])
-    period = float(constants[C_PERIOD])
-    phase = float(constants[C_PHASE])
-    offset = float(constants[C_OFFSET])
+    (
+        inertia, damping, torque_limit, dt, angle_min, angle_max, omega_max,
+        amp, period, phase, offset,
+        unit_torque, lag_tc,
+        h_kp_hi, h_kd_hi, h_kp_lo, h_kd_lo,
+    ) = constants
+    m_kp, m_ki, m_kd, m_integral_limit = bank[m_idx]
     two_pi = 2.0 * math.pi
-
-    unit_torque = float(constants[C_UNIT_TORQUE])
-    lag_tc = float(constants[C_LAG_TC])
-    h_kp_hi = float(constants[C_HI_KP])
-    h_kd_hi = float(constants[C_HI_KD])
-    h_kp_lo = float(constants[C_LO_KP])
-    h_kd_lo = float(constants[C_LO_KD])
-
-    m_kp = float(bank[m_idx, B_KP])
-    m_ki = float(bank[m_idx, B_KI])
-    m_kd = float(bank[m_idx, B_KD])
-    m_integral_limit = float(bank[m_idx, B_LIMIT])
 
     angle = float(sim[SIM_ANGLE])
     omega = float(sim[SIM_OMEGA])
     t = float(sim[SIM_T])
     m_integral = float(sim[SIM_M_INTEGRAL])
+    if m_idx != sim[SIM_M_IDX]:
+        # stale windup belongs to the other gain set; derivative history carries
+        m_integral = 0.0
     m_prev_err = float(sim[SIM_M_PREV_ERR])
     m_init = float(sim[SIM_M_INIT])
     h_applied = float(sim[SIM_H_APPLIED])
@@ -252,6 +233,7 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
     sim[SIM_H_APPLIED] = h_applied
     sim[SIM_H_PREV_ERR] = h_prev_err
     sim[SIM_H_INIT] = h_init
+    sim[SIM_M_IDX] = m_idx
 
 
 run_substeps = hot(_run_substeps)

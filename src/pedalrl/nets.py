@@ -279,27 +279,36 @@ def params_to_text(params: MLPParams) -> str:
     return "\n".join(lines) + "\n"
 
 
-def params_from_text(text: str) -> MLPParams:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+def params_from_text(text: str, first_line: int = 1) -> MLPParams:
+    """Parse a ``params_to_text`` block.
+
+    An error in one line names it as ``line N``, counting the block's lines
+    from ``first_line`` (its place in a checkpoint file).
+    """
+    lines = [(at, ln) for at, ln in enumerate(text.splitlines(), first_line) if ln.strip()]
     if not lines:
         raise ValueError("empty network block")
-    head = lines[0].split()
-    if head[0] != "mlp" or len(head) != 5:
-        raise ValueError("bad checkpoint header: %r" % lines[0])
-    dims = tuple(int(v) for v in head[1:])
-    if min(dims) < 1:
-        raise ValueError("bad checkpoint header: %r" % lines[0])
-    shapes = dict(layer_shapes(*dims))
-    arrays = {}
-    for ln in lines[1:]:
-        name, _, rest = ln.partition(" ")
-        if name not in shapes:
-            raise ValueError("unknown checkpoint array %r" % name)
-        vals = [float(v) for v in rest.split()]
-        want = math.prod(shapes[name])
-        if len(vals) != want:
-            raise ValueError("%s has %d values, expected %d" % (name, len(vals), want))
-        arrays[name] = vals
+    shapes, arrays = None, {}
+    for at, ln in lines:
+        try:
+            if shapes is None:
+                head = ln.split()
+                dims = tuple(int(v) for v in head[1:]) if head[0] == "mlp" else ()
+                if len(dims) != 4 or min(dims) < 1:
+                    raise ValueError("bad checkpoint header: %r" % ln)
+                shapes = dict(layer_shapes(*dims))
+                continue
+            name, _, rest = ln.partition(" ")
+            if name not in shapes or name in arrays:
+                raise ValueError("%s checkpoint array %r" % (
+                    "repeated" if name in arrays else "unknown", name))
+            vals = [float(v) for v in rest.split()]
+            want = math.prod(shapes[name])
+            if len(vals) != want:
+                raise ValueError("%s has %d values, expected %d" % (name, len(vals), want))
+            arrays[name] = vals
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (at, exc)) from None
     missing = set(shapes) - set(arrays)
     if missing:
         raise ValueError("checkpoint missing arrays: %s" % sorted(missing))

@@ -359,38 +359,46 @@ def save_checkpoint(path, human: Agent, machine: Agent, meta: dict = None):
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back as {section name: MLPParams} plus 'meta', sizes checked."""
-    with open(path) as fh:
-        text = fh.read()
-    lines = text.splitlines()
+    """Read a checkpoint back as {section name: MLPParams} plus 'meta', sizes checked.
+
+    Each ValueError starts with ``path`` and names the line at fault where
+    there is one; an unknown or repeated section is an error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        at = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError("%s: line %d: not UTF-8 text" % (path, at)) from None
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ValueError("not a recognized checkpoint file: %s" % path)
-    meta = {}
-    sections = {}
-    current = None
-    block = []
-
-    def flush():
-        if current is not None:
-            try:
-                sections[current] = params_from_text("\n".join(block))
-            except ValueError as exc:
-                raise ValueError("%s: %s" % (current, exc)) from None
-
-    for ln in lines[1:]:
-        if ln.startswith("meta "):
-            _, key, value = ln.split(" ", 2)
+        raise ValueError("%s: not a recognized checkpoint file" % path)
+    meta, blocks, block = {}, {}, None  # blocks: name -> (first line number, lines)
+    for at, ln in enumerate(lines[1:], 2):
+        word, _, rest = ln.partition(" ")
+        if word == "meta":
+            key, sep, value = rest.partition(" ")
+            if not sep:
+                raise ValueError("%s: line %d: bad meta line %r" % (path, at, ln))
             meta[key] = value
-        elif ln.startswith("section "):
-            flush()
-            current = ln.split(" ", 1)[1]
-            block = []
+        elif word == "section":
+            if rest in blocks or rest not in CHECKPOINT_SIZES:
+                raise ValueError("%s: line %d: %s section %r" % (
+                    path, at, "repeated" if rest in blocks else "unknown", rest))
+            block = blocks[rest] = (at + 1, [])
+        elif block is not None:
+            block[1].append(ln)
         elif ln.strip():
-            block.append(ln)
-    flush()
+            raise ValueError("%s: line %d: expected a meta or section line" % (path, at))
+    sections = {}
+    for name, (first, block) in blocks.items():
+        try:
+            sections[name] = params_from_text("\n".join(block), first)
+        except ValueError as exc:
+            raise ValueError("%s: %s: %s" % (path, name, exc)) from None
     missing = set(CHECKPOINT_SECTIONS) - set(sections)
     if missing:
-        raise ValueError("checkpoint missing sections: %s" % sorted(missing))
+        raise ValueError("%s: missing sections: %s" % (path, sorted(missing)))
     for name, want in CHECKPOINT_SIZES.items():
         dims = sections[name].dims
         if (dims[0], dims[-1]) != want:

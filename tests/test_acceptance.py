@@ -10,6 +10,7 @@ everything else finishes in seconds. ``pytest -m "not slow"`` leaves them out.
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from conftest import ConstantPolicy, make_test_env
 from pedalrl.bridge import Frame, PolicyServer, RemotePolicy, decode_frame, encode_frame
 from pedalrl.cli import main
 from pedalrl.episode import GreedyPolicy, experience, run_episode
-from pedalrl.harness import config_from_dict, mse_metrics, train_setting
+from pedalrl.harness import (
+    config_from_dict,
+    evaluate_agents,
+    make_env,
+    mse_metrics,
+    train_setting,
+)
 from pedalrl.nets import actor_forward, init_params, sample_action
 from pedalrl.ppo import (
     PPOHyper,
@@ -31,6 +38,7 @@ from pedalrl.ppo import (
     critic_values,
     entropy_term,
     make_agent,
+    train,
     update_agent,
 )
 from pedalrl.rewards import (
@@ -290,9 +298,15 @@ def test_criterion_08_effort_weight_monotonicity():
     start = time.perf_counter()
 
     def action_mse(rho):
+        # train_setting on setting 4, with the reward weights swapped out
         cfg = config_from_dict({"setting": 4, "seed": 7})
+        env = make_env(cfg)
         weights = RewardWeights(mu=1.0, kappa=1.0, rho=rho)
-        _, mean, _ = train_setting(cfg, weights=weights)
+        env = replace(env, setting=replace(env.setting, weights=weights))
+        result = train(env, cfg.hyper, cfg.seed, cfg.n_updates)
+        mean, _ = evaluate_agents(
+            result.human.actor, result.machine.actor, env, cfg.eval_episodes, cfg.seed
+        )
         return mean.human_action_mse
 
     low = action_mse(1.0)

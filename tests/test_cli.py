@@ -9,6 +9,7 @@ import pytest
 
 import pedalrl
 from pedalrl.cli import main, parse_settings
+from pedalrl.harness import config_from_dict
 from pedalrl.ppo import load_checkpoint, make_agent, save_checkpoint
 
 
@@ -116,6 +117,51 @@ def test_mismatched_checkpoint_exits_2(tmp_path, capsys):
             assert "%s: section human.actor has " % path in shown.err
 
 
+# Line 2 is "meta seed 1", lines 3-10 the human.actor section (4 is its mlp
+# header, 5 its w1 row) and 34 the last line. Each case edits the lines and
+# says what the error names after the path.
+MALFORMED = {
+    "cut_meta": (lambda ls: ls[:1] + ["meta seed"] + ls[2:], "line 2: bad meta line"),
+    "short_w1": (
+        lambda ls: ls[:4] + [ls[4][:20]] + ls[5:],
+        "human.actor: line 5: w1 has 1 values, expected 320",
+    ),
+    # encoded with surrogateescape, "\udcff" is the byte 0xff
+    "not_utf8": (lambda ls: ls[:4] + [ls[4] + "\udcff"] + ls[5:], "line 5: not UTF-8 text"),
+    "cut_header": (
+        lambda ls: ls[:3] + ["mlp 5 64"] + ls[4:], "human.actor: line 4: bad checkpoint header"
+    ),
+    "not_a_number": (
+        lambda ls: ls[:4] + [ls[4].replace(" ", " x", 1)] + ls[5:],
+        "human.actor: line 5: could not convert",
+    ),
+    "unknown_section": (
+        lambda ls: ls + ["section bogus.net"] + ls[3:10], "line 35: unknown section 'bogus.net'"
+    ),
+    "repeated_section": (lambda ls: ls + ls[2:10], "line 35: repeated section 'human.actor'"),
+    "repeated_array": (
+        lambda ls: ls[:5] + ls[4:], "human.actor: line 6: repeated checkpoint array 'w1'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_names_file_and_line(tmp_path, capsys, case):
+    edit, names = MALFORMED[case]
+    rng = np.random.default_rng(3)
+    path = tmp_path / "agents.ckpt"
+    save_checkpoint(path, make_agent(rng, 5, 5, 4), make_agent(rng, 6, 2, 4), meta={"seed": 1})
+    lines = edit(path.read_text().splitlines())
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    with pytest.raises(ValueError, match="^" + re.escape("%s: %s" % (path, names))):
+        load_checkpoint(path)
+    for args in (["eval", "--episodes", "1"], ["bridge-serve", "--endpoint", "127.0.0.1:0"]):
+        assert main(args + ["--checkpoint", str(path)]) == 2
+        shown = capsys.readouterr()
+        assert shown.out == "" and "Traceback" not in shown.err
+        assert shown.err.startswith("error: %s: %s" % (path, names))
+
+
 @pytest.mark.parametrize("learning_rate", ["1e3", "1e2"])
 def test_divergence_exits_2_naming_the_failed_step(tmp_path, learning_rate):
     # in a fresh process, so that stderr shows what a user sees: 1e3 overflows
@@ -156,3 +202,7 @@ def test_bench_smoke(capsys):
     assert rc == 0
     shown = capsys.readouterr().out
     assert "python backend" in shown
+    # without --interval a block is the shipped decision interval
+    assert main(["bench", "--blocks", "5"]) == 0
+    interval = config_from_dict({"seed": 0}).decision_interval
+    assert "(blocks=5, interval=%d)" % interval in capsys.readouterr().out

@@ -128,6 +128,59 @@ def test_delay_line_matches_oracle(delay, interval):
         assert np.array_equal(getattr(trace, field), np.array(want[key])), field
 
 
+def test_kernel_zeroes_the_integral_on_a_switch():
+    # the switch rule lives in the kernel: a block on another sub-controller
+    # than the previous block's starts from a zero integral, a repeated one
+    # keeps it, and the oracle composition agrees bit for bit
+    env = make_test_env(setting_id=1, window=3, decision_interval=7, n_decisions=4)
+    interval = env.decision_interval
+    h_idx, m_idx = [3, 4, 1, 0], [0, 1, 1, 0]
+    constants, bank = kernels.pack(env)
+    sim = np.zeros(kernels.SIM_SIZE)
+    queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
+    out = np.empty((kernels.TRACE_ROWS, env.n_decisions * interval))
+    rng = np.random.default_rng(11)
+    integrals = []
+    for z, (h, m) in enumerate(zip(h_idx, m_idx)):
+        noise = rng.standard_normal(interval) * env.human.noise_std
+        kernels.run_substeps(
+            sim, queue, DIGITS[h], m, constants, bank, noise, out, z * interval, interval
+        )
+        integrals.append(sim[kernels.SIM_M_INTEGRAL])
+    assert integrals[0] != 0.0
+    assert sim[kernels.SIM_M_IDX] == 0.0
+    want = reference_episode(env, h_idx, m_idx, seed=11)
+    for row, key in zip(out, ("t", "ref", "pos", "om", "tm", "th")):
+        assert np.array_equal(row, np.array(want[key])), key
+
+
+@pytest.mark.parametrize("setting_id", range(1, 9))
+def test_pack_gives_python_floats_in_unpack_order(setting_id):
+    env = make_test_env(setting_id=setting_id)
+    p, r, h = env.plant, env.reference, env.human
+    strong, weak = env.setting.human_pd
+    constants, bank = kernels.pack(env)
+    assert constants == (
+        p.inertia, p.damping, p.torque_limit, p.dt, p.angle_min, p.angle_max, p.omega_max,
+        r.amplitude, r.period, r.phase, r.offset,
+        h.unit_torque, h.lag_time_constant,
+        strong.kp, strong.kd, weak.kp, weak.kd,
+    )
+    assert bank == tuple(
+        (g.kp, g.ki, g.kd, default_integral_limit(g, p.torque_limit))
+        for g in env.setting.machine_pid
+    )
+    assert all(type(v) is float for v in constants + sum(bank, ()))
+
+
+def test_kernel_body_is_self_contained():
+    # a cheap stand-in for numba's nopython subset while numba is absent: the
+    # body looks up no module-level name but math and its own state layout
+    allowed = {"math", "sin", "pi", "float", "int", "range", "len", "shape"}
+    allowed |= {name for name in vars(kernels) if name.startswith("SIM_")}
+    assert set(kernels._run_substeps.__code__.co_names) <= allowed
+
+
 def test_backends_bit_identical(monkeypatch):
     # with numba active this pins the compiled kernel to its py_func; without
     # it, it checks that the dispatched backend is the Python fallback's result

@@ -32,7 +32,6 @@ from pedalrl.harness import (
     trace_to_csv,
 )
 from pedalrl.nets import init_params
-from pedalrl.rewards import RewardWeights
 
 
 def test_coerce_types_text_by_field():
@@ -213,8 +212,6 @@ def test_make_env_wiring():
     env = make_env(cfg)
     assert env.setting.setting_id == 6
     assert env.setting.weights.kappa == 8.0
-    custom = RewardWeights(mu=1.0, kappa=1.0, rho=1.0)
-    assert make_env(cfg, custom).setting.weights is custom
 
 
 def trace_from_csv(text: str, decision_interval: int) -> EpisodeTrace:

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ def test_text_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         params_from_text("")
 
-    # a truncated checkpoint names the section and the array
+    # a truncated checkpoint names the file, the section, the line and the array
     rng = np.random.default_rng(0)
     path = tmp_path / "agents.ckpt"
     save_checkpoint(path, make_agent(rng, 5, 5, 8), make_agent(rng, 6, 2, 8))
@@ -317,7 +318,8 @@ def test_text_rejects_corruption(tmp_path):
     assert lines[at].startswith("w2 ")
     lines[at] = " ".join(lines[at].split()[:50])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="^machine.actor: w2 has 49 values, expected 4096$"):
+    want = "%s: machine.actor: line %d: w2 has 49 values, expected 4096" % (path, at + 1)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
         load_checkpoint(path)
 
 
