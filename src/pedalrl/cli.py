@@ -237,8 +237,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
         return 2
 
 

@@ -18,20 +18,12 @@ class PDGains:
     kp: float
     kd: float
 
-    def __post_init__(self):
-        if self.kp < 0.0 or self.kd < 0.0:
-            raise ValueError("PD gains must be non-negative")
-
 
 @dataclass(frozen=True)
 class PIDGains:
     kp: float
     ki: float
     kd: float
-
-    def __post_init__(self):
-        if self.kp < 0.0 or self.ki < 0.0 or self.kd < 0.0:
-            raise ValueError("PID gains must be non-negative")
 
 
 @dataclass(frozen=True)

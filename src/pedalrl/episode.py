@@ -37,8 +37,8 @@ OBS_DIM_MACHINE = 6  # reference, position, error, omega, previous action, human
 class EnvParams:
     """Everything one episode needs, bundled.
 
-    The episode shape has no defaults here; ``harness.ExperimentConfig``
-    holds the shipped values.
+    No field has a default or a bound here: ``harness.ExperimentConfig``
+    holds the shipped values and ``harness.BOUNDS`` their bounds.
     """
 
     plant: PlantParams
@@ -48,14 +48,6 @@ class EnvParams:
     window: int  # k: decision steps per reward window
     decision_interval: int  # plant substeps per decision
     n_decisions: int
-
-    def __post_init__(self):
-        # Each message starts with the field name; ``harness.make_env``
-        # prefixes the config section to make it the config key.
-        for name, least in (("window", 3), ("decision_interval", 1), ("n_decisions", 1)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError("%s must be >= %d, got %d" % (name, least, value))
 
 
 def obs_divisors(env: EnvParams) -> tuple:

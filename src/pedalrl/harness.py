@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import coerce
-from .controllers import load_setting
+from .controllers import SETTINGS, load_setting
 from .episode import EnvParams, EpisodeTrace, SamplingPolicy, run_episode
 from .human import HumanParams
 from .plant import PlantParams, ReferenceTrajectory
@@ -54,21 +54,6 @@ class ExperimentConfig:
     eval_episodes: int = 10
     output_dir: str = "runs"
 
-    def __post_init__(self):
-        # numpy seeds are non-negative. Zero updates is a valid run (evaluate
-        # the initial policies); zero evaluation episodes would average an
-        # empty list into NaN metrics.
-        if self.seed < 0:
-            raise ValueError("config key 'seed' must be >= 0, got %d" % self.seed)
-        if self.n_updates < 0:
-            raise ValueError(
-                "config key 'train.n_updates' must be >= 0, got %d" % self.n_updates
-            )
-        if self.eval_episodes < 1:
-            raise ValueError(
-                "config key 'eval.episodes' must be >= 1, got %d" % self.eval_episodes
-            )
-
 
 # Flat config key -> ExperimentConfig field.
 CONFIG_KEYS = {
@@ -85,6 +70,40 @@ CONFIG_KEYS = {
 
 CHECKPOINT_KEYS = ("setting", "seed", "subject")  # checkpoint meta, read back by eval
 
+# Config key -> (test, rule), checked by ``config_from_dict`` on the resolved config.
+BOUNDS = {
+    "seed": (lambda v: v >= 0, ">= 0"),  # numpy seeds are non-negative
+    "setting": (lambda v: v in SETTINGS, "in 1..8"),
+    "plant.inertia": (lambda v: v > 0, "> 0"),
+    "plant.damping": (lambda v: v >= 0, ">= 0"),
+    "plant.torque_limit": (lambda v: v > 0, "> 0"),
+    "plant.dt": (lambda v: v > 0, "> 0"),
+    "plant.omega_max": (lambda v: v > 0, "> 0"),
+    "reference.amplitude": (lambda v: v >= 0, ">= 0"),
+    "reference.period": (lambda v: v > 0, "> 0"),
+    "human.unit_torque": (lambda v: v > 0, "> 0"),
+    "human.reaction_delay": (lambda v: v >= 0, ">= 0"),
+    "human.lag_time_constant": (lambda v: v >= 0, ">= 0"),
+    "human.noise_std": (lambda v: v >= 0, ">= 0"),
+    "hyper.gamma": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "hyper.clip": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "hyper.batch_size": (lambda v: v >= 1, ">= 1"),
+    "hyper.learning_rate": (lambda v: v >= 0, ">= 0"),
+    "hyper.update_epochs": (lambda v: v >= 1, ">= 1"),
+    "episode.window": (lambda v: v >= 3, ">= 3"),  # the effort term divides by k - 2
+    "episode.decision_interval": (lambda v: v >= 1, ">= 1"),
+    "episode.n_decisions": (lambda v: v >= 1, ">= 1"),
+    # Zero updates is a valid run (evaluate the initial policies); zero
+    # evaluation episodes would average an empty list into NaN metrics.
+    "train.n_updates": (lambda v: v >= 0, ">= 0"),
+    "eval.episodes": (lambda v: v >= 1, ">= 1"),
+}
+# The cross-field rules, whose errors name both keys: (key, test, rule, other key).
+PAIRED_BOUNDS = (
+    ("plant.angle_min", lambda v, w: v < w, "<", "plant.angle_max"),
+    ("hyper.batch_size", lambda v, w: v <= w, "<=", "hyper.buffer_size"),
+)
+
 
 def _pick(cfg: dict, prefix: str, base):
     """``base`` with its fields replaced by the ``prefix.field`` keys of ``cfg``."""
@@ -97,10 +116,7 @@ def _pick(cfg: dict, prefix: str, base):
         if name not in types:
             raise ValueError("unknown config key %r" % key)
         kwargs[name] = coerce(key, value, types[name])
-    try:
-        return replace(base, **kwargs)
-    except ValueError as exc:
-        raise ValueError("%s: %s" % (prefix, exc)) from None
+    return replace(base, **kwargs)
 
 
 def config_from_dict(cfg: dict) -> ExperimentConfig:
@@ -108,7 +124,8 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
 
     Precedence: dataclass defaults < subject profile < caller-supplied keys
     (file and CLI overrides already merged). Every value is coerced to its
-    field's type once, here; a bad value raises ValueError naming its key.
+    field's type once, here, then checked against ``BOUNDS``; a bad value
+    raises ValueError naming its key.
     """
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     top = {
@@ -121,7 +138,8 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     subject = top.get("subject", ExperimentConfig.subject)
     if subject not in SUBJECTS:
         raise ValueError(
-            "unknown subject %r (have: %s)" % (subject, ", ".join(sorted(SUBJECTS)))
+            "config key 'subject': unknown subject %r (have: %s)"
+            % (subject, ", ".join(sorted(SUBJECTS)))
         )
     # Each section's ``prefix.field`` keys override its base dataclass.
     bases = {
@@ -136,23 +154,30 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     if leftovers:
         raise ValueError("unknown config keys: %s" % ", ".join(sorted(leftovers)))
     sections = {prefix: _pick(cfg, prefix, base) for prefix, base in bases.items()}
-    return ExperimentConfig(**top, **sections)
+    config = ExperimentConfig(**top, **sections)
+    values = {key: getattr(config, name) for key, name in CONFIG_KEYS.items()}
+    values.update((p + "." + f.name, getattr(s, f.name)) for p, s in sections.items() for f in fields(s))
+    for key, (ok, rule) in BOUNDS.items():
+        if not ok(values[key]):
+            raise ValueError("config key %r must be %s, got %r" % (key, rule, values[key]))
+    for key, ok, rule, other in PAIRED_BOUNDS:
+        if not ok(values[key], values[other]):
+            got = (key, rule, other, values[key], values[other])
+            raise ValueError("config key %r must be %s config key %r, got %r and %r" % got)
+    return config
 
 
 def make_env(cfg: ExperimentConfig) -> EnvParams:
     """The env of ``cfg``'s setting."""
-    try:
-        return EnvParams(
-            plant=cfg.plant,
-            reference=cfg.reference,
-            human=cfg.human,
-            setting=load_setting(cfg.setting_id),
-            window=cfg.window,
-            decision_interval=cfg.decision_interval,
-            n_decisions=cfg.n_decisions,
-        )
-    except ValueError as exc:
-        raise ValueError("episode.%s" % exc) from None
+    return EnvParams(
+        plant=cfg.plant,
+        reference=cfg.reference,
+        human=cfg.human,
+        setting=load_setting(cfg.setting_id),
+        window=cfg.window,
+        decision_interval=cfg.decision_interval,
+        n_decisions=cfg.n_decisions,
+    )
 
 
 @dataclass(frozen=True)
@@ -160,10 +185,6 @@ class MetricsReport:
     human_action_mse: float
     tracking_error_mse: float
     value: float  # cumulative shared reward of the episode
-
-    def __post_init__(self):
-        if self.human_action_mse < 0.0 or self.tracking_error_mse < 0.0:
-            raise ValueError("MSE metrics cannot be negative")
 
 
 def mse_metrics(trace: EpisodeTrace, unit_torque: float) -> MetricsReport:

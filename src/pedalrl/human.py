@@ -28,13 +28,3 @@ class HumanParams:
     lag_time_constant: float = 0.2  # s, muscle activation lag
     noise_std: float = 0.2  # N*m, std of additive torque noise
 
-    def __post_init__(self):
-        if self.unit_torque <= 0.0:
-            raise ValueError("unit_torque must be positive")
-        if self.reaction_delay < 0:
-            raise ValueError("reaction_delay must be non-negative")
-        if self.lag_time_constant < 0.0:
-            raise ValueError("lag_time_constant must be non-negative")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
-

@@ -86,11 +86,7 @@ class MLPParams:
         return None
 
     def arrays(self):
-        return (
-            ("w1", self.w1), ("b1", self.b1),
-            ("w2", self.w2), ("b2", self.b2),
-            ("w3", self.w3), ("b3", self.b3),
-        )
+        return tuple((name, getattr(self, name)) for name, _ in layer_shapes(*self.dims))
 
     @property
     def in_dim(self):

@@ -23,18 +23,6 @@ class PlantParams:
     angle_max: float = 0.6  # rad
     omega_max: float = 10.0  # rad/s
 
-    def __post_init__(self):
-        if self.inertia <= 0.0:
-            raise ValueError("inertia must be positive")
-        if self.damping < 0.0:
-            raise ValueError("damping must be non-negative")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if not self.angle_min < self.angle_max:
-            raise ValueError("angle_min must be below angle_max")
-        if self.torque_limit <= 0.0 or self.omega_max <= 0.0:
-            raise ValueError("torque_limit and omega_max must be positive")
-
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
@@ -44,12 +32,6 @@ class ReferenceTrajectory:
     period: float = 4.0  # s
     phase: float = 0.0  # rad
     offset: float = 0.0  # rad
-
-    def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be non-negative")
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
 
 
 def sample_reference(traj: ReferenceTrajectory, t: float) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .episode import OBS_DIM_HUMAN, OBS_DIM_MACHINE, EnvParams, SamplingPolicy, run_episode
+from .human import DIGITS
 from .nets import (
     MLPParams,
     backward,
@@ -27,7 +28,7 @@ from .nets import (
     zeros_like_params,
 )
 
-HUMAN_ACTIONS = 5
+HUMAN_ACTIONS = len(DIGITS)
 MACHINE_ACTIONS = 2
 
 
@@ -43,16 +44,6 @@ class PPOHyper:
     # this many transitions, so 60-decision episodes give 2100 per update.
     buffer_size: int = 2048
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        if not 0.0 < self.clip < 1.0:
-            raise ValueError("clip factor must lie in (0, 1)")
-        if self.batch_size < 1 or self.batch_size > self.buffer_size:
-            raise ValueError("need 1 <= batch_size <= buffer_size")
-        if self.learning_rate < 0.0 or self.update_epochs < 1:
-            raise ValueError("bad optimizer settings")
-
 
 class ExperienceBuffer:
     """Time-ordered store of whole episodes' experience records.
@@ -62,8 +53,6 @@ class ExperienceBuffer:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.clear()
 

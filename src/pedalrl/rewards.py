@@ -28,10 +28,6 @@ class RewardWeights:
     kappa: float
     rho: float
 
-    def __post_init__(self):
-        if self.mu < 0.0 or self.kappa < 0.0 or self.rho < 0.0:
-            raise ValueError("mu, kappa, rho must be non-negative")
-
 
 def tracking_term(actual, reference) -> float:
     """Sum of squared position errors over the window (>= 0).

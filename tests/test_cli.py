@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pedalrl
+from pedalrl import cli
 from pedalrl.cli import main, parse_settings
 from pedalrl.harness import config_from_dict
 from pedalrl.ppo import load_checkpoint, make_agent, save_checkpoint
@@ -93,6 +94,35 @@ def test_bad_input_exits_2(tmp_path, capsys):
         assert main(["bench"] + flags) == 2
         shown = capsys.readouterr()
         assert shown.out == "" and "error: %s must be >= 1" % flags[0] in shown.err
+
+
+def test_bad_values_exit_2_naming_their_key(tmp_path, capsys):
+    train = ["train", "--setting", "2", "--seed", "1"]
+    for pair in ("hyper.learning_rate=-1", "hyper.update_epochs=0",
+                 "plant.torque_limit=-1", "plant.omega_max=0"):
+        assert main(train + ["--set", pair]) == 2
+        shown = capsys.readouterr()
+        assert "error: config key '%s' must be" % pair.split("=")[0] in shown.err
+        assert "Traceback" not in shown.err
+    assert main(["train", "--setting", "9", "--seed", "1"]) == 2
+    assert "error: config key 'setting' must be in 1..8, got 9" in capsys.readouterr().err
+    rng = np.random.default_rng(3)
+    ckpt = str(tmp_path / "agents.ckpt")
+    save_checkpoint(ckpt, make_agent(rng, 5, 5, 4), make_agent(rng, 6, 2, 4), meta={"seed": 1})
+    assert main(["eval", "--checkpoint", ckpt, "--setting", "0"]) == 2
+    assert "error: config key 'setting' must be in 1..8, got 0" in capsys.readouterr().err
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    # a command that cannot allocate stops like any bad input; nothing is
+    # allocated here, the command raises as numpy would
+    def no_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_bench", no_memory)
+    assert main(["bench"]) == 2
+    shown = capsys.readouterr()
+    assert shown.err == "error: out of memory\n" and "Traceback" not in shown.err
 
 
 def test_string_keys_keep_their_text(tmp_path, monkeypatch, capsys):

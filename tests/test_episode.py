@@ -17,6 +17,7 @@ from oracles import (
 from pedalrl import kernels
 from pedalrl.controllers import default_integral_limit
 from pedalrl.episode import GreedyPolicy, SamplingPolicy, obs_divisors, run_episode
+from pedalrl.harness import config_from_dict
 from pedalrl.human import DIGITS
 from pedalrl.nets import init_params
 from pedalrl.plant import PlantParams, ReferenceTrajectory, sample_reference
@@ -326,9 +327,7 @@ def test_rewards_replayable_from_trace():
 
 
 def test_env_params_validation():
-    with pytest.raises(ValueError):
-        make_test_env(window=2)
-    with pytest.raises(ValueError):
-        make_test_env(decision_interval=0)
-    with pytest.raises(ValueError):
-        make_test_env(n_decisions=0)
+    # the episode shape is bounded on its config keys, where values enter
+    for key in ("window", "decision_interval", "n_decisions"):
+        with pytest.raises(ValueError, match="config key 'episode.%s' must be" % key):
+            config_from_dict({"seed": 0, "episode." + key: 2 if key == "window" else 0})

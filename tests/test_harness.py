@@ -119,6 +119,13 @@ def test_config_precedence_chain():
     assert cfg.hyper.gamma == 0.5 and cfg.plant.inertia == 0.2
 
 
+# Keys that break one cross-field rule together (with the other key at its
+# default, each alone breaks it too); the error names both keys.
+BAD_PAIRS = [
+    {"plant.angle_min": 0.6, "plant.angle_max": -0.6},
+    {"hyper.batch_size": 4096, "hyper.buffer_size": 32},
+]
+
 # (key, value) pairs each config_from_dict must reject with an error naming the key
 BAD_VALUES = [
     ("hyper.batch_size", "abc"),
@@ -133,7 +140,30 @@ BAD_VALUES = [
     ("eval.episodes", 0),
     ("train.n_updates", -1),
     ("seed", -1),
-]
+    # one out-of-bound value per BOUNDS key
+    ("setting", 9),
+    ("plant.inertia", 0.0),
+    ("plant.damping", -1.0),
+    ("plant.torque_limit", -1),
+    ("plant.dt", 0),
+    ("plant.omega_max", 0),
+    ("reference.amplitude", -0.1),
+    ("reference.period", 0),
+    ("human.unit_torque", 0),
+    ("human.reaction_delay", -1),
+    ("human.lag_time_constant", -0.1),
+    ("human.noise_std", -0.5),
+    ("hyper.gamma", 1.0),
+    ("hyper.clip", 0.0),
+    ("hyper.clip", 1.0),
+    ("hyper.batch_size", 0),
+    ("hyper.learning_rate", -1),
+    ("hyper.update_epochs", 0),
+    ("episode.window", 2),
+    ("episode.decision_interval", 0),
+    ("episode.n_decisions", 0),
+    ("subject", "x"),
+] + [(key, value) for bad in BAD_PAIRS for key, value in bad.items()]
 
 
 def test_config_rejects_unknown_keys():
@@ -146,11 +176,25 @@ def test_config_rejects_unknown_keys():
     for key, value in BAD_VALUES:
         with pytest.raises(ValueError, match="'%s'" % key):
             config_from_dict({"seed": 1, key: value})
-    # dataclass validation errors name their section
-    with pytest.raises(ValueError, match="^plant: inertia must be positive"):
+    # one message format for every bound
+    with pytest.raises(ValueError, match=r"^config key 'plant.inertia' must be > 0, got 0\.0$"):
         config_from_dict({"seed": 1, "plant.inertia": 0.0})
     # integral floats are accepted for int keys
     assert config_from_dict({"seed": 1, "episode.window": 12.0}).window == 12
+
+
+def test_every_bound_has_a_bad_value():
+    assert set(harness.BOUNDS) <= {key for key, _ in BAD_VALUES}
+    for key, _, _, other in harness.PAIRED_BOUNDS:
+        assert {key, other} in [set(bad) for bad in BAD_PAIRS]
+
+
+def test_cross_field_errors_name_both_keys():
+    for bad in BAD_PAIRS:
+        for cfg in [bad] + [{key: value} for key, value in bad.items()]:
+            with pytest.raises(ValueError) as info:
+                config_from_dict({"seed": 1, **cfg})
+            assert all("'%s'" % key in str(info.value) for key in bad), info.value
 
 
 # Config text: lines of known or arbitrary keys with numeric, boolean, odd or
@@ -187,6 +231,19 @@ def test_config_text_raises_only_value_error(text):
         config_from_dict(cfg)
     except ValueError:
         pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(sorted(CONFIG_KEYS) + _section_keys),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+              _config_values),
+)
+def test_any_single_key_is_accepted_or_named(key, value):
+    try:
+        config_from_dict({"seed": 0, key: value})
+    except ValueError as exc:
+        assert "'%s'" % key in str(exc)
 
 
 def _typed(key, value, kind):

@@ -8,6 +8,7 @@ from oracles import (
     pd_index_for_digit,
 )
 from pedalrl.controllers import PDGains, load_setting
+from pedalrl.harness import config_from_dict
 from pedalrl.human import DIGITS, HumanParams
 
 PD_PAIR = load_setting(1).human_pd  # (30, 0.2) strong / (15, 0.1) weak
@@ -107,11 +108,8 @@ def test_rejects_unknown_digit():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        HumanParams(unit_torque=-1.0)
-    with pytest.raises(ValueError):
-        HumanParams(reaction_delay=-1)
-    with pytest.raises(ValueError):
-        HumanParams(lag_time_constant=-0.1)
-    with pytest.raises(ValueError):
-        HumanParams(noise_std=-0.5)
+    # the human model's bounds are checked on its config keys, where values enter
+    for key, value in (("unit_torque", -1.0), ("reaction_delay", -1),
+                       ("lag_time_constant", -0.1), ("noise_std", -0.5)):
+        with pytest.raises(ValueError, match="config key 'human.%s' must be" % key):
+            config_from_dict({"seed": 0, "human." + key: value})

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import PedalState, step_plant
+from pedalrl.harness import config_from_dict
 from pedalrl.plant import PlantParams, ReferenceTrajectory, sample_reference
 
 
@@ -107,12 +108,11 @@ def test_rejects_non_finite_torque():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PlantParams(inertia=0.0)
-    with pytest.raises(ValueError):
-        PlantParams(dt=-0.01)
-    with pytest.raises(ValueError):
-        PlantParams(angle_min=0.5, angle_max=0.5)
+    # the plant's bounds are checked on its config keys, where values enter
+    for bad in ({"plant.inertia": 0.0}, {"plant.dt": -0.01},
+                {"plant.angle_min": 0.5, "plant.angle_max": 0.5}):
+        with pytest.raises(ValueError, match="config key '%s' must be" % next(iter(bad))):
+            config_from_dict({"seed": 0, **bad})
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,6 +8,7 @@ import oracles
 from conftest import make_test_env
 from pedalrl import ppo
 from pedalrl.episode import experience
+from pedalrl.harness import config_from_dict
 from pedalrl.nets import actor_forward, init_params, zeros_like_params
 from pedalrl.ppo import (
     ExperienceBuffer,
@@ -416,9 +417,8 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_hyper_validation():
-    with pytest.raises(ValueError):
-        PPOHyper(gamma=1.0)
-    with pytest.raises(ValueError):
-        PPOHyper(clip=0.0)
-    with pytest.raises(ValueError):
-        PPOHyper(batch_size=128, buffer_size=64)
+    # PPOHyper's bounds are checked on its config keys, where values enter
+    for bad in ({"hyper.gamma": 1.0}, {"hyper.clip": 0.0},
+                {"hyper.batch_size": 128, "hyper.buffer_size": 64}):
+        with pytest.raises(ValueError, match="config key '%s' must be" % next(iter(bad))):
+            config_from_dict({"seed": 0, **bad})

@@ -157,5 +157,3 @@ def test_terms_non_negative():
 def test_window_validation():
     with pytest.raises(ValueError):
         tracking_term((0.0,) * 4, (0.0,) * 3)  # length mismatch
-    with pytest.raises(ValueError):
-        RewardWeights(mu=-1.0, kappa=0.0, rho=0.0)
