@@ -15,31 +15,35 @@ values survive the wire exactly. A client that sends nothing for
 ``IDLE_TIMEOUT_S`` is dropped, so one idle client cannot hold the
 single-threaded server.
 
-Serving path: parsing a valid frame raises nothing (``_parse_number``
-picks ``int`` or ``float`` from the token's characters rather than by
-catching a failed ``int``), and the observation stays Python floats,
-checked with ``math.isfinite``, until the one ``np.array`` handed to
-``actor_forward``. The greedy index comes from ``nets.greedy_action``, the
-function ``GreedyPolicy`` uses in process.
+Serving path: a ``Frame`` is a named tuple, so building, unpacking and
+comparing one are tuple operations in C. Parsing a valid frame raises
+nothing and reads each payload token once with ``float``:
+``_parse_number`` calls ``int`` as well only when that value is integral
+or not finite and the token is a sign and digits, which no ``repr`` float
+is. The observation stays Python floats, checked with ``math.isfinite``,
+until the one ``np.array`` handed to ``actor_forward``. The greedy index
+comes from ``nets.greedy_action``, the function ``GreedyPolicy`` uses in
+process. Each reply is one ``sendall`` on the connection.
 """
 
 import math
 import socket
 import socketserver
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .episode import OBS_DIM_HUMAN, OBS_DIM_MACHINE
 from .nets import actor_forward, greedy_action, sample_action
-from .ppo import load_checkpoint
+from .ppo import HUMAN_ACTIONS, MACHINE_ACTIONS, load_checkpoint
 
 KINDS = ("OBS", "ACT", "ERR", "BYE")
 OBS_DIMS = {0: OBS_DIM_HUMAN, 1: OBS_DIM_MACHINE}
+N_ACTIONS = {0: HUMAN_ACTIONS, 1: MACHINE_ACTIONS}
 
 ERR_MALFORMED = 1  # unparseable frame (field count, numeric syntax, kind)
 ERR_BAD_AGENT = 2  # agent id outside {0, 1}
-ERR_BAD_PAYLOAD = 3  # wrong field count or non-finite observation
+ERR_BAD_PAYLOAD = 3  # wrong field count, non-finite observation or bad action
 ERR_UNEXPECTED_KIND = 4  # server accepts only OBS and BYE
 
 # Longest line the server reads, newline included. A valid frame is under
@@ -59,8 +63,7 @@ class ProtocolError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     kind: str
     step: int
     agent: int
@@ -69,24 +72,31 @@ class Frame:
 
 def encode_frame(frame: Frame) -> str:
     """One ASCII line; ints bare, floats as shortest round-trip decimals."""
-    parts = [frame.kind, str(frame.step), str(frame.agent)]
-    for v in frame.payload:
-        parts.append(str(v) if isinstance(v, int) else repr(float(v)))
-    return ",".join(parts) + "\n"
+    kind, step, agent, payload = frame
+    # a float subclass (np.float64) goes through float() so repr stays bare
+    values = [
+        repr(v) if type(v) is float else str(v) if isinstance(v, int) else repr(float(v))
+        for v in payload
+    ]
+    return ",".join([kind, str(step), str(agent), *values]) + "\n"
 
 
 def _parse_number(token: str):
-    # An optional sign and digits is an int, anything else a float. Only
-    # ASCII reaches here (decode_frame checks), so isdigit() means 0-9.
-    if token.isdigit() or (token[:1] in ("+", "-") and token[1:].isdigit()):
-        try:
-            return int(token)
-        except ValueError:  # more digits than int() converts
-            pass
+    # An optional sign and digits is an int, anything else a float. float()
+    # reads every token the grammar allows, so it runs first; only a value
+    # that is integral or not finite can come from such a token. Only ASCII
+    # reaches here (decode_frame checks), so isdigit() means 0-9.
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise ProtocolError(ERR_MALFORMED, "non-numeric payload %r" % token)
+        raise ProtocolError(ERR_MALFORMED, "non-numeric payload %r" % token) from None
+    if value.is_integer() or not math.isfinite(value):
+        if token.isdigit() or (token[:1] in ("+", "-") and token[1:].isdigit()):
+            try:
+                return int(token)
+            except ValueError:  # more digits than int() converts
+                pass
+    return value
 
 
 def decode_frame(line: str) -> Frame:
@@ -98,10 +108,10 @@ def decode_frame(line: str) -> Frame:
     # non-ASCII digits, none of which the grammar allows
     if "_" in body or not body.isascii() or body.split() != [body]:
         raise ProtocolError(ERR_MALFORMED, "stray characters in %r" % line)
-    parts = body.split(",")
-    if len(parts) < 3:
-        raise ProtocolError(ERR_MALFORMED, "expected KIND,step,agent...: %r" % line)
-    kind, step, agent = parts[:3]
+    try:
+        kind, step, agent, *payload = body.split(",")
+    except ValueError:  # fewer than three fields
+        raise ProtocolError(ERR_MALFORMED, "expected KIND,step,agent...: %r" % line) from None
     if kind not in KINDS:
         raise ProtocolError(ERR_MALFORMED, "unknown frame kind in %r" % line)
     # step and agent are bare digits: no sign
@@ -115,8 +125,7 @@ def decode_frame(line: str) -> Frame:
         raise ProtocolError(ERR_MALFORMED, "overlong step or agent in %r" % line)
     if agent not in (0, 1):
         raise ProtocolError(ERR_BAD_AGENT, "agent id out of range in %r" % line)
-    payload = tuple(map(_parse_number, parts[3:]))
-    return Frame(kind=kind, step=step, agent=agent, payload=payload)
+    return Frame(kind, step, agent, tuple(map(_parse_number, payload)))
 
 
 class PolicyServer(socketserver.TCPServer):
@@ -149,7 +158,7 @@ class PolicyServer(socketserver.TCPServer):
                 "agent %d expects %d fields, got %d" % (frame.agent, want, len(frame.payload)),
             )
         try:
-            obs = [float(v) for v in frame.payload]
+            obs = list(map(float, frame.payload))
         except OverflowError:
             raise ProtocolError(ERR_BAD_PAYLOAD, "observation beyond the float range")
         if not all(map(math.isfinite, obs)):
@@ -195,7 +204,7 @@ class _Handler(socketserver.StreamRequestHandler):
             self._reply(reply)
 
     def _reply(self, frame: Frame):
-        self.wfile.write(encode_frame(frame).encode("ascii"))
+        self.connection.sendall(encode_frame(frame).encode("ascii"))
 
 
 class RemotePolicy:
@@ -220,12 +229,7 @@ class RemotePolicy:
         self._timed_out = False
 
     def act(self, obs, rng):
-        frame = Frame(
-            kind="OBS",
-            step=self._step,
-            agent=self.agent_id,
-            payload=tuple(float(v) for v in obs),
-        )
+        frame = Frame("OBS", self._step, self.agent_id, tuple(obs.tolist()))
         self._sock.sendall(encode_frame(frame).encode("ascii"))
         try:
             line = self._rfile.readline()
@@ -242,8 +246,14 @@ class RemotePolicy:
             raise ProtocolError(
                 ERR_MALFORMED, "reply does not match request: %r" % (reply,)
             )
+        # exactly one int: an action index this agent has
+        action = reply.payload[0] if len(reply.payload) == 1 else None
+        if type(action) is not int or not 0 <= action < N_ACTIONS[self.agent_id]:
+            raise ProtocolError(
+                ERR_BAD_PAYLOAD, "bad action %r at step %d" % (reply.payload, self._step)
+            )
         self._step += 1
-        return int(reply.payload[0]), 0.0
+        return action, 0.0
 
     def close(self):
         try:

@@ -10,7 +10,7 @@ import numpy as np
 from . import kernels
 from .bridge import PolicyServer, actors_from_checkpoint, parse_endpoint
 from .config import apply_overrides, load_config
-from .controllers import SETTINGS
+from .controllers import SETTING_RANGE, SETTINGS
 from .harness import (
     CHECKPOINT_KEYS,
     config_from_dict,
@@ -45,14 +45,16 @@ def parse_settings(text: str) -> list:
         if outside:
             spans = ", ".join(str(a) if a == b else "%d..%d" % (a, b) for a, b in outside)
             raise ValueError(
-                "--settings %r: unknown setting ids %s (expected 1..8)" % (text, spans)
+                "--settings %r: unknown setting ids %s (expected %s)" % (text, spans, SETTING_RANGE)
             )
         ids = list(range(lo, hi + 1))
     if not ids:
         raise ValueError("--settings %r: no settings" % text)
     unknown = [sid for sid in ids if sid not in SETTINGS]
     if unknown:
-        raise ValueError("--settings %r: unknown setting ids %s (expected 1..8)" % (text, unknown))
+        raise ValueError(
+            "--settings %r: unknown setting ids %s (expected %s)" % (text, unknown, SETTING_RANGE)
+        )
     repeated = [sid for sid in sorted(set(ids)) if ids.count(sid) > 1]
     if repeated:
         raise ValueError("--settings %r: repeated setting ids %s" % (text, repeated))

@@ -55,14 +55,15 @@ SETTINGS = {
     7: _setting(7, (1, 8, 1), (5, 0.1), (2.5, 0.05), (12, 1.2, 12), (6, 0.6, 6)),
     8: _setting(8, (1, 8, 1), (5, 0.1), (2.5, 0.05), (24, 2.4, 24), (12, 1.2, 12)),
 }
+SETTING_RANGE = "%d..%d" % (min(SETTINGS), max(SETTINGS))  # the ids, as messages write them
 
 
 def load_setting(setting_id: int) -> SettingConfig:
-    """Return the built-in bank/weight row for ``setting_id`` (1..8)."""
+    """Return the built-in bank/weight row for ``setting_id`` (in ``SETTING_RANGE``)."""
     try:
         return SETTINGS[setting_id]
     except KeyError:
-        raise ValueError("unknown setting id %r (expected 1..8)" % (setting_id,))
+        raise ValueError("unknown setting id %r (expected %s)" % (setting_id, SETTING_RANGE))
 
 
 def default_integral_limit(gains: PIDGains, torque_limit: float) -> float:

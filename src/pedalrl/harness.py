@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import coerce
-from .controllers import SETTINGS, load_setting
+from .controllers import SETTING_RANGE, SETTINGS, load_setting
 from .episode import EnvParams, EpisodeTrace, SamplingPolicy, run_episode
 from .human import HumanParams
 from .plant import PlantParams, ReferenceTrajectory
@@ -73,7 +73,7 @@ CHECKPOINT_KEYS = ("setting", "seed", "subject")  # checkpoint meta, read back b
 # Config key -> (test, rule), checked by ``config_from_dict`` on the resolved config.
 BOUNDS = {
     "seed": (lambda v: v >= 0, ">= 0"),  # numpy seeds are non-negative
-    "setting": (lambda v: v in SETTINGS, "in 1..8"),
+    "setting": (lambda v: v in SETTINGS, "in " + SETTING_RANGE),
     "plant.inertia": (lambda v: v > 0, "> 0"),
     "plant.damping": (lambda v: v >= 0, ">= 0"),
     "plant.torque_limit": (lambda v: v > 0, "> 0"),

@@ -26,7 +26,7 @@ round-trip bit-for-bit.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +117,7 @@ def zeros_like_params(params: MLPParams) -> MLPParams:
     return MLPParams(params.dims)
 
 
-@dataclass(frozen=True)
-class ActionDistribution:
+class ActionDistribution(NamedTuple):
     """Floored, normalized action probabilities and their logs."""
 
     probabilities: np.ndarray
@@ -229,7 +228,7 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 def actor_forward(params: MLPParams, obs) -> ActionDistribution:
     logits, _ = forward_cache(params, obs)
     p = softmax_probs(logits)
-    return ActionDistribution(probabilities=p, log_probabilities=np.log(p))
+    return ActionDistribution(p, np.log(p))
 
 
 def sample_action(dist: ActionDistribution, rng) -> tuple:

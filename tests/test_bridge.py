@@ -110,7 +110,7 @@ def _decoded(decode, line):
 # Payload tokens built from the characters of numbers, signs and words.
 _numeric_lines = st.builds(
     lambda toks: "OBS,1,0," + ",".join(toks) + "\n",
-    st.lists(st.text(alphabet="+-0123456789.eEinfatyx", max_size=7), min_size=1, max_size=6),
+    st.lists(st.text(alphabet="+-0123456789.eEinfatyxIN", max_size=7), min_size=1, max_size=6),
 )
 
 
@@ -140,6 +140,13 @@ def test_decode_matches_reference_decoder(line):
         # under int()'s digit limit, and past it, where float() reads it
         pytest.param("4" * 4000, (int, "4" * 4000), id="4000-digits"),
         pytest.param("9" * 5000, (float, "inf"), id="5000-digits"),
+        # float() reads every token first: int only for a sign and digits
+        pytest.param("1" + "0" * 400, (int, "1" + "0" * 400), id="401-digits"),
+        ("1e400", (float, "inf")),
+        ("Infinity", (float, "inf")),
+        ("NaN", (float, "nan")),
+        ("0e0", (float, "0.0")),
+        ("+0", (int, "0")),
     ],
 )
 def test_decode_payload_tokens(token, want):
@@ -370,6 +377,30 @@ def test_remote_policy_timeout_survives_with_block(monkeypatch):
                 with conn:
                     remote.act(np.zeros(5), None)
     assert remote._sock.fileno() == -1  # closed all the same
+
+
+@pytest.mark.parametrize(
+    "canned",
+    [
+        "ACT,0,0,-1\n",  # a negative index would pick DIGITS[-1]
+        "ACT,0,0,2.7\n",  # not an int
+        "ACT,0,0,9\n",  # past the human agent's actions
+        "ACT,0,0\n",  # no action at all
+        "ACT,0,0,1,1\n",
+    ],
+)
+def test_remote_policy_rejects_a_bad_action(monkeypatch, canned):
+    monkeypatch.setattr(bridge, "REMOTE_TIMEOUT_S", 2.0)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        remote = RemotePolicy(*listener.getsockname(), agent_id=0)
+        conn, _ = listener.accept()
+        with conn:
+            conn.sendall(canned.encode())  # answers the OBS before it arrives
+            with pytest.raises(ProtocolError, match="at step 0") as exc:
+                remote.act(np.zeros(5), None)
+        assert exc.value.code == ERR_BAD_PAYLOAD
+        with contextlib.suppress(OSError):
+            remote.close()  # its BYE meets a closed connection
 
 
 def test_remote_policy_matches_local_greedy(server):

@@ -10,6 +10,7 @@ import pytest
 import pedalrl
 from pedalrl import cli
 from pedalrl.cli import main, parse_settings
+from pedalrl.controllers import SETTING_RANGE, SETTINGS, load_setting
 from pedalrl.harness import config_from_dict
 from pedalrl.ppo import load_checkpoint, make_agent, save_checkpoint
 
@@ -22,6 +23,19 @@ def test_parse_settings_forms():
         parse_settings(",")
     with pytest.raises(ValueError, match=r"--settings '2,4,2': repeated setting ids \[2\]"):
         parse_settings("2,4,2")
+
+
+def test_setting_range_text_comes_from_the_table():
+    # every message naming the valid setting ids writes the table's range
+    assert SETTING_RANGE == "%d..%d" % (min(SETTINGS), max(SETTINGS)) == "1..8"
+    expected = re.escape("(expected %s)" % SETTING_RANGE)
+    for bad in (lambda: load_setting(9), lambda: parse_settings("0..3"),
+                lambda: parse_settings("2,9")):
+        with pytest.raises(ValueError, match=expected):
+            bad()
+    rule = re.escape("'setting' must be in %s, got 9" % SETTING_RANGE)
+    with pytest.raises(ValueError, match=rule):
+        config_from_dict({"seed": 0, "setting": 9})
 
 
 FAST = [
