@@ -45,6 +45,7 @@ ERR_MALFORMED = 1  # unparseable frame (field count, numeric syntax, kind)
 ERR_BAD_AGENT = 2  # agent id outside {0, 1}
 ERR_BAD_PAYLOAD = 3  # wrong field count, non-finite observation or bad action
 ERR_UNEXPECTED_KIND = 4  # server accepts only OBS and BYE
+ERR_CODES = (ERR_MALFORMED, ERR_BAD_AGENT, ERR_BAD_PAYLOAD, ERR_UNEXPECTED_KIND)
 
 # Longest line the server reads, newline included. A valid frame is under
 # 200 bytes (OBS, step, agent and six repr floats); a longer line is
@@ -238,10 +239,11 @@ class RemotePolicy:
             raise
         reply = decode_frame(line)
         if reply.kind == "ERR":
-            raise ProtocolError(
-                int(reply.payload[0]) if reply.payload else ERR_MALFORMED,
-                "server rejected frame at step %d" % self._step,
-            )
+            # exactly one int: a code this protocol defines
+            code = reply.payload[0] if len(reply.payload) == 1 else None
+            if type(code) is not int or code not in ERR_CODES:
+                code = ERR_MALFORMED
+            raise ProtocolError(code, "server rejected frame at step %d" % self._step)
         if reply.kind != "ACT" or reply.step != self._step or reply.agent != self.agent_id:
             raise ProtocolError(
                 ERR_MALFORMED, "reply does not match request: %r" % (reply,)

@@ -102,6 +102,8 @@ BOUNDS = {
 PAIRED_BOUNDS = (
     ("plant.angle_min", lambda v, w: v < w, "<", "plant.angle_max"),
     ("hyper.batch_size", lambda v, w: v <= w, "<=", "hyper.buffer_size"),
+    # a flat reference scales angle observations by the upper stop
+    ("plant.angle_max", lambda v, w: v > 0 or w > 0, "> 0 at a zero", "reference.amplitude"),
 )
 
 

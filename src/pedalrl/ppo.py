@@ -30,6 +30,8 @@ from .nets import (
 
 HUMAN_ACTIONS = len(DIGITS)
 MACHINE_ACTIONS = 2
+# Rows per critic_values block: a multiple of 4, so blocks keep BLAS's row panels.
+VALUE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,24 @@ class ExperienceBuffer:
 
 
 def critic_values(params: MLPParams, obs: np.ndarray) -> np.ndarray:
-    out, _ = forward_cache(params, obs)
-    return out[:, 0]
+    """The critic's value of each row of ``obs``, valued ``VALUE_ROWS`` rows at a time.
+
+    Each block starts at a multiple of ``VALUE_ROWS``, and a remainder
+    shorter than that joins the last full block, so at most ``2 *
+    VALUE_ROWS - 1`` rows of activations are alive at once. Every row keeps
+    its place within BLAS's 4-row panels, so each value has the bits of
+    one ``forward_cache`` call over all rows at one BLAS thread. The blocks
+    also keep those bits at two threads, where one call over thousands of
+    rows may not.
+    """
+    n = len(obs)
+    values = np.empty(n)
+    last = max(n // VALUE_ROWS - 1, 0) * VALUE_ROWS  # where the last block starts
+    for start in range(0, last, VALUE_ROWS):
+        stop = start + VALUE_ROWS
+        values[start:stop] = forward_cache(params, obs[start:stop])[0][:, 0]
+    values[last:] = forward_cache(params, obs[last:])[0][:, 0]
+    return values
 
 
 def compute_advantages(rewards, values, next_values, terminals, gamma: float):

@@ -403,6 +403,33 @@ def test_remote_policy_rejects_a_bad_action(monkeypatch, canned):
             remote.close()  # its BYE meets a closed connection
 
 
+@pytest.mark.parametrize(
+    "canned, code",
+    [
+        ("ERR,0,0,nan\n", ERR_MALFORMED),  # int() would raise ValueError
+        ("ERR,0,0,1e400\n", ERR_MALFORMED),  # int() would raise OverflowError
+        ("ERR,0,0,2.5\n", ERR_MALFORMED),  # int() would report code 2
+        ("ERR,0,0,3.0\n", ERR_MALFORMED),  # a float, not an int code
+        ("ERR,0,0,9\n", ERR_MALFORMED),  # no such code
+        ("ERR,0,0,3,1\n", ERR_MALFORMED),
+        ("ERR,0,0\n", ERR_MALFORMED),
+        ("ERR,0,0,3\n", ERR_BAD_PAYLOAD),
+    ],
+)
+def test_remote_policy_reports_only_known_err_codes(monkeypatch, canned, code):
+    monkeypatch.setattr(bridge, "REMOTE_TIMEOUT_S", 2.0)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        remote = RemotePolicy(*listener.getsockname(), agent_id=0)
+        conn, _ = listener.accept()
+        with conn:
+            conn.sendall(canned.encode())
+            with pytest.raises(ProtocolError, match="rejected frame at step 0") as exc:
+                remote.act(np.zeros(5), None)
+        assert exc.value.code == code
+        with contextlib.suppress(OSError):
+            remote.close()
+
+
 def test_remote_policy_matches_local_greedy(server):
     host, port = server.server_address
     env = make_test_env(n_decisions=15)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pedalrl
+from conftest import run_at_blas_threads
 from pedalrl import cli
 from pedalrl.cli import main, parse_settings
 from pedalrl.controllers import SETTING_RANGE, SETTINGS, load_setting
@@ -127,6 +128,17 @@ def test_bad_values_exit_2_naming_their_key(tmp_path, capsys):
     assert "error: config key 'setting' must be in 1..8, got 0" in capsys.readouterr().err
 
 
+def test_flat_reference_with_no_upper_stop_exits_2(capsys):
+    # obs_divisors would divide every angle observation by the zero stop
+    args = ["train", "--setting", "2", "--seed", "1", "--set", "reference.amplitude=0",
+            "--set", "plant.angle_max=0", "--set", "train.n_updates=0",
+            "--set", "eval.episodes=1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "'plant.angle_max'" in err and "'reference.amplitude'" in err
+    assert "Traceback" not in err
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     # a command that cannot allocate stops like any bad input; nothing is
     # allocated here, the command raises as numpy would
@@ -226,6 +238,22 @@ def test_divergence_exits_2_naming_the_failed_step(tmp_path, learning_rate):
         proc.stderr,
     ), proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a 10000-row buffer is valued in blocks: one product over all of its rows
+    # can give other bits at two BLAS threads than at one
+    args = ["sweep", "--settings", "2", "--seed", "7", "--set", "train.n_updates=2",
+            "--set", "episode.n_decisions=61", "--set", "hyper.buffer_size=10000",
+            "--set", "eval.episodes=2"]
+    cli_main = "import sys; from pedalrl.cli import main; sys.exit(main(sys.argv[1:]))"
+    files = {}
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        run_at_blas_threads(threads, cli_main, *args, "--out", out)
+        files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert "setting2.ckpt" in files[1]
+    assert files[1] == files[2]
 
 
 def test_huge_settings_range_fails_before_allocating(tmp_path, capsys):

@@ -125,6 +125,9 @@ BAD_PAIRS = [
     {"plant.angle_min": 0.6, "plant.angle_max": -0.6},
     {"hyper.batch_size": 4096, "hyper.buffer_size": 32},
 ]
+# A flat reference scales angle observations by the upper stop, so a stop at
+# or below zero is rejected only with a zero amplitude (each alone is fine).
+FLAT_REFERENCE_STOPS = [0.0, -0.0, -0.1]
 
 # (key, value) pairs each config_from_dict must reject with an error naming the key
 BAD_VALUES = [
@@ -186,7 +189,9 @@ def test_config_rejects_unknown_keys():
 def test_every_bound_has_a_bad_value():
     assert set(harness.BOUNDS) <= {key for key, _ in BAD_VALUES}
     for key, _, _, other in harness.PAIRED_BOUNDS:
-        assert {key, other} in [set(bad) for bad in BAD_PAIRS]
+        assert {key, other} in [set(bad) for bad in BAD_PAIRS] + [
+            {"plant.angle_max", "reference.amplitude"}
+        ]
 
 
 def test_cross_field_errors_name_both_keys():
@@ -195,6 +200,18 @@ def test_cross_field_errors_name_both_keys():
             with pytest.raises(ValueError) as info:
                 config_from_dict({"seed": 1, **cfg})
             assert all("'%s'" % key in str(info.value) for key in bad), info.value
+
+
+def test_flat_reference_needs_a_positive_upper_stop():
+    flat = {"seed": 1, "reference.amplitude": 0.0, "plant.angle_min": -1.0}
+    for stop in FLAT_REFERENCE_STOPS:
+        with pytest.raises(ValueError) as info:
+            config_from_dict({**flat, "plant.angle_max": stop})
+        message = str(info.value)
+        assert "'plant.angle_max'" in message and "'reference.amplitude'" in message
+        # the same stop under a moving reference, and a flat one under a positive stop
+        config_from_dict({"seed": 1, "plant.angle_min": -1.0, "plant.angle_max": stop})
+    config_from_dict({**flat, "plant.angle_max": 0.1})
 
 
 # Config text: lines of known or arbitrary keys with numeric, boolean, odd or

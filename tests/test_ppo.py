@@ -1,11 +1,12 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import make_test_env
+from conftest import make_test_env, run_at_blas_threads
 from pedalrl import ppo
 from pedalrl.episode import experience
 from pedalrl.harness import config_from_dict
@@ -139,6 +140,62 @@ def test_advantages_zero_critic_terminal_free():
     for t in range(10):
         expected = sum(gamma ** (i - t) * rewards[i] for i in range(t, 10))
         assert q[t] == pytest.approx(expected, rel=1e-12)
+
+
+# Seeded critics valuing N uniform rows: each value's bytes, critic by critic.
+VALUES_SNIPPET = """
+import sys
+import numpy as np
+from pedalrl.nets import forward_cache, init_params
+from pedalrl.ppo import critic_values
+for n in map(int, sys.argv[1:]):
+    for seed in range(4):
+        rng = np.random.default_rng([seed, n])
+        critic = init_params(rng, 5 + seed % 2, 1)
+        obs = rng.uniform(-2.0, 2.0, (n, critic.in_dim))
+        values = critic_values(critic, obs)
+        whole = forward_cache(critic, obs)[0][:, 0]
+        sys.stdout.buffer.write(values.tobytes() + whole.tobytes())
+"""
+
+
+def split_values(out, sizes):
+    """(values, whole) byte pairs of VALUES_SNIPPET's output, critic by critic."""
+    pairs, at = [], 0
+    for n in sizes:
+        for _ in range(4):
+            pairs.append((out[at : at + 8 * n], out[at + 8 * n : at + 16 * n]))
+            at += 16 * n
+    assert at == len(out)
+    return pairs
+
+
+def test_critic_values_match_one_forward_call_bitwise():
+    # at one BLAS thread the blocks give the values of one call over all rows
+    sizes = (1, 255, 256, 257, 511, 512, 513, 2049, 2100, 10001)
+    pairs = split_values(run_at_blas_threads(1, VALUES_SNIPPET, *sizes), sizes)
+    for k, (values, whole) in enumerate(pairs):
+        assert values == whole, (sizes[k // 4], k % 4)
+
+
+def test_critic_values_keep_their_bits_at_two_blas_threads():
+    # one call over 10001 rows can change bits at two threads; the blocks do not
+    one, two = (split_values(run_at_blas_threads(t, VALUES_SNIPPET, 10001), [10001])
+                for t in (1, 2))
+    assert [values for values, _ in one] == [values for values, _ in two]
+
+
+def test_critic_values_hold_activations_for_at_most_511_rows():
+    # one forward_cache call over all 20000 rows peaks at about 20 MB
+    critic = init_params(0, 6, 1)
+    obs = np.random.default_rng(1).uniform(-1.0, 1.0, (20000, 6))
+    tracemalloc.start()
+    try:
+        critic_values(critic, obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_critic_loss_hand_value():
