@@ -215,9 +215,10 @@ class RemotePolicy:
     blocks for the ACT reply. It consumes no local randomness, so swapping
     it for a GreedyPolicy changes nothing about the episode's RNG stream.
     Connecting and each reply wait at most ``REMOTE_TIMEOUT_S``; a server
-    that cannot be reached or does not answer raises ``OSError`` (a silent
-    one ``TimeoutError``). After a timed-out reply the socket cannot be read
-    again, so ``close`` then skips the BYE exchange.
+    that cannot be reached, does not answer or hangs up raises ``OSError`` (a
+    silent one ``TimeoutError``, a closed one ``ConnectionError``). After a
+    timed-out or missing reply the socket cannot be read again, so ``close``
+    then skips the BYE exchange.
     """
 
     def __init__(self, host: str, port: int, agent_id: int):
@@ -227,7 +228,7 @@ class RemotePolicy:
         self._sock = socket.create_connection((host, port), timeout=REMOTE_TIMEOUT_S)
         self._rfile = self._sock.makefile("r", encoding="ascii", newline="\n")
         self._step = 0
-        self._timed_out = False
+        self._unreadable = False
 
     def act(self, obs, rng):
         frame = Frame("OBS", self._step, self.agent_id, tuple(obs.tolist()))
@@ -235,8 +236,11 @@ class RemotePolicy:
         try:
             line = self._rfile.readline()
         except TimeoutError:
-            self._timed_out = True
+            self._unreadable = True
             raise
+        if not line:
+            self._unreadable = True
+            raise ConnectionError("server closed the connection at step %d" % self._step)
         reply = decode_frame(line)
         if reply.kind == "ERR":
             # exactly one int: a code this protocol defines
@@ -259,7 +263,7 @@ class RemotePolicy:
 
     def close(self):
         try:
-            if not self._timed_out:
+            if not self._unreadable:
                 self._sock.sendall(
                     encode_frame(Frame("BYE", self._step, self.agent_id)).encode("ascii")
                 )

@@ -67,7 +67,7 @@ def _config_dict(args) -> dict:
         cfg.update(load_config(args.config))
     cfg = apply_overrides(cfg, getattr(args, "set", None) or [])
     flags = (("setting", "setting"), ("subject", "subject"), ("seed", "seed"),
-             ("episodes", "eval.episodes"))
+             ("episodes", "eval.episodes"), ("out", "output_dir"))
     for flag, key in flags:
         value = getattr(args, flag, None)
         if value is not None:
@@ -78,10 +78,9 @@ def _config_dict(args) -> dict:
 def cmd_train(args) -> int:
     cfg = config_from_dict(_config_dict(args))
     result, mean, traces = train_setting(cfg)
-    out = args.out or cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    ckpt = save_setting_checkpoint(cfg, result, out)
-    curve_path = os.path.join(out, "value_curve_setting%d.csv" % cfg.setting_id)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    ckpt = save_setting_checkpoint(cfg, result, cfg.output_dir)
+    curve_path = os.path.join(cfg.output_dir, "value_curve_setting%d.csv" % cfg.setting_id)
     with open(curve_path, "w") as fh:
         fh.write("episode,value\n")
         for i, v in enumerate(result.value_curve):
@@ -117,8 +116,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     ids = parse_settings(args.settings)
     cfg = config_from_dict(_config_dict(args))
-    out = args.out or cfg.output_dir
-    reports = sweep(ids, cfg, out_dir=out)
+    reports = sweep(ids, cfg, out_dir=cfg.output_dir)
     print("setting  value        human_action_mse  tracking_error_mse")
     for sid in sorted(reports):
         mean = reports[sid]
@@ -126,7 +124,7 @@ def cmd_sweep(args) -> int:
             "%7d  %-11.4f  %-16.4f  %.6f"
             % (sid, mean.value, mean.human_action_mse, mean.tracking_error_mse)
         )
-    print("results: %s" % out)
+    print("results: %s" % cfg.output_dir)
     return 0
 
 
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train one setting")
     p_train.add_argument("--setting", type=int, required=True)
     common(p_train, seed_required=True)
-    p_train.add_argument("--out", help="output directory")
+    p_train.add_argument("--out", help="output directory (sets output_dir)")
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -218,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="train and compare settings")
     p_sweep.add_argument("--settings", required=True, help="e.g. 1..8 or 2,4")
     common(p_sweep, seed_required=True)
-    p_sweep.add_argument("--out", help="output directory")
+    p_sweep.add_argument("--out", help="output directory (sets output_dir)")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_serve = sub.add_parser("bridge-serve", help="serve policies over a socket")

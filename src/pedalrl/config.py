@@ -38,7 +38,10 @@ def apply_overrides(cfg: dict, pairs) -> dict:
         if "=" not in pair:
             raise ValueError("override %r is not key=value" % pair)
         key, val = pair.split("=", 1)
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if not key:
+            raise ValueError("override %r has an empty key" % pair)
+        out[key] = val.strip()
     return out
 
 

@@ -10,7 +10,7 @@ seeds are fixed and shared across settings so rows stay comparable.
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -70,6 +70,10 @@ CONFIG_KEYS = {
 
 CHECKPOINT_KEYS = ("setting", "seed", "subject")  # checkpoint meta, read back by eval
 
+# The most plant substeps an episode or the reaction-delay line may hold: a
+# size that allocates fails at the config boundary, naming its key.
+MAX_SUBSTEPS = 10**7
+
 # Config key -> (test, rule), checked by ``config_from_dict`` on the resolved config.
 BOUNDS = {
     "seed": (lambda v: v >= 0, ">= 0"),  # numpy seeds are non-negative
@@ -82,7 +86,7 @@ BOUNDS = {
     "reference.amplitude": (lambda v: v >= 0, ">= 0"),
     "reference.period": (lambda v: v > 0, "> 0"),
     "human.unit_torque": (lambda v: v > 0, "> 0"),
-    "human.reaction_delay": (lambda v: v >= 0, ">= 0"),
+    "human.reaction_delay": (lambda v: 0 <= v <= MAX_SUBSTEPS, "in 0..%d" % MAX_SUBSTEPS),
     "human.lag_time_constant": (lambda v: v >= 0, ">= 0"),
     "human.noise_std": (lambda v: v >= 0, ">= 0"),
     "hyper.gamma": (lambda v: 0 <= v < 1, "in [0, 1)"),
@@ -97,6 +101,7 @@ BOUNDS = {
     # evaluation episodes would average an empty list into NaN metrics.
     "train.n_updates": (lambda v: v >= 0, ">= 0"),
     "eval.episodes": (lambda v: v >= 1, ">= 1"),
+    "output_dir": (lambda v: v != "", "non-empty"),
 }
 # The cross-field rules, whose errors name both keys: (key, test, rule, other key).
 PAIRED_BOUNDS = (
@@ -104,6 +109,9 @@ PAIRED_BOUNDS = (
     ("hyper.batch_size", lambda v, w: v <= w, "<=", "hyper.buffer_size"),
     # a flat reference scales angle observations by the upper stop
     ("plant.angle_max", lambda v, w: v > 0 or w > 0, "> 0 at a zero", "reference.amplitude"),
+    # the trace holds one column per substep
+    ("episode.n_decisions", lambda v, w: v * w <= MAX_SUBSTEPS,
+     "<= %d substeps /" % MAX_SUBSTEPS, "episode.decision_interval"),
 )
 
 
@@ -372,7 +380,8 @@ def sweep(settings, cfg: ExperimentConfig, out_dir=None) -> dict:
     Returns {setting id: MetricsReport}. With ``out_dir``, each setting's
     trace CSVs and checkpoint are written as soon as it is evaluated, and
     the value table and manifest after the last setting, so a sweep that
-    stops part-way leaves no manifest.
+    stops part-way leaves no manifest. The manifest's run block is ``cfg``
+    as a dict, without ``output_dir`` and ``setting_id``, plus ``settings``.
     """
     reports = {}
     hashes = {}
@@ -380,15 +389,7 @@ def sweep(settings, cfg: ExperimentConfig, out_dir=None) -> dict:
     for sid in settings:
         reports[sid] = _sweep_setting(replace(cfg, setting_id=sid), out_dir, shared, hashes)
     if out_dir is not None:
-        run_info = {
-            "settings": list(settings),
-            "seed": cfg.seed,
-            "subject": cfg.subject,
-            "window": cfg.window,
-            "decision_interval": cfg.decision_interval,
-            "n_decisions": cfg.n_decisions,
-            "n_updates": cfg.n_updates,
-            "eval_episodes": cfg.eval_episodes,
-        }
-        export_results(reports, hashes, out_dir, run_info)
+        run_info = asdict(cfg)
+        del run_info["output_dir"], run_info["setting_id"]
+        export_results(reports, hashes, out_dir, {**run_info, "settings": list(settings)})
     return reports

@@ -35,7 +35,7 @@ the six float fields of ``EpisodeTrace`` as the rows of one ``(TRACE_ROWS,
 n)`` block. The sub-controller switch rule lives here too: the state keeps
 the previous block's sub-controller, and a block that runs another one
 starts from a zero integral while the derivative history carries over. A
-fresh state holds sub-controller 0 and a zero integral.
+fresh state holds t = 0, sub-controller 0 and a zero integral.
 """
 
 import math
@@ -63,12 +63,10 @@ SIM_OMEGA = 1
 SIM_T = 2
 SIM_M_INTEGRAL = 3
 SIM_M_PREV_ERR = 4
-SIM_M_INIT = 5
-SIM_H_APPLIED = 6
-SIM_H_PREV_ERR = 7
-SIM_H_INIT = 8
-SIM_M_IDX = 9  # sub-controller of the previous block
-SIM_SIZE = 10
+SIM_H_APPLIED = 5
+SIM_H_PREV_ERR = 6
+SIM_M_IDX = 7  # sub-controller of the previous block
+SIM_SIZE = 8
 
 # Rows of the trace block: time, reference, position, omega, machine
 # torque, human torque (the float fields of ``EpisodeTrace``, in order).
@@ -125,10 +123,8 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
         # stale windup belongs to the other gain set; derivative history carries
         m_integral = 0.0
     m_prev_err = float(sim[SIM_M_PREV_ERR])
-    m_init = float(sim[SIM_M_INIT])
     h_applied = float(sim[SIM_H_APPLIED])
     h_prev_err = float(sim[SIM_H_PREV_ERR])
-    h_init = float(sim[SIM_H_INIT])
     commanded = int(commanded_digit)
 
     lag_gain = dt / (lag_tc + dt)
@@ -144,9 +140,10 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
     for s in range(n_sub):
         # -- machine PID on the tracking error at the current time
         e_m = ref_now - angle
-        if m_init == 0.0:
+        # t is the time before this substep steps: 0 only for a fresh state's
+        # first substep (dt > 0), whose derivative terms have no history
+        if t == 0.0:
             d_m = 0.0
-            m_init = 1.0
         else:
             d_m = (e_m - m_prev_err) / dt
         m_integral += e_m * dt
@@ -177,9 +174,8 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
             h_kd = h_kd_lo
         target = eff * unit_torque
         e_h = target - h_applied
-        if h_init == 0.0:
+        if t == 0.0:
             d_h = 0.0
-            h_init = 1.0
         else:
             d_h = (e_h - h_prev_err) / dt
         rate = h_kp * e_h + h_kd * d_h
@@ -229,10 +225,8 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
     sim[SIM_T] = t
     sim[SIM_M_INTEGRAL] = m_integral
     sim[SIM_M_PREV_ERR] = m_prev_err
-    sim[SIM_M_INIT] = m_init
     sim[SIM_H_APPLIED] = h_applied
     sim[SIM_H_PREV_ERR] = h_prev_err
-    sim[SIM_H_INIT] = h_init
     sim[SIM_M_IDX] = m_idx
 
 

@@ -379,6 +379,27 @@ def test_remote_policy_timeout_survives_with_block(monkeypatch):
     assert remote._sock.fileno() == -1  # closed all the same
 
 
+def test_remote_policy_reports_a_server_that_hangs_up(monkeypatch):
+    # a server that reads the OBS frame and closes: act raises ConnectionError
+    # naming the step, and close skips the BYE exchange it cannot finish
+    monkeypatch.setattr(bridge, "REMOTE_TIMEOUT_S", 5.0)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        host, port = listener.getsockname()
+
+        def hang_up():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("r") as rfile:
+                rfile.readline()
+
+        server = threading.Thread(target=hang_up)
+        server.start()
+        with pytest.raises(ConnectionError, match="closed the connection at step 0"):
+            with RemotePolicy(host, port, agent_id=0) as remote:
+                remote.act(np.zeros(5), None)
+        server.join()
+    assert remote._sock.fileno() == -1
+
+
 @pytest.mark.parametrize(
     "canned",
     [

@@ -1,7 +1,9 @@
+import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,8 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["train", "--setting", "2", "--seed", "1", "--set", "plant.dt=abc"]) == 2
     assert "'plant.dt'" in capsys.readouterr().err
+    assert main(["train", "--setting", "2", "--seed", "1", "--set", "=5"]) == 2
+    assert capsys.readouterr().err == "error: override '=5' has an empty key\n"
     assert main(["train", "--setting", "2", "--seed", "-1"] + FAST) == 2
     assert "'seed'" in capsys.readouterr().err
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
@@ -113,8 +117,10 @@ def test_bad_input_exits_2(tmp_path, capsys):
 
 def test_bad_values_exit_2_naming_their_key(tmp_path, capsys):
     train = ["train", "--setting", "2", "--seed", "1"]
+    # the last two would allocate terabytes if they passed the config
     for pair in ("hyper.learning_rate=-1", "hyper.update_epochs=0",
-                 "plant.torque_limit=-1", "plant.omega_max=0"):
+                 "plant.torque_limit=-1", "plant.omega_max=0",
+                 "episode.n_decisions=1000000000000", "human.reaction_delay=1000000000000"):
         assert main(train + ["--set", pair]) == 2
         shown = capsys.readouterr()
         assert "error: config key '%s' must be" % pair.split("=")[0] in shown.err
@@ -157,6 +163,37 @@ def test_string_keys_keep_their_text(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "007" / "setting2.ckpt").exists()
     assert main(["train", "--setting", "2", "--seed", "1", "--set", "subject=1e3"]) == 2
     assert "unknown subject '1e3'" in capsys.readouterr().err
+
+
+def test_empty_output_dir_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command in (["train", "--setting", "2"], ["sweep", "--settings", "2"]):
+        for flags in (["--out", ""], ["--set", "output_dir="]):
+            assert main(command + ["--seed", "1"] + flags + FAST) == 2
+            shown = capsys.readouterr()
+            assert "error: config key 'output_dir' must be non-empty" in shown.err
+            assert shown.out == "" and os.listdir(tmp_path) == []
+
+
+def test_out_wins_over_the_output_dir_key(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["train", "--setting", "2", "--seed", "1", "--out", "D", "--set", "output_dir=E"]
+    assert main(args + FAST) == 0
+    assert os.listdir(tmp_path) == ["D"]
+    assert (tmp_path / "D" / "setting2.ckpt").exists()
+
+
+def test_sweep_manifest_records_the_resolved_config(tmp_path):
+    keys = {"human.noise_std": "0.9", "hyper.learning_rate": "0.5",
+            "train.n_updates": "0", "eval.episodes": "1", "episode.n_decisions": "12"}
+    sets = [arg for key, value in keys.items() for arg in ("--set", "%s=%s" % (key, value))]
+    out = tmp_path / "run"
+    assert main(["sweep", "--settings", "2,5", "--seed", "7", "--out", str(out)] + sets) == 0
+    run = json.loads((out / "manifest.json").read_text())["run"]
+    assert run["human"]["noise_std"] == 0.9 and run["hyper"]["learning_rate"] == 0.5
+    want = asdict(config_from_dict({"seed": 7, **keys}))
+    del want["output_dir"], want["setting_id"]
+    assert run == {**want, "settings": [2, 5]}
 
 
 def test_mismatched_checkpoint_exits_2(tmp_path, capsys):

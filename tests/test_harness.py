@@ -79,6 +79,9 @@ def test_apply_overrides():
     assert cfg["setting"] == 1  # original untouched
     with pytest.raises(ValueError):
         apply_overrides(cfg, ["no-equals-sign"])
+    for pair in ("=5", " = 5"):
+        with pytest.raises(ValueError, match="^override %r has an empty key$" % pair):
+            apply_overrides(cfg, [pair])
 
 
 def test_config_requires_seed():
@@ -124,6 +127,7 @@ def test_config_precedence_chain():
 BAD_PAIRS = [
     {"plant.angle_min": 0.6, "plant.angle_max": -0.6},
     {"hyper.batch_size": 4096, "hyper.buffer_size": 32},
+    {"episode.n_decisions": 10**6 + 1, "episode.decision_interval": 10**6},
 ]
 # A flat reference scales angle observations by the upper stop, so a stop at
 # or below zero is rejected only with a zero amplitude (each alone is fine).
@@ -154,6 +158,7 @@ BAD_VALUES = [
     ("reference.period", 0),
     ("human.unit_torque", 0),
     ("human.reaction_delay", -1),
+    ("human.reaction_delay", harness.MAX_SUBSTEPS + 1),
     ("human.lag_time_constant", -0.1),
     ("human.noise_std", -0.5),
     ("hyper.gamma", 1.0),
@@ -165,6 +170,7 @@ BAD_VALUES = [
     ("episode.window", 2),
     ("episode.decision_interval", 0),
     ("episode.n_decisions", 0),
+    ("output_dir", ""),
     ("subject", "x"),
 ] + [(key, value) for bad in BAD_PAIRS for key, value in bad.items()]
 
@@ -200,6 +206,13 @@ def test_cross_field_errors_name_both_keys():
             with pytest.raises(ValueError) as info:
                 config_from_dict({"seed": 1, **cfg})
             assert all("'%s'" % key in str(info.value) for key in bad), info.value
+
+
+def test_sizes_up_to_the_substep_cap_are_accepted():
+    cap = harness.MAX_SUBSTEPS
+    cfg = config_from_dict({"seed": 1, "episode.n_decisions": cap // 10})
+    assert cfg.n_decisions * cfg.decision_interval == cap
+    assert config_from_dict({"seed": 1, "human.reaction_delay": cap}).human.reaction_delay == cap
 
 
 def test_flat_reference_needs_a_positive_upper_stop():
