@@ -147,27 +147,27 @@ def cmd_bench(args) -> int:
     for flag, value in (("--blocks", args.blocks), ("--interval", interval)):
         if value < 1:
             raise ValueError("%s must be >= 1, got %d" % (flag, value))
-    noise = np.zeros(interval)
+    noise = memoryview(np.zeros(interval))
     constants, bank = kernels.pack(env)
 
     def run(fn, blocks):
-        sim = np.zeros(kernels.SIM_SIZE)
-        queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
-        out = np.empty((kernels.TRACE_ROWS, blocks * interval))
+        # the buffers run_episode hands the kernel
+        block, sim, queue, rows = kernels.buffers(env.human.reaction_delay, blocks * interval)
         start = time.perf_counter()
         for b in range(blocks):
             digit = (-2, -1, 0, 1, 2)[b % 5]
-            fn(sim, queue, digit, 0, constants, bank, noise, out, b * interval, interval)
+            fn(sim, queue, digit, 0, constants, bank, noise, rows, b * interval, interval)
         elapsed = time.perf_counter() - start
-        return elapsed, out[2].copy()
+        # every trace row, the final state and the delay line, as bytes
+        return elapsed, (block.tobytes(), sim.tobytes(), queue.tobytes())
 
     blocks = args.blocks
     if kernels.NUMBA_ENABLED:
         run(kernels.run_substeps, 1)  # compile once so the timing excludes it
-        jit_time, jit_pos = run(kernels.run_substeps, blocks)
+        jit_time, jit_state = run(kernels.run_substeps, blocks)
     else:
-        jit_time, jit_pos = None, None
-    py_time, py_pos = run(kernels.run_substeps_python, blocks)
+        jit_time, jit_state = None, None
+    py_time, py_state = run(kernels.run_substeps_python, blocks)
 
     steps = blocks * interval
     print("substeps: %d (blocks=%d, interval=%d)" % (steps, blocks, interval))
@@ -177,7 +177,7 @@ def cmd_bench(args) -> int:
     else:
         print("numba backend:  %.4f s  (%.0f steps/s)" % (jit_time, steps / jit_time))
         print("speedup: %.1fx" % (py_time / jit_time))
-        same = np.array_equal(jit_pos, py_pos)
+        same = jit_state == py_state
         print("backends bit-identical: %s" % same)
         if not same:
             return 1

@@ -4,8 +4,12 @@ Agents act every ``decision_interval`` plant substeps. One decision step is:
 observe (both agents), pick a digit and a machine sub-controller, run the
 substep block through the hot kernel (which owns the switch rule), then
 score the shared reward over a sliding window of the last ``window``
-block-final samples. The kernel's block-final column is read once per
-decision into Python lists, from which the windows and both agents'
+block-final samples. The kernel gets memoryviews of the trace block's rows,
+the simulation state, the delay queue (all from ``kernels.buffers``) and
+each decision's noise, because its uncompiled body reads and writes a
+memoryview element several times faster than a numpy array's. The
+block-final values are read once per decision from those row views as
+Python floats, from which the windows and both agents'
 observations (block-final values over ``obs_divisors``) are taken. The trace
 records every plant substep; the reward lands on block-final rows and in
 both agents' experience, one record array per agent and episode
@@ -147,10 +151,9 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     noise_std = env.human.noise_std
     div_h, div_m = (d.tolist() for d in obs_divisors(env))
 
-    sim = np.zeros(kernels.SIM_SIZE)
-    queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
     constants, bank = kernels.pack(env)
-    block = np.empty((kernels.TRACE_ROWS, n * interval))
+    block, sim, queue, rows = kernels.buffers(env.human.reaction_delay, n * interval)
+    _, ref_row, pos_row, om_row, tm_row, th_row = rows
 
     # obs_*[z] is the observation at decision z and the next_obs of decision
     # z - 1; the first is the pedal at rest at t = 0.
@@ -169,9 +172,11 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         noise = rng.standard_normal(interval)
         noise *= noise_std
         kernels.run_substeps(
-            sim, queue, digit, a_m, constants, bank, noise, block, z * interval, interval
+            sim, queue, digit, a_m, constants, bank, memoryview(noise), rows, z * interval,
+            interval,
         )
-        _, ref, pos, om, tm, th = block[:, (z + 1) * interval - 1].tolist()
+        c = (z + 1) * interval - 1
+        ref, pos, om, tm, th = ref_row[c], pos_row[c], om_row[c], tm_row[c], th_row[c]
         act_h.append(a_h)
         act_m.append(a_m)
         logp_h.append(lp_h)

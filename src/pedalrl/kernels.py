@@ -20,25 +20,37 @@ possible:
   once per call; every state, noise and digit value becomes a Python scalar
   at entry, so the arithmetic runs on Python floats, which round exactly as
   ``np.float64``;
-- arrays are touched only by element reads and writes (the trace through
-  its six 1-D row views);
+- buffers are touched only by element reads and writes: ``sim``, the
+  delay queue and ``noise`` by index, ``digit_queue.shape[0]`` for the
+  delay, and the trace through its six 1-D rows ``out[0] .. out[5]``. So
+  each buffer may be a numpy array or a ``memoryview`` of one, and ``out``
+  a 2-D array or a tuple of its row views;
 - the reaction-delay line shifts once per call, by ``n_sub`` places:
   substep ``s`` reads ``digit_queue[s]`` while ``s`` is below the delay,
   and the commanded digit after that;
 - the body stays within numba's supported subset (scalars, homogeneous
-  tuples, ``math``, loops and array indexing).
+  tuples, ``math``, loops, and array and memoryview indexing).
+
+Episodes pass memoryviews (see :func:`buffers`): uncompiled, an element
+read or write of a memoryview gives a Python float directly, where a numpy
+array's read builds a numpy scalar. On a 2-vCPU x86-64 VM under CPython
+3.11 and numpy 2.4 that is about 23 ns against 50 ns per access. The
+values and their bits are the same either way.
 
 This module also owns the kernel's calling convention: :func:`pack` turns an
 episode's parameters into a tuple of 17 constants and a bank of gain tuples,
-the packed simulation state has the ``SIM_*`` layout, and the kernel writes
+the packed simulation state has the ``SIM_*`` layout, the kernel writes
 the six float fields of ``EpisodeTrace`` as the rows of one ``(TRACE_ROWS,
-n)`` block. The sub-controller switch rule lives here too: the state keeps
+n)`` block, and :func:`buffers` allocates that block, a fresh state and a
+delay line. The sub-controller switch rule lives here too: the state keeps
 the previous block's sub-controller, and a block that runs another one
 starts from a zero integral while the derivative history carries over. A
 fresh state holds t = 0, sub-controller 0 and a zero integral.
 """
 
 import math
+
+import numpy as np
 
 from .controllers import default_integral_limit
 
@@ -96,6 +108,21 @@ def pack(env):
     return constants, bank
 
 
+def buffers(reaction_delay, n_cols):
+    """Fresh kernel buffers for ``n_cols`` substeps: ``(block, sim, queue, rows)``.
+
+    ``block`` is the ``(TRACE_ROWS, n_cols)`` float64 trace; ``rows`` is the
+    tuple of memoryviews of its six rows that the kernel takes as ``out``.
+    ``sim`` is a memoryview of a zeroed ``SIM_SIZE`` float64 state (t = 0,
+    sub-controller 0) and ``queue`` one of a zeroed ``reaction_delay``-long
+    int64 delay line.
+    """
+    block = np.empty((TRACE_ROWS, n_cols))
+    sim = memoryview(np.zeros(SIM_SIZE))
+    queue = memoryview(np.zeros(reaction_delay, dtype=np.int64))
+    return block, sim, queue, tuple(memoryview(row) for row in block)
+
+
 def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noise, out, start, n_sub):
     """Advance the closed loop by ``n_sub`` plant substeps.
 
@@ -105,6 +132,12 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
     ``out``. ``noise`` holds one pre-drawn, pre-scaled torque perturbation
     per substep (drawn outside so that the RNG stream never depends on the
     backend).
+
+    Each buffer is a numpy array or a memoryview of one, and ``out`` a 2-D
+    array or a tuple of its six row views: the body only indexes them,
+    reads ``digit_queue.shape[0]`` and unpacks ``out[0] .. out[5]``.
+    Episodes pass memoryviews (:func:`buffers`), because uncompiled their
+    element reads and writes cost a fraction of a numpy array's.
     """
     (
         inertia, damping, torque_limit, dt, angle_min, angle_max, omega_max,

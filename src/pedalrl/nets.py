@@ -141,14 +141,16 @@ def forward_cache(params: MLPParams, x: np.ndarray):
     """
     x = _check_obs(params, x)
     # Bias adds and tanh run in place on each product: the same arithmetic
-    # as ``np.tanh(x @ w + b)`` without its temporaries.
-    h1 = x @ params.w1
+    # as ``np.tanh(x @ w + b)`` without its temporaries. ``ndarray.dot``
+    # reaches the same BLAS gemv/gemm as ``@`` (same bits, pinned in
+    # tests/test_nets.py) with less dispatch, which counts on one-row input.
+    h1 = x.dot(params.w1)
     h1 += params.b1
     np.tanh(h1, out=h1)
-    h2 = h1 @ params.w2
+    h2 = h1.dot(params.w2)
     h2 += params.b2
     np.tanh(h2, out=h2)
-    out = h2 @ params.w3
+    out = h2.dot(params.w3)
     out += params.b3
     return out, (x, h1, h2)
 

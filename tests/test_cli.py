@@ -11,7 +11,7 @@ import pytest
 
 import pedalrl
 from conftest import run_at_blas_threads
-from pedalrl import cli
+from pedalrl import cli, kernels
 from pedalrl.cli import main, parse_settings
 from pedalrl.controllers import SETTING_RANGE, SETTINGS, load_setting
 from pedalrl.harness import config_from_dict
@@ -315,3 +315,25 @@ def test_bench_smoke(capsys):
     assert main(["bench", "--blocks", "5"]) == 0
     interval = config_from_dict({"seed": 0}).decision_interval
     assert "(blocks=5, interval=%d)" % interval in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("slot", ["none", "sim", "queue"])
+def test_bench_compares_final_state_across_backends(monkeypatch, capsys, slot):
+    # a stand-in compiled backend whose last block leaves the positions alone
+    # but moves one value of the final state or delay line must be caught
+    def fake_compiled(sim, queue, digit, m_idx, constants, bank, noise, out, start, n_sub):
+        kernels.run_substeps_python(
+            sim, queue, digit, m_idx, constants, bank, noise, out, start, n_sub
+        )
+        if start + n_sub == len(out[0]):
+            if slot == "sim":
+                sim[kernels.SIM_H_PREV_ERR] += 1.0
+            elif slot == "queue":
+                queue[0] += 1
+
+    monkeypatch.setattr(kernels, "NUMBA_ENABLED", True)
+    monkeypatch.setattr(kernels, "run_substeps", fake_compiled)
+    rc = main(["bench", "--blocks", "20"])
+    shown = capsys.readouterr().out
+    assert rc == (0 if slot == "none" else 1)
+    assert "backends bit-identical: %s" % (slot == "none") in shown

@@ -155,6 +155,39 @@ def test_kernel_zeroes_the_integral_on_a_switch():
         assert np.array_equal(row, np.array(want[key])), key
 
 
+@pytest.mark.parametrize("delay", [0, 5, 13])
+def test_kernel_gives_the_same_bytes_on_arrays_and_memoryviews(delay):
+    # episodes hand the kernel memoryviews; numpy arrays must give the same
+    # bits in every trace row, the final state and the delay line, also for
+    # a delay longer than a 10-substep block and across sub-controller switches
+    base = make_test_env(setting_id=1, decision_interval=10, n_decisions=8)
+    env = replace(base, human=replace(base.human, reaction_delay=delay))
+    interval, n = env.decision_interval, env.n_decisions
+    h_idx, m_idx = [4, 0, 3, 1, 2, 4, 0, 1], [0, 0, 1, 1, 0, 1, 0, 0]
+    constants, bank = kernels.pack(env)
+
+    def play(sim, queue, out, view):
+        rng = np.random.default_rng(17)
+        for z in range(n):
+            noise = rng.standard_normal(interval) * env.human.noise_std
+            kernels.run_substeps(
+                sim, queue, DIGITS[h_idx[z]], m_idx[z], constants, bank, view(noise), out,
+                z * interval, interval,
+            )
+
+    arrays = (
+        np.zeros(kernels.SIM_SIZE), np.zeros(delay, dtype=np.int64),
+        np.empty((kernels.TRACE_ROWS, n * interval)),
+    )
+    play(*arrays, view=lambda a: a)
+    block, sim, queue, rows = kernels.buffers(delay, n * interval)
+    play(sim, queue, rows, view=memoryview)
+    assert block.tobytes() == arrays[2].tobytes()
+    assert sim.tobytes() == arrays[0].tobytes()
+    assert queue.tobytes() == arrays[1].tobytes()
+    assert sim[kernels.SIM_M_IDX] == 0.0 and arrays[0][kernels.SIM_M_INTEGRAL] != 0.0
+
+
 @pytest.mark.parametrize("setting_id", range(1, 9))
 def test_pack_gives_python_floats_in_unpack_order(setting_id):
     env = make_test_env(setting_id=setting_id)
@@ -254,6 +287,10 @@ def test_trace_layout_and_block_structure():
     trace = result.trace
     n = env.n_decisions * env.decision_interval
     assert len(trace) == n
+    # the kernel writes through memoryviews, but the trace keeps numpy arrays
+    for field in ("time", "reference", "position", "omega", "tau_machine", "tau_human"):
+        arr = getattr(trace, field)
+        assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == (n,), field
     assert np.all(np.diff(trace.time) > 0)
     digits = trace.digit.reshape(env.n_decisions, env.decision_interval)
     actions = trace.machine_action.reshape(env.n_decisions, env.decision_interval)

@@ -155,6 +155,24 @@ def test_forward_rejects_wrong_dimension():
         forward_cache(p, np.zeros(4))
 
 
+@pytest.mark.parametrize("rows", [None, 1, 64, 256, 300, 511, 2100])
+def test_forward_equals_matmul_composition(rows):
+    # forward_cache multiplies with ndarray.dot; a numpy or BLAS whose dot
+    # and matmul round differently fails here, for one acting row (None) as
+    # for a PPO minibatch or a whole buffer
+    rng = np.random.default_rng(29)
+    for in_dim, out_dim in ((5, 5), (6, 2), (6, 1)):
+        p = init_params(rng, in_dim, out_dim)
+        x = rng.uniform(-2, 2, in_dim if rows is None else (rows, in_dim))
+        h1 = np.tanh(np.matmul(x, p.w1) + p.b1)
+        h2 = np.tanh(np.matmul(h1, p.w2) + p.b2)
+        want = np.matmul(h2, p.w3) + p.b3
+        out, (_, c1, c2) = forward_cache(p, x)
+        for got, ref in ((out, want), (c1, h1), (c2, h2)):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (in_dim, out_dim)
+
+
 def test_backward_matches_finite_differences():
     # scalar loss c . f(x): d_out = c
     rng = np.random.default_rng(8)
