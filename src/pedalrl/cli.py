@@ -13,6 +13,7 @@ from .config import apply_overrides, load_config
 from .controllers import SETTING_RANGE, SETTINGS
 from .harness import (
     CHECKPOINT_KEYS,
+    CONFIG_KEYS,
     config_from_dict,
     evaluate_agents,
     make_env,
@@ -62,16 +63,11 @@ def parse_settings(text: str) -> list:
 
 
 def _config_dict(args) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg.update(load_config(args.config))
-    cfg = apply_overrides(cfg, getattr(args, "set", None) or [])
-    flags = (("setting", "setting"), ("subject", "subject"), ("seed", "seed"),
-             ("episodes", "eval.episodes"), ("out", "output_dir"))
-    for flag, key in flags:
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[key] = value
+    """The flat config as text: file < ``--set`` pairs < the flags named by their key."""
+    cfg = load_config(args.config) if args.config else {}
+    cfg = apply_overrides(cfg, args.set or [])
+    flags = ((key, getattr(args, key, None)) for key in CONFIG_KEYS)
+    cfg.update((key, value) for key, value in flags if value is not None)
     return cfg
 
 
@@ -197,26 +193,28 @@ def build_parser() -> argparse.ArgumentParser:
             "--set", action="append", metavar="KEY=VALUE",
             help="config override (repeatable)",
         )
+        # Config flags carry text, which config_from_dict types like any
+        # other value; each flag's dest is the config key it sets.
         p.add_argument("--subject", help="subject profile name")
-        p.add_argument("--seed", type=int, required=seed_required)
+        p.add_argument("--seed", required=seed_required)
 
     p_train = sub.add_parser("train", help="train one setting")
-    p_train.add_argument("--setting", type=int, required=True)
+    p_train.add_argument("--setting", required=True)
     common(p_train, seed_required=True)
-    p_train.add_argument("--out", help="output directory (sets output_dir)")
+    p_train.add_argument("--out", dest="output_dir", help="output directory (sets output_dir)")
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--setting", type=int)
+    p_eval.add_argument("--setting")
     common(p_eval)
-    p_eval.add_argument("--episodes", type=int)
+    p_eval.add_argument("--episodes", dest="eval.episodes", metavar="N")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="train and compare settings")
     p_sweep.add_argument("--settings", required=True, help="e.g. 1..8 or 2,4")
     common(p_sweep, seed_required=True)
-    p_sweep.add_argument("--out", help="output directory (sets output_dir)")
+    p_sweep.add_argument("--out", dest="output_dir", help="output directory (sets output_dir)")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_serve = sub.add_parser("bridge-serve", help="serve policies over a socket")

@@ -2,47 +2,47 @@
 
 One ``key = value`` per line; ``#`` starts a comment; blank lines are
 ignored. Values stay as their stripped text. Keys are dotted paths
-(``plant.inertia``, ``hyper.gamma``) consumed by the harness; the same
-``key=value`` syntax is accepted as CLI overrides, which win over the file.
-:func:`coerce` then types each value once, by the dataclass field it sets.
+(``plant.inertia``, ``hyper.gamma``) consumed by the harness; CLI
+``--set key=value`` pairs win over the file, and the config flags
+(``--seed`` and the like) win over both. File lines and pairs go through
+one splitter, :func:`split_pair`. :func:`coerce` then types each value
+once, by the dataclass field it sets, whether it came from a file, a
+pair, a flag or code.
 """
 
 import math
 
 
-def parse_config_text(text: str) -> dict:
+def split_pair(text: str, where: str) -> tuple:
+    """The stripped ``(key, value)`` of ``key = value`` text; errors name ``where``."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ValueError("%s is not key = value" % where)
+    key = key.strip()
+    if not key:
+        raise ValueError("%s has an empty key" % where)
+    return key, value.strip()
+
+
+def parse_config_text(text: str, source="config") -> dict:
+    """The ``key = value`` lines of ``text``; errors name ``source`` and the line."""
     out = {}
     for ln_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError("config line %d: expected key = value, got %r" % (ln_no, raw))
-        key, val = line.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ValueError("config line %d: empty key" % ln_no)
-        out[key] = val.strip()
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            key, value = split_pair(line, "%s: line %d %r" % (source, ln_no, line.strip()))
+            out[key] = value
     return out
 
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), path)
 
 
 def apply_overrides(cfg: dict, pairs) -> dict:
-    """Merge ``key=value`` strings (e.g. from --set flags) into ``cfg``."""
-    out = dict(cfg)
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError("override %r is not key=value" % pair)
-        key, val = pair.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ValueError("override %r has an empty key" % pair)
-        out[key] = val.strip()
-    return out
+    """``cfg`` with ``key=value`` strings (e.g. from --set flags) merged in."""
+    return {**cfg, **dict(split_pair(pair, "override %r" % pair) for pair in pairs)}
 
 
 def coerce(key: str, value, kind):

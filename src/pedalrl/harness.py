@@ -10,7 +10,7 @@ seeds are fixed and shared across settings so rows stay comparable.
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
 
-# Flat config key -> ExperimentConfig field.
+# Flat config key -> ExperimentConfig field, for the keys outside a section.
 CONFIG_KEYS = {
     "seed": "seed",
     "setting": "setting_id",
@@ -67,6 +67,17 @@ CONFIG_KEYS = {
     "eval.episodes": "eval_episodes",
     "output_dir": "output_dir",
 }
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# The sections: the ExperimentConfig fields that hold a parameter dataclass.
+# Each field of one is set by the key ``section.field``.
+SECTIONS = {name: kind for name, kind in _FIELD_TYPES.items() if is_dataclass(kind)}
+# Every settable flat key -> (section, or None at the top level; field; type).
+KEYS = {key: (None, name, _FIELD_TYPES[name]) for key, name in CONFIG_KEYS.items()}
+KEYS.update(
+    ("%s.%s" % (section, f.name), (section, f.name, f.type))
+    for section, kind in SECTIONS.items()
+    for f in fields(kind)
+)
 
 CHECKPOINT_KEYS = ("setting", "seed", "subject")  # checkpoint meta, read back by eval
 
@@ -115,58 +126,42 @@ PAIRED_BOUNDS = (
 )
 
 
-def _pick(cfg: dict, prefix: str, base):
-    """``base`` with its fields replaced by the ``prefix.field`` keys of ``cfg``."""
-    types = {f.name: f.type for f in fields(base)}
-    kwargs = {}
-    for key, value in cfg.items():
-        if not key.startswith(prefix + "."):
-            continue
-        name = key[len(prefix) + 1 :]
-        if name not in types:
-            raise ValueError("unknown config key %r" % key)
-        kwargs[name] = coerce(key, value, types[name])
-    return replace(base, **kwargs)
-
-
 def config_from_dict(cfg: dict) -> ExperimentConfig:
     """Resolve a flat key-value dict into a full ExperimentConfig.
 
     Precedence: dataclass defaults < subject profile < caller-supplied keys
-    (file and CLI overrides already merged). Every value is coerced to its
-    field's type once, here, then checked against ``BOUNDS``; a bad value
-    raises ValueError naming its key.
+    (file, ``--set`` pairs and flags already merged). One pass over ``KEYS``
+    rejects every unknown key in one error, coerces each value to its
+    field's type once and places it; the resolved values are then checked
+    against ``BOUNDS`` and ``PAIRED_BOUNDS``. Every error is a ValueError
+    naming its key.
     """
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    top = {
-        name: coerce(key, cfg[key], types[name])
-        for key, name in CONFIG_KEYS.items()
-        if key in cfg
-    }
-    if "seed" not in top:
+    unknown = sorted(key for key in cfg if key not in KEYS)
+    if unknown:
+        raise ValueError("; ".join("config key %r is unknown" % key for key in unknown))
+    if "seed" not in cfg:
         raise ValueError("seed is mandatory (set seed = N or pass --seed)")
+    placed = {section: {} for section in (None, *SECTIONS)}
+    for key, value in cfg.items():
+        section, name, kind = KEYS[key]
+        placed[section][name] = coerce(key, value, kind)
+    top = placed.pop(None)
     subject = top.get("subject", ExperimentConfig.subject)
     if subject not in SUBJECTS:
         raise ValueError(
             "config key 'subject': unknown subject %r (have: %s)"
             % (subject, ", ".join(sorted(SUBJECTS)))
         )
-    # Each section's ``prefix.field`` keys override its base dataclass.
-    bases = {
-        "plant": PlantParams(),
-        "reference": ReferenceTrajectory(),
-        "human": SUBJECTS[subject],
-        "hyper": PPOHyper(),
+    # Each section's keys override its defaults; the human's come from the subject.
+    bases = {section: kind() for section, kind in SECTIONS.items()}
+    bases["human"] = SUBJECTS[subject]
+    config = ExperimentConfig(
+        **top, **{section: replace(bases[section], **kw) for section, kw in placed.items()}
+    )
+    values = {
+        key: getattr(getattr(config, section) if section else config, name)
+        for key, (section, name, _) in KEYS.items()
     }
-    leftovers = {
-        k for k in cfg if k not in CONFIG_KEYS and k.split(".", 1)[0] not in bases
-    }
-    if leftovers:
-        raise ValueError("unknown config keys: %s" % ", ".join(sorted(leftovers)))
-    sections = {prefix: _pick(cfg, prefix, base) for prefix, base in bases.items()}
-    config = ExperimentConfig(**top, **sections)
-    values = {key: getattr(config, name) for key, name in CONFIG_KEYS.items()}
-    values.update((p + "." + f.name, getattr(s, f.name)) for p, s in sections.items() for f in fields(s))
     for key, (ok, rule) in BOUNDS.items():
         if not ok(values[key]):
             raise ValueError("config key %r must be %s, got %r" % (key, rule, values[key]))

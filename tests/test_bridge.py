@@ -255,9 +255,10 @@ def make_actors(seed=0):
     return {0: init_params(rng, 5, 5), 1: init_params(rng, 6, 2)}
 
 
-@pytest.fixture
-def server():
-    srv = PolicyServer(("127.0.0.1", 0), make_actors())
+@contextlib.contextmanager
+def serving(actors):
+    """A PolicyServer for ``actors``, serving on a thread until the block ends."""
+    srv = PolicyServer(("127.0.0.1", 0), actors)
     thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.02})
     thread.start()
     try:
@@ -266,6 +267,12 @@ def server():
         srv.shutdown()
         thread.join()
         srv.server_close()
+
+
+@pytest.fixture
+def server():
+    with serving(make_actors()) as srv:
+        yield srv
 
 
 def test_respond_semantics():
@@ -422,6 +429,53 @@ def test_remote_policy_rejects_a_bad_action(monkeypatch, canned):
         assert exc.value.code == ERR_BAD_PAYLOAD
         with contextlib.suppress(OSError):
             remote.close()  # its BYE meets a closed connection
+
+
+@pytest.mark.parametrize(
+    "canned",
+    [
+        "ACT,1,0,1\n",  # another step's reply
+        "ACT,0,1,1\n",  # the other agent's reply
+        "BYE,0,0\n",  # not an ACT
+    ],
+)
+def test_remote_policy_rejects_a_reply_to_another_request(monkeypatch, canned):
+    monkeypatch.setattr(bridge, "REMOTE_TIMEOUT_S", 2.0)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        remote = RemotePolicy(*listener.getsockname(), agent_id=0)
+        conn, _ = listener.accept()
+        with conn:
+            conn.sendall(canned.encode())
+            with pytest.raises(ProtocolError, match="reply does not match request") as exc:
+                remote.act(np.zeros(5), None)
+        assert exc.value.code == ERR_MALFORMED
+        with contextlib.suppress(OSError):
+            remote.close()
+
+
+def test_remote_policy_rejects_an_unknown_agent_before_connecting(monkeypatch):
+    def no_connect(*args, **kwargs):
+        raise AssertionError("connected")
+
+    monkeypatch.setattr(socket, "create_connection", no_connect)
+    with pytest.raises(ValueError, match="agent id must be 0 or 1"):
+        RemotePolicy("127.0.0.1", 1, agent_id=2)
+
+
+def test_server_without_an_agents_actor_answers_err_bad_agent():
+    with serving({0: make_actors()[0]}) as srv:
+        with socket.create_connection(srv.server_address, timeout=10) as sock:
+            rfile = sock.makefile("r", encoding="ascii", newline="\n")
+            try:
+                sock.sendall(encode_frame(Frame("OBS", 4, 1, (0.0,) * 6)).encode())
+                assert decode_frame(rfile.readline()) == Frame("ERR", 4, 1, (ERR_BAD_AGENT,))
+                # agent 0 is still served on the same connection
+                sock.sendall(encode_frame(Frame("OBS", 5, 0, (0.0,) * 5)).encode())
+                assert decode_frame(rfile.readline())[:3] == ("ACT", 5, 0)
+                sock.sendall(b"BYE,6,0\n")
+                assert decode_frame(rfile.readline()).kind == "BYE"
+            finally:
+                rfile.close()
 
 
 @pytest.mark.parametrize(

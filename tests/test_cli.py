@@ -83,6 +83,11 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "'plant.dt'" in capsys.readouterr().err
     assert main(["train", "--setting", "2", "--seed", "1", "--set", "=5"]) == 2
     assert capsys.readouterr().err == "error: override '=5' has an empty key\n"
+    unknown = ["--set", "typo=1", "--set", "plant.bogus=1"]
+    assert main(["train", "--setting", "2", "--seed", "1"] + unknown) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'plant.bogus' is unknown; config key 'typo' is unknown\n"
+    )
     assert main(["train", "--setting", "2", "--seed", "-1"] + FAST) == 2
     assert "'seed'" in capsys.readouterr().err
     assert main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt")]) == 2
@@ -183,6 +188,57 @@ def test_out_wins_over_the_output_dir_key(tmp_path, monkeypatch):
     assert (tmp_path / "D" / "setting2.ckpt").exists()
 
 
+def test_config_file_loses_to_set_pairs_and_flags(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "# a desk run\nseed = 3\nsetting = 4\nsubject = subject_13\noutput_dir = F\n"
+        "train.n_updates = 0\neval.episodes = 1\nhyper.gamma = 0.5  # discount\n"
+    )
+    train = ["train", "--config", str(cfg_file), "--setting", "5", "--seed", "1.0"]
+    sets = ["--set", "hyper.gamma=0.7", "--set", "output_dir=E"]
+    cfg = config_from_dict(cli._config_dict(cli.build_parser().parse_args(train + sets)))
+    assert (cfg.setting_id, cfg.seed, cfg.subject, cfg.n_updates) == (5, 1, "subject_13", 0)
+    assert cfg.hyper.gamma == 0.7 and cfg.output_dir == "E"
+    assert main(train + sets + ["--out", "D"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["D", "run.cfg"]
+    ckpt = tmp_path / "D" / "setting5.ckpt"
+    assert load_checkpoint(ckpt)["meta"] == {"seed": "1", "setting": "5", "subject": "subject_13"}
+    # eval: the checkpoint's meta fills only keys that the file, pairs and flags leave out
+    evals = ["eval", "--checkpoint", str(ckpt), "--config", str(cfg_file)]
+    for flags, episodes in (([], 1), (["--set", "eval.episodes=2"], 2),
+                            (["--set", "eval.episodes=2", "--episodes", "3"], 3)):
+        capsys.readouterr()
+        assert main(evals + flags) == 0
+        assert capsys.readouterr().out.startswith("episodes %d " % episodes)
+
+
+def test_config_file_errors_exit_2_naming_the_file(tmp_path, capsys):
+    train = ["train", "--setting", "2", "--seed", "1", "--config"]
+    missing = tmp_path / "missing.cfg"
+    assert main(train + [str(missing)]) == 2
+    shown = capsys.readouterr()
+    assert shown.out == "" and str(missing) in shown.err and "Traceback" not in shown.err
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("seed = 1\nnot a pair  # comment\n")
+    assert main(train + [str(bad)]) == 2
+    assert capsys.readouterr().err == "error: %s: line 2 'not a pair' is not key = value\n" % bad
+
+
+def test_config_flags_are_typed_by_their_key(tmp_path, capsys):
+    # a flag's text is typed like a --set value: 1.0 is seed 1, abc no seed at all
+    runs = {}
+    for seed in ("1", "1.0"):
+        out = tmp_path / seed
+        assert main(["train", "--setting", "2", "--seed", seed, "--out", str(out)] + FAST) == 0
+        runs[seed] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs["1"] == runs["1.0"]
+    assert main(["train", "--setting", "2", "--seed", "abc"]) == 2
+    assert capsys.readouterr().err.endswith("error: config key 'seed': expected int, got 'abc'\n")
+    assert main(["train", "--setting", "2.5", "--seed", "1"]) == 2
+    assert "error: config key 'setting': expected int, got 2.5\n" in capsys.readouterr().err
+
+
 def test_sweep_manifest_records_the_resolved_config(tmp_path):
     keys = {"human.noise_std": "0.9", "hyper.learning_rate": "0.5",
             "train.n_updates": "0", "eval.episodes": "1", "episode.n_decisions": "12"}
@@ -235,6 +291,15 @@ MALFORMED = {
     "repeated_array": (
         lambda ls: ls[:5] + ls[4:], "human.actor: line 6: repeated checkpoint array 'w1'"
     ),
+    "blank_file": (lambda ls: [], "not a recognized checkpoint file"),
+    "wrong_header": (
+        lambda ls: ["pedalrl-checkpoint 2"] + ls[1:], "not a recognized checkpoint file"
+    ),
+    "stray_line": (
+        lambda ls: ls[:2] + ["w1 1 2"] + ls[2:], "line 3: expected a meta or section line"
+    ),
+    # lines 27-34 are the machine.critic section
+    "missing_section": (lambda ls: ls[:26], "missing sections: ['machine.critic']"),
 }
 
 

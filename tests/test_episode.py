@@ -60,7 +60,7 @@ def reference_episode(env, human_indexes, machine_indexes, seed):
     h_state = initial_human_state(env.human)
     m_state = ControllerState()
     prev_m = 0
-    rows = {key: [] for key in ("t", "ref", "pos", "om", "tm", "th")}
+    rows = {key: [] for key in ("t", "ref", "pos", "om", "tm", "th", "integral")}
     for z in range(env.n_decisions):
         digit = DIGITS[human_indexes[z]]
         a_m = machine_indexes[z]
@@ -84,6 +84,7 @@ def reference_episode(env, human_indexes, machine_indexes, seed):
             rows["om"].append(state.angular_velocity)
             rows["tm"].append(min(max(u_m, -lim), lim))
             rows["th"].append(tau_h)
+            rows["integral"].append(m_state.integral)  # not a trace row
         prev_m = a_m
     return rows
 
@@ -186,6 +187,48 @@ def test_kernel_gives_the_same_bytes_on_arrays_and_memoryviews(delay):
     assert sim.tobytes() == arrays[0].tobytes()
     assert queue.tobytes() == arrays[1].tobytes()
     assert sim[kernels.SIM_M_IDX] == 0.0 and arrays[0][kernels.SIM_M_INTEGRAL] != 0.0
+
+
+# The trace fields and the reference_episode rows they must equal.
+TRACE_KEYS = (
+    ("time", "t"), ("reference", "ref"), ("position", "pos"), ("omega", "om"),
+    ("tau_machine", "tm"), ("tau_human", "th"),
+)
+
+
+@pytest.mark.parametrize("setting_id", [1, 2, 3, 4])
+def test_kernel_matches_oracle_at_every_clamp(setting_id):
+    # a 1 N m actuator, stops at +-0.02 rad, a 0.1 rad/s speed cap and a 0.5 rad
+    # reference drive the anti-windup limit, both torque clamps, the speed cap
+    # and the angle stops to both sides, across a sub-controller switch, where
+    # the other tests stay unsaturated; the oracle must agree bit for bit.
+    # Settings 1-4 hold every pair of gain banks (5-8 repeat them).
+    lim, stop, omega_max = 1.0, 0.02, 0.1
+    env = make_test_env(
+        setting_id=setting_id, n_decisions=200,
+        plant=PlantParams(torque_limit=lim, angle_min=-stop, angle_max=stop, omega_max=omega_max),
+        reference=ReferenceTrajectory(amplitude=0.5, period=12.0),
+    )
+    h_idx = ([3] * 50 + [4] * 50) * 2  # digit +2, then -2, held
+    m_idx = [0] * 120 + [1] * 80
+    result = run_episode(
+        env, ScriptPolicy(h_idx), ScriptPolicy(m_idx), np.random.default_rng(5)
+    )
+    want = reference_episode(env, h_idx, m_idx, seed=5)
+    trace = result.trace
+    for field, key in TRACE_KEYS:
+        assert np.array_equal(getattr(trace, field), np.array(want[key])), field
+    for field, bound in (("tau_machine", lim), ("tau_human", lim), ("omega", omega_max),
+                         ("position", stop)):
+        row = getattr(trace, field)
+        assert row.max() == bound and row.min() == -bound, field
+    limits = [
+        default_integral_limit(env.setting.machine_pid[m], lim)
+        for m in m_idx for _ in range(env.decision_interval)
+    ]
+    # the oracle's integral sits at the running sub-controller's limit, both sides
+    windup = {np.sign(i) for i, limit in zip(want["integral"], limits) if abs(i) == limit}
+    assert windup == {1.0, -1.0}
 
 
 @pytest.mark.parametrize("setting_id", range(1, 9))
