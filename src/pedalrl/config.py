@@ -1,13 +1,14 @@
 """Flat key-value experiment configuration.
 
 One ``key = value`` per line; ``#`` starts a comment; blank lines are
-ignored. Values stay as their stripped text. Keys are dotted paths
-(``plant.inertia``, ``hyper.gamma``) consumed by the harness; CLI
-``--set key=value`` pairs win over the file, and the config flags
-(``--seed`` and the like) win over both. File lines and pairs go through
-one splitter, :func:`split_pair`. :func:`coerce` then types each value
-once, by the dataclass field it sets, whether it came from a file, a
-pair, a flag or code.
+ignored. A file is read as UTF-8 whatever the locale. Values stay as
+their stripped text. Keys are dotted paths (``plant.inertia``,
+``hyper.gamma``) consumed by the harness; CLI ``--set key=value`` pairs
+win over the file, and the config flags (``--seed`` and the like) win
+over both. File lines and pairs go through one splitter,
+:func:`split_pair`. :func:`coerce` then types each value once, by the
+dataclass field it sets, whether it came from a file, a pair, a flag or
+code.
 """
 
 import math
@@ -35,9 +36,22 @@ def parse_config_text(text: str, source="config") -> dict:
     return out
 
 
+def read_utf8(path) -> str:
+    """The file at ``path`` decoded as UTF-8, whatever the locale.
+
+    A byte that is not UTF-8 raises ValueError naming the file and its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError("%s: line %d: not UTF-8 text" % (path, at)) from None
+
+
 def load_config(path) -> dict:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), path)
+    return parse_config_text(read_utf8(path), path)
 
 
 def apply_overrides(cfg: dict, pairs) -> dict:

@@ -10,10 +10,14 @@ each decision's noise, because its uncompiled body reads and writes a
 memoryview element several times faster than a numpy array's. The
 block-final values are read once per decision from those row views as
 Python floats, from which the windows and both agents'
-observations (block-final values over ``obs_divisors``) are taken. The trace
-records every plant substep; the reward lands on block-final rows and in
-both agents' experience, one record array per agent and episode
-(``experience``).
+observations (block-final values over ``obs_divisors``) are taken. Each
+agent's observations sit in one preallocated ``(n_decisions + 1, dim)``
+array: the quotients of decision z are written once, into row z + 1, and
+a policy is handed row z as a 1-D view, which is never rewritten, so a
+policy may keep it. The trace records every plant substep; the reward
+lands on block-final rows and in both agents' experience, one record
+array per agent and episode (``experience``), whose ``obs`` and
+``next_obs`` are the array without its last and its first row.
 
 RNG discipline: per decision step the stream is consumed in a fixed order
 (human sample, machine sample, one noise vector), and non-sampling policies
@@ -77,21 +81,25 @@ def experience(obs, action, log_prob_old, reward, next_obs, terminal) -> np.reca
     log probability or a non-finite reward.
     """
     obs = np.asarray(obs, dtype=np.float64)
+    log_prob_old = np.asarray(log_prob_old, dtype=np.float64)
+    reward = np.asarray(reward, dtype=np.float64)
+    bad = (log_prob_old > 0.0) | ~np.isfinite(reward)
+    if bad.any():
+        z = int(np.argmax(bad))
+        if log_prob_old[z] > 0.0:
+            raise ValueError("experience row %d: log probability cannot be positive" % z)
+        raise ValueError("experience row %d: non-finite reward" % z)
     n, dim = obs.shape
-    rec = np.recarray(n, dtype=[
+    # Filled as a plain structured array and viewed as a recarray once: each
+    # field write to a recarray would make (and finalize) one more recarray view.
+    rec = np.empty(n, dtype=[
         ("obs", np.float64, (dim,)), ("action", np.int64), ("log_prob_old", np.float64),
         ("reward", np.float64), ("next_obs", np.float64, (dim,)), ("terminal", bool),
     ])
     columns = (obs, action, log_prob_old, reward, next_obs, terminal)
     for name, column in zip(rec.dtype.names, columns):
         rec[name] = column
-    bad = (rec.log_prob_old > 0.0) | ~np.isfinite(rec.reward)
-    if bad.any():
-        z = int(np.argmax(bad))
-        if rec.log_prob_old[z] > 0.0:
-            raise ValueError("experience row %d: log probability cannot be positive" % z)
-        raise ValueError("experience row %d: non-finite reward" % z)
-    return rec
+    return rec.view(np.recarray)
 
 
 @dataclass
@@ -156,10 +164,15 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     _, ref_row, pos_row, om_row, tm_row, th_row = rows
 
     # obs_*[z] is the observation at decision z and the next_obs of decision
-    # z - 1; the first is the pedal at rest at t = 0.
+    # z - 1; the first is the pedal at rest at t = 0. Row z + 1 is written
+    # once, after decision z, so the row a policy is handed never changes.
     ref0 = sample_reference(env.reference, 0.0)
-    obs_h = [np.array([v / d for v, d in zip((0.0, ref0, 0.0, 0.0, 0.0), div_h)])]
-    obs_m = [np.array([v / d for v, d in zip((ref0, 0.0, ref0, 0.0, 0.0, 0.0), div_m)])]
+    obs_h = np.empty((n + 1, len(div_h)))
+    obs_m = np.empty((n + 1, len(div_m)))
+    obs_h[0] = [v / d for v, d in zip((0.0, ref0, 0.0, 0.0, 0.0), div_h)]
+    obs_m[0] = [v / d for v, d in zip((ref0, 0.0, ref0, 0.0, 0.0, 0.0), div_m)]
+    dh_pos, dh_err, dh_comfort, dh_digit, dh_tm = div_h
+    dm_ref, dm_pos, dm_err, dm_om, dm_act, dm_th = div_m
     act_h, act_m, logp_h, logp_m = [], [], [], []
     # Block-final position, reference and digit per decision: the reward
     # windows are their last k entries.
@@ -193,9 +206,13 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         total_reward += reward
 
         err = ref - pos
-        h_row = (pos, err, comfort_term(window), digit, tm)
-        obs_h.append(np.array([v / d for v, d in zip(h_row, div_h)]))
-        obs_m.append(np.array([v / d for v, d in zip((ref, pos, err, om, a_m, th), div_m)]))
+        obs_h[z + 1] = (
+            pos / dh_pos, err / dh_err, comfort_term(window) / dh_comfort, digit / dh_digit,
+            tm / dh_tm,
+        )
+        obs_m[z + 1] = (
+            ref / dm_ref, pos / dm_pos, err / dm_err, om / dm_om, a_m / dm_act, th / dm_th,
+        )
 
     reward_arr = np.zeros(n * interval)
     reward_arr[interval - 1 :: interval] = rewards
@@ -204,7 +221,6 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         machine_action=np.repeat(np.array(act_m, dtype=np.int64), interval), reward=reward_arr,
         decision_interval=interval,
     )
-    obs_h, obs_m = np.array(obs_h), np.array(obs_m)
     terminal = np.arange(n) == n - 1
     return EpisodeResult(
         trace=trace,

@@ -14,6 +14,14 @@ where the values sit, not the arithmetic: every product and sum keeps its
 operands, shapes and order, so an acting row's output has the same bits as
 with separately allocated arrays, and so do trained parameters.
 
+Every matrix product, in ``forward_cache`` and in ``backward``, is
+``ndarray.dot``: it reaches the same BLAS call as ``@`` and
+``np.matmul(out=)``, so the bits are those of the matmul composition
+(pinned in tests/test_nets.py at one and two BLAS threads), with less
+dispatch per call. ``backward`` writes its weight gradients with
+``dot(out=)`` straight into the gradient views, and takes a 1-D cache or
+``d_out`` as one row.
+
 Acting normalizes one row of 5 or 2 logits per call. ``softmax_probs``
 does that on Python floats (one ``exp`` ufunc, then plain loops) rather
 than with nine ufunc calls on a 5- or 2-element array. It adds in the
@@ -161,24 +169,31 @@ def backward(params: MLPParams, cache, d_out: np.ndarray, out: MLPParams = None)
     Writes parameter-shaped gradients into ``out`` (a fresh MLPParams when
     None) and returns it. Raises on a non-finite gradient so a diverging
     update fails loudly instead of poisoning the parameters.
+
+    ``d_out`` is a float64 array of shape (B, out_dim); a 1-D ``d_out`` or
+    cache is taken as one row. Every product is ``ndarray.dot``, the weight
+    gradients written with ``out=`` into their views: the bits of ``@`` and
+    ``np.matmul(out=)`` with less dispatch, which counts on 64-row minibatches.
     """
     x, h1, h2 = cache
-    d_out = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
-    x2, h1, h2 = np.atleast_2d(x), np.atleast_2d(h1), np.atleast_2d(h2)
+    if d_out.ndim == 1:
+        d_out = d_out[None]
+    if x.ndim == 1:
+        x, h1, h2 = x[None], h1[None], h2[None]
     grads = MLPParams(params.dims) if out is None else out
 
     # dz = dh * (1 - h * h), built in place on dh and on one h * h temporary
-    np.matmul(h2.T, d_out, out=grads.w3)
+    h2.T.dot(d_out, out=grads.w3)
     np.add.reduce(d_out, axis=0, out=grads.b3)
-    dz2 = d_out @ params.w3.T
+    dz2 = d_out.dot(params.w3.T)
     tanh_grad2 = h2 * h2
     dz2 *= np.subtract(1.0, tanh_grad2, out=tanh_grad2)
-    np.matmul(h1.T, dz2, out=grads.w2)
+    h1.T.dot(dz2, out=grads.w2)
     np.add.reduce(dz2, axis=0, out=grads.b2)
-    dz1 = dz2 @ params.w2.T
+    dz1 = dz2.dot(params.w2.T)
     tanh_grad1 = h1 * h1
     dz1 *= np.subtract(1.0, tanh_grad1, out=tanh_grad1)
-    np.matmul(x2.T, dz1, out=grads.w1)
+    x.T.dot(dz1, out=grads.w1)
     np.add.reduce(dz1, axis=0, out=grads.b1)
 
     if not np.isfinite(grads.vector).all():

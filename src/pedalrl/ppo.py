@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import read_utf8
 from .episode import OBS_DIM_HUMAN, OBS_DIM_MACHINE, EnvParams, SamplingPolicy, run_episode
 from .human import DIGITS
 from .nets import (
@@ -194,9 +195,11 @@ def actor_grads(params, obs, actions, log_prob_old, advantages, hyper, out=None)
     )
     b, n_act = p.shape
     idx = np.arange(b)
-    g = np.where(unclipped, advantages, 0.0)  # surrogate weight per sample
-    d_logits = -(g * ratio)[:, None] * (-p)
-    d_logits[idx, actions] -= g * ratio
+    # surrogate weight per sample, formed once: the loss's -g * ratio * (1[j=a] - p_j)
+    # is g * ratio * p_j minus g * ratio at the action (sign flips are exact)
+    gr = np.where(unclipped, advantages, 0.0) * ratio
+    d_logits = gr[:, None] * p
+    d_logits[idx, actions] -= gr
     # entropy: dK/dz_j = -p_j (ln p_j + K), and the loss subtracts K
     d_logits += hyper.entropy_weight * (p * (log_p + ent[:, None]))
     d_logits /= b
@@ -371,13 +374,7 @@ def load_checkpoint(path) -> dict:
     Each ValueError starts with ``path`` and names the line at fault where
     there is one; an unknown or repeated section is an error.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        at = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError("%s: line %d: not UTF-8 text" % (path, at)) from None
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError("%s: not a recognized checkpoint file" % path)
     meta, blocks, block = {}, {}, None  # blocks: name -> (first line number, lines)

@@ -18,14 +18,22 @@ only the protocol's types and constants from ``pedalrl.bridge``.
 float or bool from the text alone, before the field's type was known;
 ``pedalrl.config.coerce`` on text is pinned against ``coerce`` on its guess
 for the numeric fields.
+
+``matmul_backward`` is the network backward pass in its earlier composition:
+``np.atleast_2d`` on every operand, then ``@`` and ``np.matmul(out=)``.
+``pedalrl.nets.backward`` and the PPO gradients are pinned against it bit
+for bit, so it keeps the package's operands and summation order on purpose.
 """
 
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from pedalrl.bridge import ERR_BAD_AGENT, ERR_MALFORMED, KINDS, Frame, ProtocolError
 from pedalrl.controllers import PDGains, PIDGains
 from pedalrl.human import DIGITS, HumanParams
+from pedalrl.nets import MLPParams
 from pedalrl.plant import PlantParams
 
 
@@ -346,3 +354,24 @@ def reference_parse_scalar(text: str):
     except ValueError:
         pass
     return t
+
+
+def matmul_backward(params, cache, d_out):
+    """Reverse-mode gradients as fresh MLPParams, composed through ``np.matmul``."""
+    x, h1, h2 = cache
+    d_out = np.atleast_2d(np.asarray(d_out, dtype=np.float64))
+    x2, h1, h2 = np.atleast_2d(x), np.atleast_2d(h1), np.atleast_2d(h2)
+    grads = MLPParams(params.dims)
+    np.matmul(h2.T, d_out, out=grads.w3)
+    np.add.reduce(d_out, axis=0, out=grads.b3)
+    dz2 = d_out @ params.w3.T
+    tanh_grad2 = h2 * h2
+    dz2 *= np.subtract(1.0, tanh_grad2, out=tanh_grad2)
+    np.matmul(h1.T, dz2, out=grads.w2)
+    np.add.reduce(dz2, axis=0, out=grads.b2)
+    dz1 = dz2 @ params.w2.T
+    tanh_grad1 = h1 * h1
+    dz1 *= np.subtract(1.0, tanh_grad1, out=tanh_grad1)
+    np.matmul(x2.T, dz1, out=grads.w1)
+    np.add.reduce(dz1, axis=0, out=grads.b1)
+    return grads

@@ -13,6 +13,7 @@ import pedalrl
 from conftest import run_at_blas_threads
 from pedalrl import cli, kernels
 from pedalrl.cli import main, parse_settings
+from pedalrl.config import load_config
 from pedalrl.controllers import SETTING_RANGE, SETTINGS, load_setting
 from pedalrl.harness import config_from_dict
 from pedalrl.ppo import load_checkpoint, make_agent, save_checkpoint
@@ -223,6 +224,20 @@ def test_config_file_errors_exit_2_naming_the_file(tmp_path, capsys):
     bad.write_text("seed = 1\nnot a pair  # comment\n")
     assert main(train + [str(bad)]) == 2
     assert capsys.readouterr().err == "error: %s: line 2 'not a pair' is not key = value\n" % bad
+
+
+def test_config_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys):
+    # read as bytes and decoded as UTF-8, so UTF-8 text loads whatever the
+    # locale, and a stray byte is reported like a bad checkpoint byte
+    good = tmp_path / "good.cfg"
+    good.write_bytes("# r\u00e9glage\nseed = 1\nsetting = 2\n".encode("utf-8"))
+    assert load_config(good) == {"seed": "1", "setting": "2"}
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\n\xff = 2\n")
+    assert main(["train", "--setting", "2", "--seed", "1", "--config", str(bad)]) == 2
+    shown = capsys.readouterr()
+    assert shown.out == ""
+    assert shown.err == "error: %s: line 2: not UTF-8 text\n" % bad
 
 
 def test_config_flags_are_typed_by_their_key(tmp_path, capsys):

@@ -16,7 +16,14 @@ from oracles import (
 )
 from pedalrl import kernels
 from pedalrl.controllers import default_integral_limit
-from pedalrl.episode import GreedyPolicy, SamplingPolicy, obs_divisors, run_episode
+from pedalrl.episode import (
+    OBS_DIM_HUMAN,
+    OBS_DIM_MACHINE,
+    GreedyPolicy,
+    SamplingPolicy,
+    obs_divisors,
+    run_episode,
+)
 from pedalrl.harness import config_from_dict
 from pedalrl.human import DIGITS
 from pedalrl.nets import init_params
@@ -365,6 +372,37 @@ def test_transition_chaining_and_terminals():
     rows = np.arange(env.n_decisions) * env.decision_interval + env.decision_interval - 1
     for z, t in enumerate(result.transitions_human):
         assert t.reward == result.trace.reward[rows[z]]
+
+
+class RecordingPolicy(ScriptPolicy):
+    """A ScriptPolicy that keeps every observation it is handed, and a copy."""
+
+    def __init__(self, indexes):
+        super().__init__(indexes)
+        self.handed, self.copies = [], []
+
+    def act(self, obs, rng):
+        self.handed.append(obs)
+        self.copies.append(np.array(obs, copy=True))
+        return super().act(obs, rng)
+
+
+def test_observation_rows_are_never_rewritten():
+    # policies get views of preallocated rows; a row a policy was handed must
+    # keep its values after later decisions write the rows after it
+    env = make_test_env(n_decisions=9)
+    h, m = RecordingPolicy([0, 4, 2, 1]), RecordingPolicy([1, 0, 0])
+    result = run_episode(env, h, m, np.random.default_rng(6))
+    for policy, ts, dim in (
+        (h, result.transitions_human, OBS_DIM_HUMAN),
+        (m, result.transitions_machine, OBS_DIM_MACHINE),
+    ):
+        assert len(policy.handed) == env.n_decisions
+        for z, (row, copy) in enumerate(zip(policy.handed, policy.copies)):
+            assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == (dim,)
+            assert row.tobytes() == copy.tobytes() == ts.obs[z].tobytes(), z
+        for z in range(env.n_decisions - 1):
+            assert ts.next_obs[z].tobytes() == ts.obs[z + 1].tobytes(), z
 
 
 def test_rewards_replayable_from_trace():

@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import run_at_blas_threads
 from pedalrl.nets import (
     EPS_P,
     ROW_PATH_MAX,
@@ -171,6 +173,36 @@ def test_forward_equals_matmul_composition(rows):
         for got, ref in ((out, want), (c1, h1), (c2, h2)):
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes(), (in_dim, out_dim)
+
+
+BACKWARD_SNIPPET = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import oracles
+from pedalrl.nets import backward, forward_cache, init_params
+rng = np.random.default_rng(31)
+for rows in (None, 1, 52, 64, 256, 300, 2100):
+    for in_dim, out_dim in ((5, 5), (6, 2), (6, 1)):
+        p = init_params(rng, in_dim, out_dim)
+        shape = (in_dim,) if rows is None else (rows, in_dim)
+        _, cache = forward_cache(p, rng.uniform(-2, 2, shape))
+        d_out = rng.normal(size=shape[:-1] + (out_dim,))
+        got = backward(p, cache, d_out).vector.tobytes()
+        want = oracles.matmul_backward(p, cache, d_out).vector.tobytes()
+        print(rows, in_dim, out_dim, got == want)
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_backward_equals_matmul_composition(threads):
+    # backward multiplies with ndarray.dot; it must give the gradient bytes of
+    # the np.atleast_2d / np.matmul composition at the same BLAS thread count
+    # (large minibatches may differ between thread counts, on either side)
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    lines = run_at_blas_threads(threads, BACKWARD_SNIPPET, tests_dir).decode().splitlines()
+    assert len(lines) == 7 * 3
+    assert [ln for ln in lines if not ln.endswith(" True")] == []
 
 
 def test_backward_matches_finite_differences():

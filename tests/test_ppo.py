@@ -10,7 +10,13 @@ from conftest import make_test_env, run_at_blas_threads
 from pedalrl import ppo
 from pedalrl.episode import experience
 from pedalrl.harness import config_from_dict
-from pedalrl.nets import actor_forward, init_params, zeros_like_params
+from pedalrl.nets import (
+    actor_forward,
+    forward_cache,
+    init_params,
+    softmax_probs,
+    zeros_like_params,
+)
 from pedalrl.ppo import (
     ExperienceBuffer,
     PPOHyper,
@@ -306,6 +312,79 @@ def test_critic_grads_match_finite_differences():
     for (name, g), (_, arr) in zip(grads.arrays(), params.arrays()):
         fd = oracles.central_difference(loss, arr)
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-8), name
+
+
+def reference_actor_grads(params, obs, actions, log_prob_old, advantages, hyper):
+    """actor_grads in its earlier form: -(g * ratio)[:, None] * (-p), matmul backward."""
+    loss, p, log_p, cache, ratio, unclipped, ent = actor_loss_parts(
+        params, obs, actions, log_prob_old, advantages, hyper
+    )
+    b = len(actions)
+    idx = np.arange(b)
+    g = np.where(unclipped, advantages, 0.0)
+    d_logits = -(g * ratio)[:, None] * (-p)
+    d_logits[idx, actions] -= g * ratio
+    d_logits += hyper.entropy_weight * (p * (log_p + ent[:, None]))
+    d_logits /= b
+    return loss, oracles.matmul_backward(params, cache, d_logits)
+
+
+def reference_critic_grads(params, obs, returns):
+    raw, cache = forward_cache(params, obs)
+    v = raw[:, 0]
+    d_out = ((v - returns) / len(returns))[:, None]
+    return critic_loss(returns, v), oracles.matmul_backward(params, cache, d_out)
+
+
+@pytest.mark.parametrize("rows", [52, 64])
+@pytest.mark.parametrize("obs_dim,n_actions", [(5, 5), (6, 2)])
+def test_gradients_equal_their_earlier_formulas_bitwise(obs_dim, n_actions, rows):
+    # every third row sits outside the clip band, every fifth exactly on its
+    # edge (a tie keeps the differentiable branch); advantages of both signs
+    # put both clipped and unclipped rows on each side of the band
+    rng = np.random.default_rng(17 + rows + n_actions)
+    hyper = PPOHyper()
+    actor, critic = init_params(rng, obs_dim, n_actions), init_params(rng, obs_dim, 1)
+    obs = rng.uniform(-1.5, 1.5, (rows, obs_dim))
+    actions = rng.integers(n_actions, size=rows)
+    adv = rng.normal(size=rows)
+    edges = (1.0 - hyper.clip, 1.0 + hyper.clip)
+    ratios = rng.uniform(0.9, 1.1, rows)
+    ratios[::3] = rng.choice([0.5, 1.6], size=len(ratios[::3]))
+    ratios[::5] = rng.choice(edges, size=len(ratios[::5]))
+    edge = np.arange(rows) % 5 == 0
+    while True:
+        # a stored log probability a few ulps off log(p_a / edge) puts the
+        # row exactly on the edge, but not for every p_a; redraw those rows
+        p = softmax_probs(forward_cache(actor, obs)[0])
+        p_a = p[np.arange(rows), actions]
+        lp = np.log(p_a / ratios)
+        hit = ~edge
+        base = lp.copy()
+        for step in range(-16, 17):
+            cand = base + step * np.spacing(base)
+            new = (p_a / np.exp(cand) == ratios) & ~hit
+            lp[new] = cand[new]
+            hit |= new
+        if hit.all():
+            break
+        obs[~hit] = rng.uniform(-1.5, 1.5, ((~hit).sum(), obs_dim))
+
+    loss, grads = actor_grads(actor, obs, actions, lp, adv, hyper)
+    parts = actor_loss_parts(actor, obs, actions, lp, adv, hyper)
+    ratio, unclipped = parts[4], parts[5]
+    assert np.array_equal(ratio[edge], ratios[edge]) and unclipped[edge].all()
+    for side in (ratio < edges[0], ratio > edges[1]):
+        assert unclipped[side].any() and not unclipped[side].all()
+    want_loss, want = reference_actor_grads(actor, obs, actions, lp, adv, hyper)
+    assert loss == want_loss
+    assert grads.vector.tobytes() == want.vector.tobytes()
+
+    returns = rng.normal(size=rows)
+    loss, grads = critic_grads(critic, obs, returns, zeros_like_params(critic))
+    want_loss, want = reference_critic_grads(critic, obs, returns)
+    assert loss == want_loss
+    assert grads.vector.tobytes() == want.vector.tobytes()
 
 
 def test_sgd_step_momentum_semantics():
