@@ -9,11 +9,12 @@ import numpy as np
 
 from . import kernels
 from .bridge import PolicyServer, actors_from_checkpoint, parse_endpoint
-from .config import apply_overrides, load_config
+from .config import apply_overrides, load_config, write_utf8
 from .controllers import SETTING_RANGE, SETTINGS
 from .harness import (
     CHECKPOINT_KEYS,
     CONFIG_KEYS,
+    MAX_SUBSTEPS,
     config_from_dict,
     evaluate_agents,
     make_env,
@@ -74,13 +75,11 @@ def _config_dict(args) -> dict:
 def cmd_train(args) -> int:
     cfg = config_from_dict(_config_dict(args))
     result, mean, traces = train_setting(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     ckpt = save_setting_checkpoint(cfg, result, cfg.output_dir)
+    curve = ["episode,value"]
+    curve.extend("%d,%s" % (i, repr(float(v))) for i, v in enumerate(result.value_curve))
     curve_path = os.path.join(cfg.output_dir, "value_curve_setting%d.csv" % cfg.setting_id)
-    with open(curve_path, "w") as fh:
-        fh.write("episode,value\n")
-        for i, v in enumerate(result.value_curve):
-            fh.write("%d,%s\n" % (i, repr(float(v))))
+    write_utf8(curve_path, "\n".join(curve) + "\n")
     print("setting %d  subject %s  seed %d" % (cfg.setting_id, cfg.subject, cfg.seed))
     print(
         "value %.4f  human_action_mse %.4f  tracking_error_mse %.6f"
@@ -143,6 +142,11 @@ def cmd_bench(args) -> int:
     for flag, value in (("--blocks", args.blocks), ("--interval", interval)):
         if value < 1:
             raise ValueError("%s must be >= 1, got %d" % (flag, value))
+    if args.blocks * interval > MAX_SUBSTEPS:
+        raise ValueError(
+            "--blocks * --interval must be <= %d substeps, got %d * %d"
+            % (MAX_SUBSTEPS, args.blocks, interval)
+        )
     noise = memoryview(np.zeros(interval))
     constants, bank = kernels.pack(env)
 

@@ -1,7 +1,7 @@
-"""Flat key-value experiment configuration.
+"""Flat key-value experiment configuration, and the one home of file text.
 
 One ``key = value`` per line; ``#`` starts a comment; blank lines are
-ignored. A file is read as UTF-8 whatever the locale. Values stay as
+ignored; a key given twice is an error. Values stay as
 their stripped text. Keys are dotted paths (``plant.inertia``,
 ``hyper.gamma``) consumed by the harness; CLI ``--set key=value`` pairs
 win over the file, and the config flags (``--seed`` and the like) win
@@ -9,9 +9,16 @@ over both. File lines and pairs go through one splitter,
 :func:`split_pair`. :func:`coerce` then types each value once, by the
 dataclass field it sets, whether it came from a file, a pair, a flag or
 code.
+
+This is the one module that opens files: :func:`read_utf8` reads every
+input (config files, checkpoints) and :func:`write_utf8` writes every
+output (trace CSVs, value tables, value curves, checkpoints, manifests),
+both as UTF-8 whatever the locale.
 """
 
+import contextlib
 import math
+import os
 
 
 def split_pair(text: str, where: str) -> tuple:
@@ -26,12 +33,17 @@ def split_pair(text: str, where: str) -> tuple:
 
 
 def parse_config_text(text: str, source="config") -> dict:
-    """The ``key = value`` lines of ``text``; errors name ``source`` and the line."""
-    out = {}
+    """The ``key = value`` lines of ``text``, no key twice; errors name ``source`` and the line."""
+    out, first = {}, {}  # first: key -> its line number
     for ln_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
         if line.strip():
             key, value = split_pair(line, "%s: line %d %r" % (source, ln_no, line.strip()))
+            if key in first:
+                raise ValueError(
+                    "%s: line %d repeats key %r from line %d" % (source, ln_no, key, first[key])
+                )
+            first[key] = ln_no
             out[key] = value
     return out
 
@@ -50,12 +62,37 @@ def read_utf8(path) -> str:
         raise ValueError("%s: line %d: not UTF-8 text" % (path, at)) from None
 
 
+def write_utf8(path, text: str) -> bytes:
+    """Write ``text`` to ``path`` as UTF-8, atomically; returns the bytes written.
+
+    The bytes go to ``<path>.<pid>.tmp`` in a created parent directory, which
+    then replaces ``path``, so ``path`` holds its old bytes or all the new
+    ones. A failure removes the temporary file and raises an OSError naming
+    ``path``. There is no fsync: a power loss is not covered.
+    """
+    data = text.encode("utf-8")
+    path = os.fspath(path)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
+        raise
+    return data
+
+
 def load_config(path) -> dict:
     return parse_config_text(read_utf8(path), path)
 
 
 def apply_overrides(cfg: dict, pairs) -> dict:
-    """``cfg`` with ``key=value`` strings (e.g. from --set flags) merged in."""
+    """``cfg`` with ``key=value`` strings (--set flags) merged in; a key's last pair wins."""
     return {**cfg, **dict(split_pair(pair, "override %r" % pair) for pair in pairs)}
 
 

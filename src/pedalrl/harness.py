@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .config import coerce
+from .config import coerce, write_utf8
 from .controllers import SETTING_RANGE, SETTINGS, load_setting
 from .episode import EnvParams, EpisodeTrace, SamplingPolicy, run_episode
 from .human import HumanParams
@@ -253,15 +253,12 @@ TRACE_COLUMNS = (
 )
 
 
-def _reprs(col: np.ndarray, shared) -> list:
-    """``repr`` of each value of a float column; with a ``shared`` dict, once
-    per distinct column.
+def _reprs(col: np.ndarray, shared: dict) -> list:
+    """``repr`` of each value of a float column, once per distinct column in ``shared``.
 
     The key is the column's bytes, not its values: ``-0.0 == 0.0``, but their
     ``repr``s differ.
     """
-    if shared is None:
-        return list(map(repr, col.tolist()))
     key = col.tobytes()
     text = shared.get(key)
     if text is None:
@@ -269,7 +266,7 @@ def _reprs(col: np.ndarray, shared) -> list:
     return text
 
 
-def trace_to_csv(trace: EpisodeTrace, shared: dict = None) -> str:
+def trace_to_csv(trace: EpisodeTrace, shared: dict) -> str:
     """Exact-precision CSV, one row per plant substep.
 
     Each column is rendered once (``repr`` of each float, ``str`` of each
@@ -299,10 +296,7 @@ def trace_to_csv(trace: EpisodeTrace, shared: dict = None) -> str:
 
 def _write(out_dir, name, text: str) -> str:
     """Write ``text`` to ``out_dir/name``; returns the sha256 of its bytes."""
-    data = text.encode()
-    with open(os.path.join(out_dir, name), "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(write_utf8(os.path.join(out_dir, name), text)).hexdigest()
 
 
 def export_traces(sid: int, traces, out_dir, shared: dict) -> dict:
@@ -313,7 +307,6 @@ def export_traces(sid: int, traces, out_dir, shared: dict) -> dict:
     ``trace_to_csv``); pass the same one for every setting of a sweep.
     Returns {filename: sha256}.
     """
-    os.makedirs(out_dir, exist_ok=True)
     hashes = {}
     for i, trace in enumerate(traces):
         name = "trace_setting%d_ep%d.csv" % (sid, i)
@@ -330,7 +323,6 @@ def export_results(reports: dict, hashes: dict, out_dir, run_info: dict) -> dict
     Checkpoints are not hashed. Returns {filename: sha256} as written to the
     manifest.
     """
-    os.makedirs(out_dir, exist_ok=True)
     table_lines = ["setting,value,human_action_mse,tracking_error_mse"]
     for sid in sorted(reports):
         r = reports[sid]
@@ -341,10 +333,8 @@ def export_results(reports: dict, hashes: dict, out_dir, run_info: dict) -> dict
     table = "\n".join(table_lines) + "\n"
     hashes = {**hashes, "value_table.csv": _write(out_dir, "value_table.csv", table)}
 
-    manifest = {"run": run_info, "files": hashes}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest = json.dumps({"run": run_info, "files": hashes}, indent=2, sort_keys=True)
+    write_utf8(os.path.join(out_dir, "manifest.json"), manifest + "\n")
     return hashes
 
 
@@ -357,23 +347,22 @@ def save_setting_checkpoint(cfg: ExperimentConfig, result, out_dir) -> str:
 
 
 def _sweep_setting(cfg: ExperimentConfig, out_dir, shared: dict, hashes: dict):
-    """Train, evaluate and, with ``out_dir``, export one setting of a sweep.
+    """Train, evaluate and export one setting of a sweep.
 
     Returns its MetricsReport; the TrainResult, traces and CSV texts die on
     return, so a sweep holds one setting's at a time.
     """
     result, mean, traces = train_setting(cfg)
-    if out_dir is not None:
-        hashes.update(export_traces(cfg.setting_id, traces, out_dir, shared))
-        save_setting_checkpoint(cfg, result, out_dir)
+    hashes.update(export_traces(cfg.setting_id, traces, out_dir, shared))
+    save_setting_checkpoint(cfg, result, out_dir)
     return mean
 
 
-def sweep(settings, cfg: ExperimentConfig, out_dir=None) -> dict:
+def sweep(settings, cfg: ExperimentConfig, out_dir) -> dict:
     """Train and evaluate each setting with identical seeds; export results.
 
-    Returns {setting id: MetricsReport}. With ``out_dir``, each setting's
-    trace CSVs and checkpoint are written as soon as it is evaluated, and
+    Returns {setting id: MetricsReport}. Each setting's trace CSVs and
+    checkpoint are written to ``out_dir`` as soon as it is evaluated, and
     the value table and manifest after the last setting, so a sweep that
     stops part-way leaves no manifest. The manifest's run block is ``cfg``
     as a dict, without ``output_dir`` and ``setting_id``, plus ``settings``.
@@ -383,8 +372,7 @@ def sweep(settings, cfg: ExperimentConfig, out_dir=None) -> dict:
     shared = {}  # time and reference columns, rendered once per sweep
     for sid in settings:
         reports[sid] = _sweep_setting(replace(cfg, setting_id=sid), out_dir, shared, hashes)
-    if out_dir is not None:
-        run_info = asdict(cfg)
-        del run_info["output_dir"], run_info["setting_id"]
-        export_results(reports, hashes, out_dir, {**run_info, "settings": list(settings)})
+    run_info = asdict(cfg)
+    del run_info["output_dir"], run_info["setting_id"]
+    export_results(reports, hashes, out_dir, {**run_info, "settings": list(settings)})
     return reports

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import read_utf8
+from .config import read_utf8, write_utf8
 from .episode import OBS_DIM_HUMAN, OBS_DIM_MACHINE, EnvParams, SamplingPolicy, run_episode
 from .human import DIGITS
 from .nets import (
@@ -364,8 +364,7 @@ def save_checkpoint(path, human: Agent, machine: Agent, meta: dict = None):
     for name in CHECKPOINT_SECTIONS:
         lines.append("section %s" % name)
         lines.append(params_to_text(nets[name]).rstrip("\n"))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_utf8(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> dict:

@@ -1,6 +1,9 @@
+import errno
+import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from dataclasses import asdict
@@ -59,6 +62,8 @@ def test_train_then_eval_round_trip(tmp_path, capsys):
     ckpt = tmp_path / "setting3.ckpt"
     assert ckpt.exists()
     assert (tmp_path / "value_curve_setting3.csv").exists()
+    # every file is written under a temporary name and renamed; none is left
+    assert sorted(os.listdir(tmp_path)) == ["setting3.ckpt", "value_curve_setting3.csv"]
     meta = load_checkpoint(ckpt)["meta"]
     assert meta["setting"] == "3" and meta["seed"] == "5"
 
@@ -119,6 +124,12 @@ def test_bad_input_exits_2(tmp_path, capsys):
         assert main(["bench"] + flags) == 2
         shown = capsys.readouterr()
         assert shown.out == "" and "error: %s must be >= 1" % flags[0] in shown.err
+    # the size is bounded before the noise and trace buffers are allocated
+    assert main(["bench", "--blocks", "20000", "--interval", "1000000"]) == 2
+    shown = capsys.readouterr()
+    assert shown.out == "" and shown.err == (
+        "error: --blocks * --interval must be <= 10000000 substeps, got 20000 * 1000000\n"
+    )
 
 
 def test_bad_values_exit_2_naming_their_key(tmp_path, capsys):
@@ -197,7 +208,7 @@ def test_config_file_loses_to_set_pairs_and_flags(tmp_path, monkeypatch, capsys)
         "train.n_updates = 0\neval.episodes = 1\nhyper.gamma = 0.5  # discount\n"
     )
     train = ["train", "--config", str(cfg_file), "--setting", "5", "--seed", "1.0"]
-    sets = ["--set", "hyper.gamma=0.7", "--set", "output_dir=E"]
+    sets = ["--set", "hyper.gamma=0.6", "--set", "hyper.gamma=0.7", "--set", "output_dir=E"]
     cfg = config_from_dict(cli._config_dict(cli.build_parser().parse_args(train + sets)))
     assert (cfg.setting_id, cfg.seed, cfg.subject, cfg.n_updates) == (5, 1, "subject_13", 0)
     assert cfg.hyper.gamma == 0.7 and cfg.output_dir == "E"
@@ -224,6 +235,10 @@ def test_config_file_errors_exit_2_naming_the_file(tmp_path, capsys):
     bad.write_text("seed = 1\nnot a pair  # comment\n")
     assert main(train + [str(bad)]) == 2
     assert capsys.readouterr().err == "error: %s: line 2 'not a pair' is not key = value\n" % bad
+    dup = tmp_path / "dup.cfg"
+    dup.write_text("seed = 1\ntrain.n_updates = 0\nseed = 2\n")
+    assert main(train + [str(dup)]) == 2
+    assert capsys.readouterr().err == "error: %s: line 3 repeats key 'seed' from line 1\n" % dup
 
 
 def test_config_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys):
@@ -355,6 +370,35 @@ def test_divergence_exits_2_naming_the_failed_step(tmp_path, learning_rate):
         proc.stderr,
     ), proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_failed_rerun_leaves_no_torn_file(tmp_path):
+    # a rerun over an earlier run's directory that may not write its first CSV
+    # whole fails naming that file, and leaves every file the manifest lists intact
+    src = str(Path(pedalrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "D"
+    args = [sys.executable, "-m", "pedalrl", "sweep", "--settings", "2",
+            "--set", "train.n_updates=0", "--set", "eval.episodes=1", "--out", str(out)]
+    first = subprocess.run(args + ["--seed", "7"], capture_output=True, text=True, env=env,
+                           timeout=300)
+    assert first.returncode == 0, first.stderr
+    csv = out / "trace_setting2_ep0.csv"
+    before = csv.read_bytes()
+    limit = 40960  # bytes per file in the child; too few for the CSV
+    assert len(before) > limit
+    proc = subprocess.run(
+        args + ["--seed", "8"], capture_output=True, text=True, env=env, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    efbig = "[Errno %d] %s" % (errno.EFBIG, os.strerror(errno.EFBIG))
+    assert proc.stderr == "error: %s: %r\n" % (efbig, str(csv))
+    assert csv.read_bytes() == before
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert sorted(os.listdir(out)) == sorted([*manifest["files"], "manifest.json", "setting2.ckpt"])
 
 
 def test_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):

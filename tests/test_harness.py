@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import ConstantPolicy, make_test_env
 from pedalrl import harness
-from pedalrl.config import apply_overrides, coerce, parse_config_text
+from pedalrl.config import apply_overrides, coerce, parse_config_text, write_utf8
 from pedalrl.episode import EpisodeTrace, SamplingPolicy, run_episode
 from pedalrl.harness import (
     CONFIG_KEYS,
@@ -70,6 +71,16 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config_text("a = 1\nnot a pair\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_config_text("= 3\n")
+
+
+def test_parse_config_rejects_a_repeated_key_naming_both_lines():
+    text = "seed = 1\n# seed = 3 in a comment is no key\ntrain.n_updates = 0\nseed = 2\n"
+    with pytest.raises(ValueError) as err:
+        parse_config_text(text, "dup.cfg")
+    assert str(err.value) == "dup.cfg: line 4 repeats key 'seed' from line 1"
+    # a key is its stripped text, so spacing does not hide a repeat
+    with pytest.raises(ValueError, match="line 2 repeats key 'seed' from line 1"):
+        parse_config_text("seed = 1\n  seed=1\n")
 
 
 def test_apply_overrides():
@@ -377,7 +388,7 @@ def test_trace_csv_round_trip_is_exact():
     res = run_episode(
         env, ConstantPolicy(3), ConstantPolicy(1), np.random.default_rng(2)
     )
-    text = trace_to_csv(res.trace)
+    text = trace_to_csv(res.trace, {})
     back = trace_from_csv(text, env.decision_interval)
     for field in (
         "time", "reference", "position", "omega",
@@ -403,7 +414,7 @@ def test_trace_csv_equals_row_oracle_on_episodes():
         machine = SamplingPolicy(init_params(rng, 6, 2))
         trace = run_episode(env, human, machine, rng).trace
         expected = trace_to_csv_rows(trace)
-        assert trace_to_csv(trace) == expected
+        assert trace_to_csv(trace, {}) == expected
         assert trace_to_csv(trace, shared) == expected
     # every trace of the shipped env shares one time and one reference column
     assert len(shared) == 2
@@ -427,7 +438,7 @@ def test_trace_csv_equals_row_oracle_on_special_values():
     trace = special_trace()
     expected = trace_to_csv_rows(trace)
     assert "-0.0," in expected and "5e-324" in expected and "nan" in expected
-    assert trace_to_csv(trace) == expected
+    assert trace_to_csv(trace, {}) == expected
     shared = {}
     assert trace_to_csv(trace, shared) == expected
     assert trace_to_csv(trace, shared) == expected  # served from ``shared``
@@ -452,6 +463,49 @@ def test_export_shares_columns_by_bytes_not_values(tmp_path):
         ("trace_setting6_ep0.csv", b), ("trace_setting6_ep1.csv", a),
     ):
         assert (tmp_path / name).read_text() == trace_to_csv_rows(trace), name
+
+
+def test_write_utf8_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "new" / "dir" / "out.csv"
+    assert write_utf8(path, "r\u00e9glage\n") == "r\u00e9glage\n".encode("utf-8")
+    assert path.read_bytes() == b"r\xc3\xa9glage\n"
+    assert write_utf8(str(path), "b\n") == b"b\n" and path.read_bytes() == b"b\n"
+    assert os.listdir(path.parent) == ["out.csv"]
+
+
+def test_write_utf8_keeps_the_old_bytes_when_the_replace_fails(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b"old\n")
+
+    def failing_replace(src, dst):
+        assert os.path.exists(src) and src.endswith(".tmp")  # the new bytes were written
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError) as err:
+        write_utf8(path, "new\n")
+    assert err.value.errno == errno.EIO and err.value.filename == str(path)
+    assert str(path) in str(err.value)
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_write_utf8_removes_its_temporary_file_on_any_failure(tmp_path, monkeypatch):
+    # a failure that is not an OSError passes through unchanged
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_utf8(tmp_path / "a.csv", "x\n")
+    assert os.listdir(tmp_path) == []
+    # a real failure: a directory already holds the name
+    (tmp_path / "d.csv").mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        write_utf8(tmp_path / "d.csv", "x\n")
+    assert err.value.filename == str(tmp_path / "d.csv")
+    assert os.listdir(tmp_path) == ["d.csv"] and os.listdir(tmp_path / "d.csv") == []
 
 
 def test_eval_seeds_deterministic_and_distinct():
@@ -541,8 +595,8 @@ def test_sweep_deterministic_and_exports(tmp_path):
 
 
 def test_sweep_seed_changes_results(tmp_path):
-    rows_a = sweep([2], light_config(seed=3))
-    rows_b = sweep([2], light_config(seed=4))
+    rows_a = sweep([2], light_config(seed=3), tmp_path / "a")
+    rows_b = sweep([2], light_config(seed=4), tmp_path / "b")
     assert rows_a[2] != rows_b[2]
 
 
