@@ -58,14 +58,6 @@ SETTINGS = {
 SETTING_RANGE = "%d..%d" % (min(SETTINGS), max(SETTINGS))  # the ids, as messages write them
 
 
-def load_setting(setting_id: int) -> SettingConfig:
-    """Return the built-in bank/weight row for ``setting_id`` (in ``SETTING_RANGE``)."""
-    try:
-        return SETTINGS[setting_id]
-    except KeyError:
-        raise ValueError("unknown setting id %r (expected %s)" % (setting_id, SETTING_RANGE))
-
-
 def default_integral_limit(gains: PIDGains, torque_limit: float) -> float:
     """Anti-windup bound: the integral term alone cannot exceed actuator authority."""
     return torque_limit / max(gains.ki, EPS_GAIN)

@@ -9,15 +9,14 @@ the simulation state, the delay queue (all from ``kernels.buffers``) and
 each decision's noise, because its uncompiled body reads and writes a
 memoryview element several times faster than a numpy array's. The
 block-final values are read once per decision from those row views as
-Python floats, from which the windows and both agents'
-observations (block-final values over ``obs_divisors``) are taken. Each
-agent's observations sit in one preallocated ``(n_decisions + 1, dim)``
-array: the quotients of decision z are written once, into row z + 1, and
-a policy is handed row z as a 1-D view, which is never rewritten, so a
-policy may keep it. The trace records every plant substep; the reward
-lands on block-final rows and in both agents' experience, one record
-array per agent and episode (``experience``), whose ``obs`` and
-``next_obs`` are the array without its last and its first row.
+Python floats. Each agent's observations (values over ``obs_divisors``)
+sit in one ``(n_decisions, dim)`` array, each computed by one formula and
+stored once: row z, at the top of decision z, from decision z - 1's
+block-final values, or from the pedal at rest for z = 0. A policy is
+handed row z as a 1-D view, which is never rewritten, so it may keep it.
+The trace records every plant substep; the reward lands on block-final
+rows and in both agents' ``experience``, one record array per agent and
+episode, whose row z + 1 holds row z's next observation.
 
 RNG discipline: per decision step the stream is consumed in a fixed order
 (human sample, machine sample, one noise vector), and non-sampling policies
@@ -59,7 +58,7 @@ class EnvParams:
 
 
 def obs_divisors(env: EnvParams) -> tuple:
-    """(human, machine) divisor vectors that bring observation fields to O(1).
+    """(human, machine) float tuples that bring observation fields to O(1).
 
     Angles go over the reference amplitude (the upper stop for a flat
     reference), torques over the torque limit, omega over its limit, the
@@ -67,18 +66,17 @@ def obs_divisors(env: EnvParams) -> tuple:
     """
     p = env.plant
     angle = env.reference.amplitude if env.reference.amplitude > 0.0 else p.angle_max
-    return (
-        np.array([angle, angle, 1.0, 2.0, p.torque_limit]),
-        np.array([angle, angle, angle, p.omega_max, 1.0, p.torque_limit]),
-    )
+    human = (angle, angle, 1.0, 2.0, p.torque_limit)
+    machine = (angle, angle, angle, p.omega_max, 1.0, p.torque_limit)
+    return tuple(map(float, human)), tuple(map(float, machine))
 
 
-def experience(obs, action, log_prob_old, reward, next_obs, terminal) -> np.recarray:
+def experience(obs, action, log_prob_old, reward, terminal) -> np.recarray:
     """One agent's decisions as a record array, one row per decision.
 
-    Fields: ``obs``, ``action``, ``log_prob_old``, ``reward``, ``next_obs``
-    and ``terminal``. Raises ValueError naming the first row with a positive
-    log probability or a non-finite reward.
+    Fields: ``obs``, ``action``, ``log_prob_old``, ``reward`` and ``terminal``;
+    a row's next observation is the next row's ``obs``. Raises ValueError
+    naming the first row with a positive log probability or a non-finite reward.
     """
     obs = np.asarray(obs, dtype=np.float64)
     log_prob_old = np.asarray(log_prob_old, dtype=np.float64)
@@ -94,9 +92,9 @@ def experience(obs, action, log_prob_old, reward, next_obs, terminal) -> np.reca
     # field write to a recarray would make (and finalize) one more recarray view.
     rec = np.empty(n, dtype=[
         ("obs", np.float64, (dim,)), ("action", np.int64), ("log_prob_old", np.float64),
-        ("reward", np.float64), ("next_obs", np.float64, (dim,)), ("terminal", bool),
+        ("reward", np.float64), ("terminal", bool),
     ])
-    columns = (obs, action, log_prob_old, reward, next_obs, terminal)
+    columns = (obs, action, log_prob_old, reward, terminal)
     for name, column in zip(rec.dtype.names, columns):
         rec[name] = column
     return rec.view(np.recarray)
@@ -123,8 +121,10 @@ class EpisodeTrace:
 
 @dataclass
 class EpisodeResult:
+    """An episode's trace and each agent's ``experience``: row z is decision z's."""
+
     trace: EpisodeTrace
-    transitions_human: np.recarray  # see ``experience``
+    transitions_human: np.recarray
     transitions_machine: np.recarray
     total_reward: float
 
@@ -157,28 +157,34 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     n = env.n_decisions
     weights = env.setting.weights
     noise_std = env.human.noise_std
-    div_h, div_m = (d.tolist() for d in obs_divisors(env))
+    div_h, div_m = obs_divisors(env)
+    dh_pos, dh_err, dh_comfort, dh_digit, dh_tm = div_h
+    dm_ref, dm_pos, dm_err, dm_om, dm_act, dm_th = div_m
 
     constants, bank = kernels.pack(env)
     block, sim, queue, rows = kernels.buffers(env.human.reaction_delay, n * interval)
     _, ref_row, pos_row, om_row, tm_row, th_row = rows
 
-    # obs_*[z] is the observation at decision z and the next_obs of decision
-    # z - 1; the first is the pedal at rest at t = 0. Row z + 1 is written
-    # once, after decision z, so the row a policy is handed never changes.
-    ref0 = sample_reference(env.reference, 0.0)
-    obs_h = np.empty((n + 1, len(div_h)))
-    obs_m = np.empty((n + 1, len(div_m)))
-    obs_h[0] = [v / d for v, d in zip((0.0, ref0, 0.0, 0.0, 0.0), div_h)]
-    obs_m[0] = [v / d for v, d in zip((ref0, 0.0, ref0, 0.0, 0.0, 0.0), div_m)]
-    dh_pos, dh_err, dh_comfort, dh_digit, dh_tm = div_h
-    dm_ref, dm_pos, dm_err, dm_om, dm_act, dm_th = div_m
+    obs_h = np.empty((n, len(div_h)))
+    obs_m = np.empty((n, len(div_m)))
     act_h, act_m, logp_h, logp_m = [], [], [], []
     # Block-final position, reference and digit per decision: the reward
     # windows are their last k entries.
     positions, references, digits, rewards = [], [], [], []
     total_reward = 0.0
+    # Decision z observes decision z - 1's block-final values, decision 0 the pedal at rest.
+    ref, pos, om, tm, th = sample_reference(env.reference, 0.0), 0.0, 0.0, 0.0, 0.0
+    digit = a_m = 0
+    window = []
     for z in range(n):
+        err = ref - pos
+        obs_h[z] = (
+            pos / dh_pos, err / dh_err, comfort_term(window) / dh_comfort, digit / dh_digit,
+            tm / dh_tm,
+        )
+        obs_m[z] = (
+            ref / dm_ref, pos / dm_pos, err / dm_err, om / dm_om, a_m / dm_act, th / dm_th,
+        )
         a_h, lp_h = human_policy.act(obs_h[z], rng)
         a_m, lp_m = machine_policy.act(obs_m[z], rng)
         digit = DIGITS[a_h]
@@ -205,15 +211,6 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         rewards.append(reward)
         total_reward += reward
 
-        err = ref - pos
-        obs_h[z + 1] = (
-            pos / dh_pos, err / dh_err, comfort_term(window) / dh_comfort, digit / dh_digit,
-            tm / dh_tm,
-        )
-        obs_m[z + 1] = (
-            ref / dm_ref, pos / dm_pos, err / dm_err, om / dm_om, a_m / dm_act, th / dm_th,
-        )
-
     reward_arr = np.zeros(n * interval)
     reward_arr[interval - 1 :: interval] = rewards
     trace = EpisodeTrace(
@@ -224,7 +221,7 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     terminal = np.arange(n) == n - 1
     return EpisodeResult(
         trace=trace,
-        transitions_human=experience(obs_h[:-1], act_h, logp_h, rewards, obs_h[1:], terminal),
-        transitions_machine=experience(obs_m[:-1], act_m, logp_m, rewards, obs_m[1:], terminal),
+        transitions_human=experience(obs_h, act_h, logp_h, rewards, terminal),
+        transitions_machine=experience(obs_m, act_m, logp_m, rewards, terminal),
         total_reward=total_reward,
     )

@@ -9,13 +9,14 @@ seeds are fixed and shared across settings so rows stay comparable.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from .config import coerce, write_utf8
-from .controllers import SETTING_RANGE, SETTINGS, load_setting
+from .controllers import SETTING_RANGE, SETTINGS
 from .episode import EnvParams, EpisodeTrace, SamplingPolicy, run_episode
 from .human import HumanParams
 from .plant import PlantParams, ReferenceTrajectory
@@ -123,6 +124,11 @@ PAIRED_BOUNDS = (
     # the trace holds one column per substep
     ("episode.n_decisions", lambda v, w: v * w <= MAX_SUBSTEPS,
      "<= %d substeps /" % MAX_SUBSTEPS, "episode.decision_interval"),
+    # math.sin rejects an infinite reference phase 2*pi*t/period; an episode's
+    # t is at most MAX_SUBSTEPS steps of dt, doubled for the running sum's rounding
+    ("reference.period", lambda v, w: math.isfinite(2.0 * math.pi * (2 * MAX_SUBSTEPS * w) / v),
+     "long enough that 2*pi*t/period stays finite for t up to 2 * %d substeps of"
+     % MAX_SUBSTEPS, "plant.dt"),
 )
 
 
@@ -173,12 +179,12 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
 
 
 def make_env(cfg: ExperimentConfig) -> EnvParams:
-    """The env of ``cfg``'s setting."""
+    """The env of ``cfg``'s setting, whose id ``config_from_dict`` has checked."""
     return EnvParams(
         plant=cfg.plant,
         reference=cfg.reference,
         human=cfg.human,
-        setting=load_setting(cfg.setting_id),
+        setting=SETTINGS[cfg.setting_id],
         window=cfg.window,
         decision_interval=cfg.decision_interval,
         n_decisions=cfg.n_decisions,
@@ -219,14 +225,20 @@ def eval_seeds(base_seed: int, n_episodes: int) -> list:
 
 
 def evaluate_agents(human_actor, machine_actor, env: EnvParams, n_episodes: int, base_seed: int):
-    """Run evaluation episodes; returns (mean MetricsReport, traces)."""
+    """Run evaluation episodes; returns (mean MetricsReport, traces).
+
+    A ValueError from an episode names it: ``evaluation episode i of N``.
+    """
     traces = []
     reports = []
-    for s in eval_seeds(base_seed, n_episodes):
+    for i, s in enumerate(eval_seeds(base_seed, n_episodes), 1):
         rng = np.random.default_rng(s)
-        res = run_episode(
-            env, SamplingPolicy(human_actor), SamplingPolicy(machine_actor), rng
-        )
+        try:
+            res = run_episode(
+                env, SamplingPolicy(human_actor), SamplingPolicy(machine_actor), rng
+            )
+        except ValueError as exc:
+            raise ValueError("evaluation episode %d of %d: %s" % (i, n_episodes, exc)) from None
         traces.append(res.trace)
         reports.append(mse_metrics(res.trace, env.human.unit_torque))
     mean = MetricsReport(
@@ -366,12 +378,16 @@ def sweep(settings, cfg: ExperimentConfig, out_dir) -> dict:
     the value table and manifest after the last setting, so a sweep that
     stops part-way leaves no manifest. The manifest's run block is ``cfg``
     as a dict, without ``output_dir`` and ``setting_id``, plus ``settings``.
+    A ValueError from a setting names it: ``setting s``.
     """
     reports = {}
     hashes = {}
     shared = {}  # time and reference columns, rendered once per sweep
     for sid in settings:
-        reports[sid] = _sweep_setting(replace(cfg, setting_id=sid), out_dir, shared, hashes)
+        try:
+            reports[sid] = _sweep_setting(replace(cfg, setting_id=sid), out_dir, shared, hashes)
+        except ValueError as exc:
+            raise ValueError("setting %d: %s" % (sid, exc)) from None
     run_info = asdict(cfg)
     del run_info["output_dir"], run_info["setting_id"]
     export_results(reports, hashes, out_dir, {**run_info, "settings": list(settings)})

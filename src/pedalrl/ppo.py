@@ -1,9 +1,11 @@
 """Dual-agent PPO on the pedal environment.
 
 Advantages are discounted sums of one-step TD errors computed backward over
-the whole buffer; returns add the critic baseline back. The actor minimizes
-the clipped surrogate minus the weighted entropy, an exploration bonus. The
-paper prints the entropy term with the other sign; this code uses the bonus.
+the whole buffer of whole episodes, where row i + 1's observation is row i's
+next one (masked past a terminal); returns add the critic baseline back. The
+actor minimizes the clipped surrogate minus the weighted entropy, an
+exploration bonus. The paper prints the entropy term with the other sign;
+this code uses the bonus.
 
 Gradients are exact (hand-derived through the softmax and both tanh
 layers) and are checked against central finite differences in the tests.
@@ -51,8 +53,8 @@ class PPOHyper:
 class ExperienceBuffer:
     """Time-ordered store of whole episodes' experience records.
 
-    Each ``extend`` adds one record array from ``episode.experience``;
-    advantages need the buffer filled to capacity.
+    Each ``extend`` adds one episode's ``episode.experience``, so row i + 1
+    holds row i's next observation; advantages need the buffer filled to capacity.
     """
 
     def __init__(self, capacity: int):
@@ -75,7 +77,7 @@ class ExperienceBuffer:
         self._size = 0
 
     def arrays(self):
-        """(obs, actions, log_probs_old, rewards, next_obs, terminals), fresh and contiguous."""
+        """(obs, actions, log_probs_old, rewards, terminals), fresh and contiguous."""
         if not self._episodes:
             raise ValueError("empty buffer")
         return tuple(
@@ -244,9 +246,12 @@ def update_agent(agent: Agent, hyper: PPOHyper, rng) -> list:
         raise ValueError(
             "buffer holds %d of %d transitions" % (len(agent.buffer), agent.buffer.capacity)
         )
-    obs, actions, logp_old, rewards, next_obs, terminals = agent.buffer.arrays()
+    obs, actions, logp_old, rewards, terminals = agent.buffer.arrays()
     values = critic_values(agent.critic, obs)
-    next_values = critic_values(agent.critic, next_obs)
+    # Row i + 1 is row i's next observation, masked past a terminal. Rolled, a
+    # row keeps its index in an array of the same length, and so its value's
+    # bits; ``values[1:]`` would shift the index, which can change them.
+    next_values = critic_values(agent.critic, np.roll(obs, -1, axis=0))
     advantages = compute_advantages(rewards, values, next_values, terminals, hyper.gamma)
     returns = advantages + values
 
@@ -310,7 +315,8 @@ def train(env: EnvParams, hyper: PPOHyper, seed: int, n_updates: int) -> TrainRe
 
     Fully deterministic in (env, hyper, seed, n_updates): parameter init,
     rollout sampling and minibatch shuffling each draw from their own
-    seed-sequence child.
+    seed-sequence child. A ValueError from a rollout names its update and
+    its episode within the update; one from an update names the update.
     """
     ss = np.random.SeedSequence(seed)
     init_ss, rollout_ss, update_ss = ss.spawn(3)
@@ -325,10 +331,16 @@ def train(env: EnvParams, hyper: PPOHyper, seed: int, n_updates: int) -> TrainRe
     values = []
     loss_traces = []
     for update in range(n_updates):
+        episode = 0
         while not human.buffer.full:
-            res = run_episode(
-                env, SamplingPolicy(human.actor), SamplingPolicy(machine.actor), rollout_rng
-            )
+            episode += 1
+            try:
+                res = run_episode(
+                    env, SamplingPolicy(human.actor), SamplingPolicy(machine.actor), rollout_rng
+                )
+            except ValueError as exc:
+                raise ValueError("PPO update %d of %d, rollout episode %d: %s" % (
+                    update + 1, n_updates, episode, exc)) from None
             human.buffer.extend(res.transitions_human)
             machine.buffer.extend(res.transitions_machine)
             values.append(res.total_reward)

@@ -109,10 +109,7 @@ def test_criterion_02_advantages_match_double_loop():
     start = time.perf_counter()
     critic = init_params(rng, 3, 1)
     worst = 0.0
-    from pedalrl.ppo import ExperienceBuffer
-
     for _ in range(100):
-        buf = ExperienceBuffer(10)
         rows = []
         for i in range(10):
             rows.append((
@@ -123,9 +120,8 @@ def test_criterion_02_advantages_match_double_loop():
                 rng.uniform(-1, 1, 3),
                 bool(rng.random() < 0.2) or i == 9,
             ))
-        buf.extend(experience(*zip(*rows)))  # rows to columns
+        obs, _, _, rewards, next_obs, terminals = map(np.array, zip(*rows))  # rows to columns
         gamma = float(rng.uniform(0.05, 0.999))
-        obs, _, _, rewards, next_obs, terminals = buf.arrays()
         got = compute_advantages(
             rewards, critic_values(critic, obs), critic_values(critic, next_obs), terminals, gamma
         )
@@ -232,7 +228,7 @@ def _bandit_updates_to_converge(seed, max_updates=200):
         while len(batch) < 200:
             dist = actor_forward(agent.actor, obs)
             a, logp = sample_action(dist, r_roll)
-            batch.append((obs, a, logp, ARMS[a], obs, True))
+            batch.append((obs, a, logp, ARMS[a], True))
         agent.buffer.extend(experience(*zip(*batch)))  # rows to columns
         update_agent(agent, hyper, r_up)
         if actor_forward(agent.actor, obs).probabilities[best] > 0.9:

@@ -17,7 +17,7 @@ from conftest import run_at_blas_threads
 from pedalrl import cli, kernels
 from pedalrl.cli import main, parse_settings
 from pedalrl.config import load_config
-from pedalrl.controllers import SETTING_RANGE, SETTINGS, load_setting
+from pedalrl.controllers import SETTING_RANGE, SETTINGS
 from pedalrl.harness import config_from_dict
 from pedalrl.ppo import load_checkpoint, make_agent, save_checkpoint
 
@@ -36,8 +36,7 @@ def test_setting_range_text_comes_from_the_table():
     # every message naming the valid setting ids writes the table's range
     assert SETTING_RANGE == "%d..%d" % (min(SETTINGS), max(SETTINGS)) == "1..8"
     expected = re.escape("(expected %s)" % SETTING_RANGE)
-    for bad in (lambda: load_setting(9), lambda: parse_settings("0..3"),
-                lambda: parse_settings("2,9")):
+    for bad in (lambda: parse_settings("0..3"), lambda: parse_settings("2,9")):
         with pytest.raises(ValueError, match=expected):
             bad()
     rule = re.escape("'setting' must be in %s, got 9" % SETTING_RANGE)
@@ -160,6 +159,35 @@ def test_flat_reference_with_no_upper_stop_exits_2(capsys):
     err = capsys.readouterr().err
     assert "'plant.angle_max'" in err and "'reference.amplitude'" in err
     assert "Traceback" not in err
+
+
+def test_overflowing_reference_phase_exits_2_naming_both_keys(capsys):
+    # math.sin would get an infinite phase 2*pi*t/period: a subnormal period
+    # overflows the quotient, a huge dt the time itself
+    config_from_dict({"seed": 1})  # the shipped period and dt pass
+    args = ["train", "--setting", "2", "--seed", "1", "--set", "train.n_updates=0",
+            "--set", "eval.episodes=1"]
+    for pair in ("reference.period=1e-320", "plant.dt=1e308"):
+        assert main(args + ["--set", pair]) == 2
+        shown = capsys.readouterr()
+        assert shown.err.startswith("error: config key 'reference.period' must be "), pair
+        assert "config key 'plant.dt'" in shown.err and "Traceback" not in shown.err, pair
+
+
+def test_failed_rollout_or_evaluation_names_where(tmp_path, capsys):
+    # a dt this large makes every reward non-finite from the first window on
+    fail = ["--set", "plant.dt=1e300", "--set", "eval.episodes=1", "--out", str(tmp_path)]
+    row = "experience row 9: non-finite reward\n"
+    for command, where in (
+        (["train", "--setting", "2", "--set", "train.n_updates=1"],
+         "PPO update 1 of 1, rollout episode 1: "),
+        (["train", "--setting", "2", "--set", "train.n_updates=0"],
+         "evaluation episode 1 of 1: "),
+        (["sweep", "--settings", "1..3", "--set", "train.n_updates=1"],
+         "setting 1: PPO update 1 of 1, rollout episode 1: "),
+    ):
+        assert main(command + ["--seed", "1"] + fail) == 2
+        assert capsys.readouterr().err == "error: " + where + row, command
 
 
 def test_memory_error_exits_2(monkeypatch, capsys):

@@ -10,7 +10,6 @@ from pedalrl.controllers import (
     PIDGains,
     SETTINGS,
     default_integral_limit,
-    load_setting,
 )
 
 # Table rows the bank must reproduce: (mu,kappa,rho), human PD pairs
@@ -30,17 +29,11 @@ EXPECTED_ROWS = {
 def test_settings_table():
     assert sorted(SETTINGS) == list(range(1, 9))
     for sid, (w, pds, pids) in EXPECTED_ROWS.items():
-        cfg = load_setting(sid)
+        cfg = SETTINGS[sid]
         assert cfg.setting_id == sid
         assert (cfg.weights.mu, cfg.weights.kappa, cfg.weights.rho) == w
         assert tuple((g.kp, g.kd) for g in cfg.human_pd) == pds
         assert tuple((g.kp, g.ki, g.kd) for g in cfg.machine_pid) == pids
-
-
-def test_load_setting_bounds():
-    for bad in (0, 9, -1, "2"):
-        with pytest.raises(ValueError):
-            load_setting(bad)
 
 
 def test_gain_validation():

@@ -139,6 +139,8 @@ BAD_PAIRS = [
     {"plant.angle_min": 0.6, "plant.angle_max": -0.6},
     {"hyper.batch_size": 4096, "hyper.buffer_size": 32},
     {"episode.n_decisions": 10**6 + 1, "episode.decision_interval": 10**6},
+    # each alone overflows the reference phase 2*pi*t/period
+    {"reference.period": 1e-320, "plant.dt": 1e308},
 ]
 # A flat reference scales angle observations by the upper stop, so a stop at
 # or below zero is rejected only with a zero amplitude (each alone is fine).

@@ -7,11 +7,11 @@ from oracles import (
     initial_human_state,
     pd_index_for_digit,
 )
-from pedalrl.controllers import PDGains, load_setting
+from pedalrl.controllers import SETTINGS, PDGains
 from pedalrl.harness import config_from_dict
 from pedalrl.human import DIGITS, HumanParams
 
-PD_PAIR = load_setting(1).human_pd  # (30, 0.2) strong / (15, 0.1) weak
+PD_PAIR = SETTINGS[1].human_pd  # (30, 0.2) strong / (15, 0.1) weak
 
 
 def run_chain(params, digits, pd_pair=PD_PAIR, noise=0.0, dt=0.01, limit=30.0):

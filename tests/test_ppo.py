@@ -8,7 +8,13 @@ import pytest
 import oracles
 from conftest import make_test_env, run_at_blas_threads
 from pedalrl import ppo
-from pedalrl.episode import experience
+from pedalrl.episode import (
+    OBS_DIM_HUMAN,
+    OBS_DIM_MACHINE,
+    SamplingPolicy,
+    experience,
+    run_episode,
+)
 from pedalrl.harness import config_from_dict
 from pedalrl.nets import (
     actor_forward,
@@ -51,7 +57,6 @@ def fill_buffer(rng, capacity, obs_dim=3, n_actions=4, terminal_pattern=None):
             int(rng.integers(n_actions)),
             float(-rng.uniform(0.1, 2.0)),
             float(rng.normal()),
-            rng.uniform(-1, 1, obs_dim),
             terminal,
         ))
     buf.extend(experience(*zip(*rows)))  # rows to columns
@@ -59,9 +64,10 @@ def fill_buffer(rng, capacity, obs_dim=3, n_actions=4, terminal_pattern=None):
 
 
 def buffer_advantages(buf, critic, gamma):
-    """Advantages of a filled buffer, the critic run on its obs and next_obs."""
-    obs, _, _, rewards, next_obs, terminals = buf.arrays()
-    values, next_values = critic_values(critic, obs), critic_values(critic, next_obs)
+    """Advantages of a filled buffer, as ``update_agent`` computes them."""
+    obs, _, _, rewards, terminals = buf.arrays()
+    values = critic_values(critic, obs)
+    next_values = critic_values(critic, np.roll(obs, -1, axis=0))
     return compute_advantages(rewards, values, next_values, terminals, gamma)
 
 
@@ -69,7 +75,7 @@ def test_buffer_bookkeeping():
     rng = np.random.default_rng(0)
     buf = fill_buffer(rng, 8)
     assert buf.full
-    obs, actions, logp, rewards, next_obs, terminals = buf.arrays()
+    obs, actions, logp, rewards, terminals = buf.arrays()
     assert obs.shape == (8, 3)
     assert actions.dtype.kind == "i"
     assert terminals[-1]
@@ -83,7 +89,7 @@ def test_buffer_bookkeeping():
         ([-0.1, -0.2, -0.3], [0.0, 1.0, np.nan], "row 2: non-finite reward"),
     ):
         with pytest.raises(ValueError, match=message):
-            experience(obs, [0, 1, 0], logp, reward, obs, [False, False, True])
+            experience(obs, [0, 1, 0], logp, reward, [False, False, True])
 
 
 def test_advantages_match_double_loop_oracle():
@@ -93,11 +99,11 @@ def test_advantages_match_double_loop_oracle():
         buf = fill_buffer(rng, 10)
         gamma = float(rng.uniform(0.1, 0.999))
         q = buffer_advantages(buf, critic, gamma)
-        obs, _, _, rewards, next_obs, terminals = buf.arrays()
+        obs, _, _, rewards, terminals = buf.arrays()
         expected = oracles.advantage_double_loop(
             rewards.tolist(),
             critic_values(critic, obs).tolist(),
-            critic_values(critic, next_obs).tolist(),
+            critic_values(critic, np.roll(obs, -1, axis=0)).tolist(),
             terminals.tolist(),
             gamma,
         )
@@ -110,8 +116,9 @@ def test_advantages_match_numpy_scalar_loop_bitwise():
     rng = np.random.default_rng(3)
     critic = init_params(rng, 3, 1)
     buf = fill_buffer(rng, 200)
-    obs, _, _, rewards, next_obs, terminals = buf.arrays()
-    values, next_values = critic_values(critic, obs), critic_values(critic, next_obs)
+    obs, _, _, rewards, terminals = buf.arrays()
+    values = critic_values(critic, obs)
+    next_values = critic_values(critic, np.roll(obs, -1, axis=0))
     gamma = 0.99
     mask = np.where(terminals, 0.0, 1.0)
     delta = rewards + gamma * mask * next_values - values
@@ -130,7 +137,7 @@ def test_advantages_gamma_zero_reduces_to_td():
     critic = init_params(rng, 3, 1)
     buf = fill_buffer(rng, 12)
     q = buffer_advantages(buf, critic, 0.0)
-    obs, _, _, rewards, _, _ = buf.arrays()
+    obs, _, _, rewards, _ = buf.arrays()
     assert np.allclose(q, rewards - critic_values(critic, obs), atol=1e-14)
 
 
@@ -142,7 +149,7 @@ def test_advantages_zero_critic_terminal_free():
     buf = fill_buffer(rng, 10, terminal_pattern=pattern)
     gamma = 0.9
     q = buffer_advantages(buf, critic, gamma)
-    _, _, _, rewards, _, _ = buf.arrays()
+    _, _, _, rewards, _ = buf.arrays()
     for t in range(10):
         expected = sum(gamma ** (i - t) * rewards[i] for i in range(t, 10))
         assert q[t] == pytest.approx(expected, rel=1e-12)
@@ -189,6 +196,76 @@ def test_critic_values_keep_their_bits_at_two_blas_threads():
     one, two = (split_values(run_at_blas_threads(t, VALUES_SNIPPET, 10001), [10001])
                 for t in (1, 2))
     assert [values for values, _ in one] == [values for values, _ in two]
+
+
+# For each size and critic, one line per replaced row (first, middle, last):
+# how many other rows' value bytes changed, and whether the replaced row's did.
+ROW_SNIPPET = """
+import sys
+import numpy as np
+from pedalrl.nets import init_params
+from pedalrl.ppo import critic_values
+for n in map(int, sys.argv[1:]):
+    for dim in (5, 6):
+        rng = np.random.default_rng([dim, n])
+        critic = init_params(rng, dim, 1)
+        obs = rng.uniform(-2.0, 2.0, (n, dim))
+        base = critic_values(critic, obs)
+        for row in (0, n // 2, n - 1):
+            other = obs.copy()
+            other[row] = rng.uniform(-2.0, 2.0, dim)
+            values = critic_values(critic, other)
+            changed = base.view(np.uint64) != values.view(np.uint64)
+            print(n, dim, row, int(changed.sum() - changed[row]), bool(changed[row]))
+"""
+ROW_SIZES = (2, 3, 4, 5, 255, 256, 257, 511, 512, 513, 2048, 2049, 2100, 6001, 10001)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_row_value_depends_only_on_the_row_its_index_and_the_length(threads):
+    # update_agent values the next observations as np.roll(obs, -1): each
+    # non-terminal row's sits at its own index in an array of the buffer's
+    # length, whatever the terminal rows hold, so its value may depend on no
+    # other row. Random rows reach rounding that episode rows rarely do.
+    lines = run_at_blas_threads(threads, ROW_SNIPPET, *ROW_SIZES).decode().splitlines()
+    assert len(lines) == len(ROW_SIZES) * 2 * 3
+    for line in lines:
+        n, dim, row, others, own = line.split()
+        assert (others, own) == ("0", "True"), line
+
+
+def test_a_terminal_rows_next_observation_cannot_reach_the_advantages(monkeypatch):
+    # the advantages update_agent computes on three real episodes equal those
+    # of an explicit next-observation array, whatever its terminal rows hold
+    env = make_test_env(n_decisions=20)
+    rng = np.random.default_rng(8)
+    agent = make_agent(rng, OBS_DIM_HUMAN, ppo.HUMAN_ACTIONS, buffer_size=60)
+    machine = SamplingPolicy(init_params(rng, OBS_DIM_MACHINE, ppo.MACHINE_ACTIONS))
+    for _ in range(3):
+        agent.buffer.extend(run_episode(env, SamplingPolicy(agent.actor), machine, rng)
+                            .transitions_human)
+    obs, _, _, rewards, terminals = agent.buffer.arrays()
+    assert terminals.sum() == 3 and terminals[-1]
+    critic = copy.deepcopy(agent.critic)
+    seen = []
+
+    def capture(*args):
+        seen.append(compute_advantages(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ppo, "compute_advantages", capture)
+    update_agent(agent, PPOHyper(buffer_size=60, batch_size=30), np.random.default_rng(1))
+    assert len(seen) == 1
+    values = critic_values(critic, obs)
+    ends = np.flatnonzero(terminals)
+    for fill in (obs[ends], obs[ends - 1], -obs[ends[::-1]], np.full((3, OBS_DIM_HUMAN), 9.0)):
+        next_obs = np.empty_like(obs)
+        next_obs[:-1] = obs[1:]
+        next_obs[ends] = fill
+        want = compute_advantages(
+            rewards, values, critic_values(critic, next_obs), terminals, PPOHyper().gamma
+        )
+        assert want.tobytes() == seen[0].tobytes()
 
 
 def test_critic_values_hold_activations_for_at_most_511_rows():
@@ -419,7 +496,7 @@ def _agent_state(agent):
 
 
 def _corrupt_buffer(buf, corruption, row):
-    obs, actions, logp, rewards, next_obs, terminals = buf.arrays()
+    obs, actions, logp, rewards, terminals = buf.arrays()
     if corruption == "inf_observation":
         obs[row, 1] = np.inf
     elif corruption == "stale_log_prob":
@@ -427,7 +504,7 @@ def _corrupt_buffer(buf, corruption, row):
     else:  # "overflowing_reward": finite reward, advantage sums and losses overflow
         rewards[row] = rewards[row + 1] = 1e308
     out = ExperienceBuffer(buf.capacity)
-    out.extend(experience(obs, actions, logp, rewards, next_obs, terminals))
+    out.extend(experience(obs, actions, logp, rewards, terminals))
     return out
 
 

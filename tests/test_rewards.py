@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pedalrl.controllers import SETTINGS
+from pedalrl.human import DIGITS
 from pedalrl.rewards import (
     RewardWeights,
     comfort_term,
@@ -135,13 +139,39 @@ def test_shared_reward_equals_human_reward():
         assert shared_reward(actual, reference, actions, w_set) == expected
 
 
-def test_weights_for_setting():
-    from pedalrl.controllers import load_setting
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 
-    w2 = load_setting(2).weights
+
+@st.composite
+def zero_reward_windows(draw):
+    """(positions, references, digits) whose three reward terms are exact zeros.
+
+    The positions are one constant, each a signed zero when it is 0; the
+    references equal them; the digits end on a repeat, so the effort gate is shut.
+    """
+    k = draw(st.integers(3, 12))
+    c = draw(st.one_of(SIGNED_ZEROS, st.floats(-1.0, 1.0)))
+    positions = [draw(SIGNED_ZEROS) if c == 0.0 else c for _ in range(k)]
+    references = [draw(SIGNED_ZEROS) if c == 0.0 else c for _ in range(k)]
+    digits = draw(st.lists(st.sampled_from(DIGITS), min_size=k - 1, max_size=k - 1))
+    return positions, references, digits + digits[-1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(window=zero_reward_windows())
+def test_a_zero_shared_reward_is_positive_zero(window):
+    # a terminal row's masked bootstrap adds a signed zero to its reward, which
+    # changes only a -0.0 reward; no setting's shared reward may be one
+    for sid, row in SETTINGS.items():
+        r = shared_reward(*window, row.weights)
+        assert r == 0.0 and math.copysign(1.0, r) == 1.0, sid
+
+
+def test_weights_for_setting():
+    w2 = SETTINGS[2].weights
     assert isinstance(w2, RewardWeights)
     assert (w2.mu, w2.kappa, w2.rho) == (1, 1, 5)
-    w6 = load_setting(6).weights
+    w6 = SETTINGS[6].weights
     assert isinstance(w6, RewardWeights)
     assert (w6.mu, w6.kappa, w6.rho) == (1, 8, 1)
 
