@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from . import kernels
+from . import kernels, plant
 from .bridge import PolicyServer, actors_from_checkpoint, parse_endpoint
 from .config import apply_overrides, load_config, write_utf8
 from .controllers import SETTING_RANGE, SETTINGS
@@ -151,12 +151,13 @@ def cmd_bench(args) -> int:
     constants, bank = kernels.pack(env)
 
     def run(fn, blocks):
-        # the buffers run_episode hands the kernel
-        block, sim, queue, rows = kernels.buffers(env.human.reaction_delay, blocks * interval)
+        # the clock rows and buffers run_episode hands the kernel
+        clock = plant.clock(env.reference, env.plant.dt, blocks * interval)
+        block, sim, queue, ref, rows = kernels.buffers(env.human.reaction_delay, clock)
         start = time.perf_counter()
         for b in range(blocks):
             digit = (-2, -1, 0, 1, 2)[b % 5]
-            fn(sim, queue, digit, 0, constants, bank, noise, rows, b * interval, interval)
+            fn(sim, queue, digit, 0, constants, bank, noise, ref, rows, b * interval, interval)
         elapsed = time.perf_counter() - start
         # every trace row, the final state and the delay line, as bytes
         return elapsed, (block.tobytes(), sim.tobytes(), queue.tobytes())
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=False):
+    def common(p):
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument(
             "--set", action="append", metavar="KEY=VALUE",
@@ -200,11 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         # Config flags carry text, which config_from_dict types like any
         # other value; each flag's dest is the config key it sets.
         p.add_argument("--subject", help="subject profile name")
-        p.add_argument("--seed", required=seed_required)
+        # No flag is required: config_from_dict names a missing seed.
+        p.add_argument("--seed")
 
     p_train = sub.add_parser("train", help="train one setting")
     p_train.add_argument("--setting", required=True)
-    common(p_train, seed_required=True)
+    common(p_train)
     p_train.add_argument("--out", dest="output_dir", help="output directory (sets output_dir)")
     p_train.set_defaults(fn=cmd_train)
 
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="train and compare settings")
     p_sweep.add_argument("--settings", required=True, help="e.g. 1..8 or 2,4")
-    common(p_sweep, seed_required=True)
+    common(p_sweep)
     p_sweep.add_argument("--out", dest="output_dir", help="output directory (sets output_dir)")
     p_sweep.set_defaults(fn=cmd_sweep)
 

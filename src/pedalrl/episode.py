@@ -4,12 +4,16 @@ Agents act every ``decision_interval`` plant substeps. One decision step is:
 observe (both agents), pick a digit and a machine sub-controller, run the
 substep block through the hot kernel (which owns the switch rule), then
 score the shared reward over a sliding window of the last ``window``
-block-final samples. The kernel gets memoryviews of the trace block's rows,
-the simulation state, the delay queue (all from ``kernels.buffers``) and
-each decision's noise, because its uncompiled body reads and writes a
+block-final samples. The env's clock rows (time and reference, built once
+per env by ``plant.clock``) fill the trace block's first two rows. The
+kernel gets memoryviews of the clock's reference row, the trace block's
+rows, the simulation state, the delay queue (all from ``kernels.buffers``)
+and each decision's noise, because its uncompiled body reads and writes a
 memoryview element several times faster than a numpy array's. The
 block-final values are read once per decision from those row views as
-Python floats. Each agent's observations (values over ``obs_divisors``)
+Python floats. The comfort term of each decision's window is scored once:
+the reward and the next human observation share it. Each agent's
+observations (values over ``obs_divisors``)
 sit in one ``(n_decisions, dim)`` array, each computed by one formula and
 stored once: row z, at the top of decision z, from decision z - 1's
 block-final values, or from the pedal at rest for z = 0. A policy is
@@ -29,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, plant
 from .controllers import SettingConfig
 from .human import DIGITS, HumanParams
 from .nets import actor_forward, greedy_action, sample_action
-from .plant import PlantParams, ReferenceTrajectory, sample_reference
+from .plant import PlantParams, ReferenceTrajectory
 from .rewards import comfort_term, shared_reward
 
 OBS_DIM_HUMAN = 5  # position, error, comfort, previous digit, machine torque
@@ -102,7 +106,15 @@ def experience(obs, action, log_prob_old, reward, terminal) -> np.recarray:
 
 @dataclass
 class EpisodeTrace:
-    """Plant-rate record of one episode (one row per substep)."""
+    """Plant-rate record of one episode (one row per substep).
+
+    The rows come in blocks of ``decision_interval``, one block per
+    decision: within a block the digit and the machine action hold, and the
+    reward is +0.0 on every row but the last (``harness.trace_to_csv``
+    renders each of them once per block and refuses a trace that breaks
+    this). The time and reference rows are the env's clock
+    (:func:`pedalrl.plant.clock`), the same in every episode of an env.
+    """
 
     time: np.ndarray
     reference: np.ndarray
@@ -162,7 +174,8 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     dm_ref, dm_pos, dm_err, dm_om, dm_act, dm_th = div_m
 
     constants, bank = kernels.pack(env)
-    block, sim, queue, rows = kernels.buffers(env.human.reaction_delay, n * interval)
+    clock = plant.clock(env.reference, env.plant.dt, n * interval)
+    block, sim, queue, ref_clock, rows = kernels.buffers(env.human.reaction_delay, clock)
     _, ref_row, pos_row, om_row, tm_row, th_row = rows
 
     obs_h = np.empty((n, len(div_h)))
@@ -172,15 +185,14 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
     # windows are their last k entries.
     positions, references, digits, rewards = [], [], [], []
     total_reward = 0.0
-    # Decision z observes decision z - 1's block-final values, decision 0 the pedal at rest.
-    ref, pos, om, tm, th = sample_reference(env.reference, 0.0), 0.0, 0.0, 0.0, 0.0
+    # Decision z observes decision z - 1's block-final values and the comfort
+    # of its window, decision 0 the pedal at rest and an empty history.
+    ref, pos, om, tm, th, comfort = ref_clock[0], 0.0, 0.0, 0.0, 0.0, 0.0
     digit = a_m = 0
-    window = []
     for z in range(n):
         err = ref - pos
         obs_h[z] = (
-            pos / dh_pos, err / dh_err, comfort_term(window) / dh_comfort, digit / dh_digit,
-            tm / dh_tm,
+            pos / dh_pos, err / dh_err, comfort / dh_comfort, digit / dh_digit, tm / dh_tm,
         )
         obs_m[z] = (
             ref / dm_ref, pos / dm_pos, err / dm_err, om / dm_om, a_m / dm_act, th / dm_th,
@@ -191,8 +203,8 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         noise = rng.standard_normal(interval)
         noise *= noise_std
         kernels.run_substeps(
-            sim, queue, digit, a_m, constants, bank, memoryview(noise), rows, z * interval,
-            interval,
+            sim, queue, digit, a_m, constants, bank, memoryview(noise), ref_clock, rows,
+            z * interval, interval,
         )
         c = (z + 1) * interval - 1
         ref, pos, om, tm, th = ref_row[c], pos_row[c], om_row[c], tm_row[c], th_row[c]
@@ -204,10 +216,12 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         references.append(ref)
         digits.append(digit)
         window = positions[-k:]
+        # scored once: the reward and the next human observation share it
+        comfort = comfort_term(window)
 
         reward = 0.0
         if z >= k - 1:
-            reward = shared_reward(window, references[-k:], digits[-k:], weights)
+            reward = shared_reward(window, references[-k:], digits[-k:], weights, comfort)
         rewards.append(reward)
         total_reward += reward
 

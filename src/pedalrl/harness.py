@@ -124,8 +124,8 @@ PAIRED_BOUNDS = (
     # the trace holds one column per substep
     ("episode.n_decisions", lambda v, w: v * w <= MAX_SUBSTEPS,
      "<= %d substeps /" % MAX_SUBSTEPS, "episode.decision_interval"),
-    # math.sin rejects an infinite reference phase 2*pi*t/period; an episode's
-    # t is at most MAX_SUBSTEPS steps of dt, doubled for the running sum's rounding
+    # math.sin rejects an infinite reference phase 2*pi*t/period; plant.clock's
+    # t is at most MAX_SUBSTEPS steps of dt, doubled for its running sum's rounding
     ("reference.period", lambda v, w: math.isfinite(2.0 * math.pi * (2 * MAX_SUBSTEPS * w) / v),
      "long enough that 2*pi*t/period stays finite for t up to 2 * %d substeps of"
      % MAX_SUBSTEPS, "plant.dt"),
@@ -278,18 +278,52 @@ def _reprs(col: np.ndarray, shared: dict) -> list:
     return text
 
 
+def _decision_tails(trace: EpisodeTrace) -> list:
+    """The ``digit,machine_action,reward`` text of each row, rendered once per decision.
+
+    Within a decision's block the digit and the machine action hold and the
+    reward is +0.0 before the last row (``EpisodeTrace``); a trace that breaks
+    this raises ValueError naming the column.
+    """
+    interval = trace.decision_interval
+    if interval < 1 or len(trace) % interval:
+        raise ValueError(
+            "trace of %d rows is not whole blocks of decision_interval %d"
+            % (len(trace), interval)
+        )
+    digit, action, reward = (
+        getattr(trace, name).reshape(-1, interval) for name in ("digit", "machine_action", "reward")
+    )
+    for name, col in (("digit", digit), ("machine_action", action)):
+        if (col != col[:, :1]).any():
+            raise ValueError("trace column %r changes within a decision block" % name)
+    early = reward[:, :-1]
+    if (early != 0.0).any() or np.signbit(early).any():
+        raise ValueError("trace column 'reward' is not 0.0 before a decision block's last row")
+    tails = []
+    for d, a, r in zip(digit[:, 0].tolist(), action[:, 0].tolist(), reward[:, -1].tolist()):
+        head = "%s,%s," % (d, a)
+        tails += [head + "0.0"] * (interval - 1)
+        tails.append(head + repr(r))
+    return tails
+
+
 def trace_to_csv(trace: EpisodeTrace, shared: dict) -> str:
     """Exact-precision CSV, one row per plant substep.
 
     Each column is rendered once (``repr`` of each float, ``str`` of each
-    int), then joined row by row. ``shared`` is a dict owned by one export:
-    the time and reference columns depend only on the env, never on the
-    policy or the noise, so every trace of a sweep has the same two, and
-    they are rendered once per export. The other columns are not shared.
-    They repeat across settings only when nothing is trained (every setting
-    then starts from the same networks and evaluation seeds), and a real
-    sweep does not repeat them.
+    int), then joined row by row. The digit, machine action and reward are
+    rendered once per decision and repeated down its block, which needs the
+    trace to keep ``EpisodeTrace``'s per-decision rules (ValueError naming
+    the column otherwise). ``shared`` is a dict owned by one export: the
+    time and reference columns depend only on the env, never on the policy
+    or the noise, so every trace of a sweep has the same two, and they are
+    rendered once per export. The other columns are not shared. They repeat
+    across settings only when nothing is trained (every setting then starts
+    from the same networks and evaluation seeds), and a real sweep does not
+    repeat them.
     """
+    tails = _decision_tails(trace)
     columns = (
         _reprs(trace.time, shared),
         _reprs(trace.reference, shared),
@@ -297,9 +331,7 @@ def trace_to_csv(trace: EpisodeTrace, shared: dict) -> str:
         map(repr, trace.omega.tolist()),
         map(repr, trace.tau_machine.tolist()),
         map(repr, trace.tau_human.tolist()),
-        map(str, trace.digit.tolist()),
-        map(str, trace.machine_action.tolist()),
-        map(repr, trace.reward.tolist()),
+        tails,
     )
     lines = [",".join(TRACE_COLUMNS)]
     lines.extend(map(",".join, zip(*columns)))

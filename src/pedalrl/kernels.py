@@ -17,19 +17,25 @@ The kernel's rule, which keeps the uncompiled body fast and the compiled one
 possible:
 
 - constants and gains arrive as tuples of Python floats and are unpacked
-  once per call; every state, noise and digit value becomes a Python scalar
-  at entry, so the arithmetic runs on Python floats, which round exactly as
-  ``np.float64``;
+  once per call; every state value becomes a Python scalar at entry, and
+  the noise, reference and queued digits are used as their buffers give
+  them (Python scalars from a memoryview), so the arithmetic runs on Python
+  floats, which round exactly as ``np.float64``;
 - buffers are touched only by element reads and writes: ``sim``, the
-  delay queue and ``noise`` by index, ``digit_queue.shape[0]`` for the
-  delay, and the trace through its six 1-D rows ``out[0] .. out[5]``. So
-  each buffer may be a numpy array or a ``memoryview`` of one, and ``out``
-  a 2-D array or a tuple of its row views;
+  delay queue, ``noise`` and the reference ``ref`` by index,
+  ``digit_queue.shape[0]`` for the delay, and the trace through its 1-D
+  rows ``out[2] .. out[5]``. So each buffer may be a numpy array or a
+  ``memoryview`` of one, and ``out`` a 2-D array or a tuple of its row
+  views;
+- the kernel keeps no clock: the caller supplies the time and reference
+  rows (:func:`pedalrl.plant.clock`, the one home of the reference), copies
+  them into the trace's rows 0 and 1, and hands the kernel the reference
+  row, from which each substep reads its starting reference;
 - the reaction-delay line shifts once per call, by ``n_sub`` places:
   substep ``s`` reads ``digit_queue[s]`` while ``s`` is below the delay,
   and the commanded digit after that;
 - the body stays within numba's supported subset (scalars, homogeneous
-  tuples, ``math``, loops, and array and memoryview indexing).
+  tuples, loops, and array and memoryview indexing).
 
 Episodes pass memoryviews (see :func:`buffers`): uncompiled, an element
 read or write of a memoryview gives a Python float directly, where a numpy
@@ -38,17 +44,17 @@ array's read builds a numpy scalar. On a 2-vCPU x86-64 VM under CPython
 values and their bits are the same either way.
 
 This module also owns the kernel's calling convention: :func:`pack` turns an
-episode's parameters into a tuple of 17 constants and a bank of gain tuples,
-the packed simulation state has the ``SIM_*`` layout, the kernel writes
-the six float fields of ``EpisodeTrace`` as the rows of one ``(TRACE_ROWS,
-n)`` block, and :func:`buffers` allocates that block, a fresh state and a
-delay line. The sub-controller switch rule lives here too: the state keeps
-the previous block's sub-controller, and a block that runs another one
-starts from a zero integral while the derivative history carries over. A
-fresh state holds t = 0, sub-controller 0 and a zero integral.
+episode's parameters into a tuple of 13 constants and a bank of gain tuples,
+the packed simulation state has the ``SIM_*`` layout, the six float fields
+of ``EpisodeTrace`` are the rows of one ``(TRACE_ROWS, n)`` block, of which
+the kernel writes the last four, and :func:`buffers` allocates that block
+with its clock rows filled, a fresh state and a delay line. The
+sub-controller switch rule lives here too: the state keeps the previous
+block's sub-controller, and a block that runs another one starts from a
+zero integral while the derivative history carries over. A fresh state
+holds sub-controller 0 and a zero integral, and its first block starts at
+column 0, the substep with no derivative history.
 """
-
-import math
 
 import numpy as np
 
@@ -72,13 +78,12 @@ def hot(fn):
 # Indices into the packed simulation state vector (float64[SIM_SIZE]).
 SIM_ANGLE = 0
 SIM_OMEGA = 1
-SIM_T = 2
-SIM_M_INTEGRAL = 3
-SIM_M_PREV_ERR = 4
-SIM_H_APPLIED = 5
-SIM_H_PREV_ERR = 6
-SIM_M_IDX = 7  # sub-controller of the previous block
-SIM_SIZE = 8
+SIM_M_INTEGRAL = 2
+SIM_M_PREV_ERR = 3
+SIM_H_APPLIED = 4
+SIM_H_PREV_ERR = 5
+SIM_M_IDX = 6  # sub-controller of the previous block
+SIM_SIZE = 7
 
 # Rows of the trace block: time, reference, position, omega, machine
 # torque, human torque (the float fields of ``EpisodeTrace``, in order).
@@ -88,16 +93,15 @@ TRACE_ROWS = 6
 def pack(env):
     """``(constants, bank)`` for the kernel from an ``EnvParams``, as float tuples.
 
-    ``constants`` holds the 17 plant, reference, human-model and human PD
-    values in the order :func:`_run_substeps` unpacks them. ``bank`` has one
-    ``(kp, ki, kd, anti-windup limit)`` tuple per machine sub-controller; the
-    machine agent's action is an index into it.
+    ``constants`` holds the 13 plant, human-model and human PD values in the
+    order :func:`_run_substeps` unpacks them. ``bank`` has one ``(kp, ki, kd,
+    anti-windup limit)`` tuple per machine sub-controller; the machine
+    agent's action is an index into it.
     """
-    p, r, h = env.plant, env.reference, env.human
+    p, h = env.plant, env.human
     strong, weak = env.setting.human_pd
     constants = tuple(float(v) for v in (
         p.inertia, p.damping, p.torque_limit, p.dt, p.angle_min, p.angle_max, p.omega_max,
-        r.amplitude, r.period, r.phase, r.offset,
         h.unit_torque, h.lag_time_constant,
         strong.kp, strong.kd, weak.kp, weak.kd,
     ))
@@ -108,49 +112,62 @@ def pack(env):
     return constants, bank
 
 
-def buffers(reaction_delay, n_cols):
-    """Fresh kernel buffers for ``n_cols`` substeps: ``(block, sim, queue, rows)``.
+def buffers(reaction_delay, clock):
+    """Fresh kernel buffers for the substeps of ``clock``: ``(block, sim, queue, ref, rows)``.
 
-    ``block`` is the ``(TRACE_ROWS, n_cols)`` float64 trace; ``rows`` is the
-    tuple of memoryviews of its six rows that the kernel takes as ``out``.
-    ``sim`` is a memoryview of a zeroed ``SIM_SIZE`` float64 state (t = 0,
-    sub-controller 0) and ``queue`` one of a zeroed ``reaction_delay``-long
-    int64 delay line.
+    ``clock`` is a :func:`pedalrl.plant.clock` array of ``n + 1`` columns.
+    ``block`` is the ``(TRACE_ROWS, n)`` float64 trace, whose time and
+    reference rows are copied from the clock's columns 1 .. n; ``ref`` is a
+    memoryview of the clock's reference row, from which the kernel reads
+    each substep's starting reference, and ``rows`` the tuple of memoryviews
+    of the block's six rows that the kernel takes as ``out``. ``sim`` is a
+    memoryview of a zeroed ``SIM_SIZE`` float64 state (sub-controller 0) and
+    ``queue`` one of a zeroed ``reaction_delay``-long int64 delay line.
     """
-    block = np.empty((TRACE_ROWS, n_cols))
+    block = np.empty((TRACE_ROWS, clock.shape[1] - 1))
+    block[:2] = clock[:, 1:]
     sim = memoryview(np.zeros(SIM_SIZE))
     queue = memoryview(np.zeros(reaction_delay, dtype=np.int64))
-    return block, sim, queue, tuple(memoryview(row) for row in block)
+    return block, sim, queue, memoryview(clock[1]), tuple(memoryview(row) for row in block)
 
 
-def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noise, out, start, n_sub):
+def _run_substeps(
+    sim, digit_queue, commanded_digit, m_idx, constants, bank, noise, ref, out, start, n_sub
+):
     """Advance the closed loop by ``n_sub`` plant substeps.
 
     Runs machine sub-controller ``bank[m_idx]`` (zeroing the integral if the
     previous block ran another one), mutates ``sim`` and ``digit_queue`` in
-    place and writes columns ``start .. start+n_sub-1`` of the trace block
-    ``out``. ``noise`` holds one pre-drawn, pre-scaled torque perturbation
-    per substep (drawn outside so that the RNG stream never depends on the
-    backend).
+    place and writes columns ``start .. start+n_sub-1`` of the position,
+    omega and torque rows ``out[2] .. out[5]`` of the trace block. The
+    substep in column ``col`` starts from the reference ``ref[col]``, a row
+    of :func:`pedalrl.plant.clock` that the caller also copies into
+    ``out[0]`` and ``out[1]``. Column ``start`` follows the ``start``
+    substeps that ``sim`` has run: column 0 is a fresh state's first
+    substep, whose derivative terms have no history. ``noise`` holds one
+    pre-drawn, pre-scaled torque perturbation per substep (drawn outside so
+    that the RNG stream never depends on the backend).
 
     Each buffer is a numpy array or a memoryview of one, and ``out`` a 2-D
     array or a tuple of its six row views: the body only indexes them,
-    reads ``digit_queue.shape[0]`` and unpacks ``out[0] .. out[5]``.
+    reads ``digit_queue.shape[0]`` and unpacks ``out[2] .. out[5]``.
     Episodes pass memoryviews (:func:`buffers`), because uncompiled their
     element reads and writes cost a fraction of a numpy array's.
     """
     (
         inertia, damping, torque_limit, dt, angle_min, angle_max, omega_max,
-        amp, period, phase, offset,
         unit_torque, lag_tc,
         h_kp_hi, h_kd_hi, h_kp_lo, h_kd_lo,
     ) = constants
     m_kp, m_ki, m_kd, m_integral_limit = bank[m_idx]
-    two_pi = 2.0 * math.pi
+    m_integral_floor = -m_integral_limit
+    torque_floor = -torque_limit
+    omega_floor = -omega_max
+    # the lag's gain dt / (lag_tc + dt), times dt, as the step multiplies them
+    lag_step = dt / (lag_tc + dt) * dt
 
     angle = float(sim[SIM_ANGLE])
     omega = float(sim[SIM_OMEGA])
-    t = float(sim[SIM_T])
     m_integral = float(sim[SIM_M_INTEGRAL])
     if m_idx != sim[SIM_M_IDX]:
         # stale windup belongs to the other gain set; derivative history carries
@@ -160,43 +177,42 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
     h_prev_err = float(sim[SIM_H_PREV_ERR])
     commanded = int(commanded_digit)
 
-    lag_gain = dt / (lag_tc + dt)
     n_delay = digit_queue.shape[0]
-    t_row = out[0]
-    ref_row = out[1]
     pos_row = out[2]
     om_row = out[3]
     tm_row = out[4]
     th_row = out[5]
 
-    ref_now = offset + amp * math.sin(two_pi * t / period + phase)
+    if start == 0:
+        # No derivative history: a previous error equal to the first
+        # substep's own makes both derivatives (e - e) / dt = 0.0 exactly.
+        m_prev_err = ref[0] - angle
+        eff = digit_queue[0] if n_delay > 0 else commanded
+        h_prev_err = eff * unit_torque - h_applied
+
     for s in range(n_sub):
+        col = start + s
         # -- machine PID on the tracking error at the current time
-        e_m = ref_now - angle
-        # t is the time before this substep steps: 0 only for a fresh state's
-        # first substep (dt > 0), whose derivative terms have no history
-        if t == 0.0:
-            d_m = 0.0
-        else:
-            d_m = (e_m - m_prev_err) / dt
+        e_m = ref[col] - angle
+        d_m = (e_m - m_prev_err) / dt
         m_integral += e_m * dt
         if m_integral > m_integral_limit:
             m_integral = m_integral_limit
-        elif m_integral < -m_integral_limit:
-            m_integral = -m_integral_limit
+        elif m_integral < m_integral_floor:
+            m_integral = m_integral_floor
         u_m = m_kp * e_m + m_ki * m_integral + m_kd * d_m
         m_prev_err = e_m
         tau_m = u_m
         if tau_m > torque_limit:
             tau_m = torque_limit
-        elif tau_m < -torque_limit:
-            tau_m = -torque_limit
+        elif tau_m < torque_floor:
+            tau_m = torque_floor
 
         # -- human chain: reaction delay, sub-PD torque tracker, lag, noise.
         # Substep s acts on the digit queued s places ahead, or on the
         # commanded one once the queue is used up; the queue shifts below.
         if s < n_delay:
-            eff = int(digit_queue[s])
+            eff = digit_queue[s]
         else:
             eff = commanded
         if eff == 2 or eff == -2:
@@ -205,27 +221,23 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
         else:
             h_kp = h_kp_lo
             h_kd = h_kd_lo
-        target = eff * unit_torque
-        e_h = target - h_applied
-        if t == 0.0:
-            d_h = 0.0
-        else:
-            d_h = (e_h - h_prev_err) / dt
+        e_h = eff * unit_torque - h_applied
+        d_h = (e_h - h_prev_err) / dt
         rate = h_kp * e_h + h_kd * d_h
         h_prev_err = e_h
-        h_applied += lag_gain * dt * rate
-        tau_h = h_applied + float(noise[s])
+        h_applied += lag_step * rate
+        tau_h = h_applied + noise[s]
         if tau_h > torque_limit:
             tau_h = torque_limit
-        elif tau_h < -torque_limit:
-            tau_h = -torque_limit
+        elif tau_h < torque_floor:
+            tau_h = torque_floor
 
         # -- plant: semi-implicit Euler with hard angle stops
         omega += dt * (tau_m + tau_h - damping * omega) / inertia
         if omega > omega_max:
             omega = omega_max
-        elif omega < -omega_max:
-            omega = -omega_max
+        elif omega < omega_floor:
+            omega = omega_floor
         angle += dt * omega
         if angle < angle_min:
             angle = angle_min
@@ -233,13 +245,7 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
         elif angle > angle_max:
             angle = angle_max
             omega = 0.0
-        t += dt
-        # the next substep's machine error uses this same reference sample
-        ref_now = offset + amp * math.sin(two_pi * t / period + phase)
 
-        col = start + s
-        t_row[col] = t
-        ref_row[col] = ref_now
         pos_row[col] = angle
         om_row[col] = omega
         tm_row[col] = tau_m
@@ -255,7 +261,6 @@ def _run_substeps(sim, digit_queue, commanded_digit, m_idx, constants, bank, noi
 
     sim[SIM_ANGLE] = angle
     sim[SIM_OMEGA] = omega
-    sim[SIM_T] = t
     sim[SIM_M_INTEGRAL] = m_integral
     sim[SIM_M_PREV_ERR] = m_prev_err
     sim[SIM_H_APPLIED] = h_applied

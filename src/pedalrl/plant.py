@@ -5,10 +5,18 @@ torque and the human torque, integrated with semi-implicit Euler and bounded
 by hard mechanical stops (angular velocity is zeroed on contact, like a
 physical end stop). The step itself lives in the fused kernel
 (:mod:`pedalrl.kernels`).
+
+This module is the one home of the reference: :func:`sample_reference` is
+its formula, and :func:`clock` its samples over an episode, which depend
+only on the env. An episode's trace copies its time and reference rows from
+the clock, and the kernel reads each substep's starting reference there.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,3 +50,31 @@ def sample_reference(traj: ReferenceTrajectory, t: float) -> float:
         2.0 * math.pi * t / traj.period + traj.phase
     )
 
+
+def clock(traj: ReferenceTrajectory, dt: float, n_substeps: int) -> np.ndarray:
+    """Time and reference after 0 .. ``n_substeps`` substeps of ``dt``.
+
+    A read-only ``(2, n_substeps + 1)`` float64 array: row 0 is the time, the
+    running sum ``t += dt`` from 0, and row 1 is :func:`sample_reference` at
+    each time. Column ``i`` is the state after ``i`` substeps, so a trace's
+    rows are columns 1 onwards. Built once per (reference, ``dt``,
+    ``n_substeps``) and shared by every episode that asks for it. The key is
+    the values' bits: ``-0.0 == 0.0``, but an offset of ``-0.0`` can give a
+    row of another sign.
+    """
+    values = (traj.amplitude, traj.period, traj.phase, traj.offset, dt)
+    return _clock(tuple(float(v).hex() for v in values), n_substeps)
+
+
+@functools.lru_cache(maxsize=4)
+def _clock(key, n_substeps):
+    amplitude, period, phase, offset, dt = map(float.fromhex, key)
+    traj = ReferenceTrajectory(amplitude, period, phase, offset)
+    times = [0.0] * (n_substeps + 1)
+    t = 0.0
+    for i in range(1, n_substeps + 1):
+        t += dt
+        times[i] = t
+    rows = np.array([times, [sample_reference(traj, t) for t in times]])
+    rows.flags.writeable = False
+    return rows

@@ -90,8 +90,13 @@ def human_reward(r_m: float, r_c: float, r_e: float, weights: RewardWeights) -> 
     return -weights.mu * r_m - weights.kappa * r_c + weights.rho * r_e
 
 
-def shared_reward(actual, reference, actions, weights: RewardWeights) -> float:
-    """The combined scalar delivered identically to both agents."""
+def shared_reward(actual, reference, actions, weights: RewardWeights, comfort=None) -> float:
+    """The combined scalar delivered identically to both agents.
+
+    ``comfort`` is ``comfort_term(actual)``, for a caller that already has it.
+    """
+    if comfort is None:
+        comfort = comfort_term(actual)
     return human_reward(
-        tracking_term(actual, reference), comfort_term(actual), effort_term(actions), weights
+        tracking_term(actual, reference), comfort, effort_term(actions), weights
     )

@@ -283,6 +283,26 @@ def test_config_file_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys):
     assert shown.err == "error: %s: line 2: not UTF-8 text\n" % bad
 
 
+@pytest.mark.parametrize("command", [["train", "--setting", "2"], ["sweep", "--settings", "2"]])
+def test_seed_comes_from_a_file_a_pair_or_the_flag(tmp_path, capsys, command):
+    # no flag is required: the seed rule is config_from_dict's, whichever way
+    # the seed arrives, and each way gives the same files
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text("seed = 4\n")
+    runs = {}
+    for way, flags in (("flag", ["--seed", "4"]), ("file", ["--config", str(cfg_file)]),
+                       ("pair", ["--set", "seed=4"])):
+        out = tmp_path / way
+        assert main(command + flags + ["--out", str(out)] + FAST) == 0, way
+        runs[way] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs["file"] == runs["flag"] and runs["pair"] == runs["flag"]
+    capsys.readouterr()
+    assert main(command + ["--out", str(tmp_path / "none")] + FAST) == 2
+    shown = capsys.readouterr()
+    assert shown.err == "error: seed is mandatory (set seed = N or pass --seed)\n"
+    assert not (tmp_path / "none").exists()
+
+
 def test_config_flags_are_typed_by_their_key(tmp_path, capsys):
     # a flag's text is typed like a --set value: 1.0 is seed 1, abc no seed at all
     runs = {}
@@ -473,9 +493,9 @@ def test_bench_smoke(capsys):
 def test_bench_compares_final_state_across_backends(monkeypatch, capsys, slot):
     # a stand-in compiled backend whose last block leaves the positions alone
     # but moves one value of the final state or delay line must be caught
-    def fake_compiled(sim, queue, digit, m_idx, constants, bank, noise, out, start, n_sub):
+    def fake_compiled(sim, queue, digit, m_idx, constants, bank, noise, ref, out, start, n_sub):
         kernels.run_substeps_python(
-            sim, queue, digit, m_idx, constants, bank, noise, out, start, n_sub
+            sim, queue, digit, m_idx, constants, bank, noise, ref, out, start, n_sub
         )
         if start + n_sub == len(out[0]):
             if slot == "sim":

@@ -14,7 +14,7 @@ from oracles import (
     step_plant,
     switch_controller,
 )
-from pedalrl import kernels
+from pedalrl import kernels, plant
 from pedalrl.controllers import default_integral_limit
 from pedalrl.episode import (
     OBS_DIM_HUMAN,
@@ -148,12 +148,15 @@ def test_kernel_zeroes_the_integral_on_a_switch():
     sim = np.zeros(kernels.SIM_SIZE)
     queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
     out = np.empty((kernels.TRACE_ROWS, env.n_decisions * interval))
+    clock = plant.clock(env.reference, env.plant.dt, env.n_decisions * interval)
+    out[:2] = clock[:, 1:]  # the caller fills the clock rows
     rng = np.random.default_rng(11)
     integrals = []
     for z, (h, m) in enumerate(zip(h_idx, m_idx)):
         noise = rng.standard_normal(interval) * env.human.noise_std
         kernels.run_substeps(
-            sim, queue, DIGITS[h], m, constants, bank, noise, out, z * interval, interval
+            sim, queue, DIGITS[h], m, constants, bank, noise, clock[1], out, z * interval,
+            interval,
         )
         integrals.append(sim[kernels.SIM_M_INTEGRAL])
     assert integrals[0] != 0.0
@@ -173,24 +176,26 @@ def test_kernel_gives_the_same_bytes_on_arrays_and_memoryviews(delay):
     interval, n = env.decision_interval, env.n_decisions
     h_idx, m_idx = [4, 0, 3, 1, 2, 4, 0, 1], [0, 0, 1, 1, 0, 1, 0, 0]
     constants, bank = kernels.pack(env)
+    clock = plant.clock(env.reference, env.plant.dt, n * interval)
 
-    def play(sim, queue, out, view):
+    def play(sim, queue, ref, out, view):
         rng = np.random.default_rng(17)
         for z in range(n):
             noise = rng.standard_normal(interval) * env.human.noise_std
             kernels.run_substeps(
-                sim, queue, DIGITS[h_idx[z]], m_idx[z], constants, bank, view(noise), out,
+                sim, queue, DIGITS[h_idx[z]], m_idx[z], constants, bank, view(noise), ref, out,
                 z * interval, interval,
             )
 
     arrays = (
-        np.zeros(kernels.SIM_SIZE), np.zeros(delay, dtype=np.int64),
+        np.zeros(kernels.SIM_SIZE), np.zeros(delay, dtype=np.int64), clock[1],
         np.empty((kernels.TRACE_ROWS, n * interval)),
     )
+    arrays[3][:2] = clock[:, 1:]  # the caller fills the clock rows
     play(*arrays, view=lambda a: a)
-    block, sim, queue, rows = kernels.buffers(delay, n * interval)
-    play(sim, queue, rows, view=memoryview)
-    assert block.tobytes() == arrays[2].tobytes()
+    block, sim, queue, ref, rows = kernels.buffers(delay, clock)
+    play(sim, queue, ref, rows, view=memoryview)
+    assert block.tobytes() == arrays[3].tobytes()
     assert sim.tobytes() == arrays[0].tobytes()
     assert queue.tobytes() == arrays[1].tobytes()
     assert sim[kernels.SIM_M_IDX] == 0.0 and arrays[0][kernels.SIM_M_INTEGRAL] != 0.0
@@ -241,12 +246,11 @@ def test_kernel_matches_oracle_at_every_clamp(setting_id):
 @pytest.mark.parametrize("setting_id", range(1, 9))
 def test_pack_gives_python_floats_in_unpack_order(setting_id):
     env = make_test_env(setting_id=setting_id)
-    p, r, h = env.plant, env.reference, env.human
+    p, h = env.plant, env.human
     strong, weak = env.setting.human_pd
     constants, bank = kernels.pack(env)
     assert constants == (
         p.inertia, p.damping, p.torque_limit, p.dt, p.angle_min, p.angle_max, p.omega_max,
-        r.amplitude, r.period, r.phase, r.offset,
         h.unit_torque, h.lag_time_constant,
         strong.kp, strong.kd, weak.kp, weak.kd,
     )
@@ -259,8 +263,9 @@ def test_pack_gives_python_floats_in_unpack_order(setting_id):
 
 def test_kernel_body_is_self_contained():
     # a cheap stand-in for numba's nopython subset while numba is absent: the
-    # body looks up no module-level name but math and its own state layout
-    allowed = {"math", "sin", "pi", "float", "int", "range", "len", "shape"}
+    # body looks up no module-level name but its own state layout, and the
+    # reference comes from the caller's clock rows, so neither math nor sin
+    allowed = {"float", "int", "range", "len", "shape"}
     allowed |= {name for name in vars(kernels) if name.startswith("SIM_")}
     assert set(kernels._run_substeps.__code__.co_names) <= allowed
 
@@ -327,6 +332,57 @@ def test_smoothness_matches_comfort_oracle():
     xs = [0.1, -0.2, 0.4, 0.0, 0.3]
     assert comfort_term(xs) == pytest.approx(oracles.comfort_sum(xs), rel=1e-15)
     assert comfort_term(xs[:2]) == 0.0
+
+
+def test_comfort_is_scored_once_per_decision(monkeypatch):
+    # the reward and the next human observation share one comfort_term per
+    # decision; shared_reward still runs once per rewarded decision
+    from pedalrl import episode, rewards
+
+    env = make_test_env(window=4, n_decisions=9)
+    calls = {"comfort_term": 0, "shared_reward": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(episode, "comfort_term")
+    counted(rewards, "comfort_term")  # what shared_reward would score itself
+    counted(episode, "shared_reward")
+    result = run_episode(
+        env, ScriptPolicy([0, 3, 4, 1]), ScriptPolicy([0, 1]), np.random.default_rng(4)
+    )
+    assert calls == {"comfort_term": 9, "shared_reward": 9 - 4 + 1}
+    # each observation still carries its window's comfort: the rows it saw
+    positions = result.trace.position[env.decision_interval - 1 :: env.decision_interval]
+    div_h, _ = obs_divisors(env)
+    for z in range(1, env.n_decisions):
+        window = positions[max(0, z - env.window) : z].tolist()
+        assert result.transitions_human.obs[z][2] == comfort_term(window) / div_h[2]
+
+
+def test_clock_rows_are_built_once_per_sweep_and_read_only(monkeypatch, tmp_path):
+    from pedalrl import harness
+
+    calls = []
+    real = plant.sample_reference
+    monkeypatch.setattr(plant, "sample_reference", lambda *a: calls.append(a) or real(*a))
+    plant._clock.cache_clear()
+    cfg = config_from_dict({"seed": 3, "train.n_updates": 0})
+    harness.sweep(range(1, 9), cfg, out_dir=str(tmp_path))
+    # 8 settings x 10 evaluation episodes of one env clock: one build, whose
+    # row holds one sample per substep and one at t = 0
+    n = cfg.n_decisions * cfg.decision_interval
+    assert len(calls) == n + 1
+    assert plant._clock.cache_info().misses == 1
+    rows = plant.clock(cfg.reference, cfg.plant.dt, n)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[1, 0] = 1.0
 
 
 def test_trace_layout_and_block_structure():

@@ -422,6 +422,27 @@ def test_trace_csv_equals_row_oracle_on_episodes():
     assert len(shared) == 2
 
 
+def test_trace_csv_refuses_a_column_that_changes_within_a_decision():
+    # the decision columns are rendered once per block, so a trace that
+    # breaks EpisodeTrace's per-block rules is refused, naming the column
+    env = make_test_env(decision_interval=5, n_decisions=4)
+    res = run_episode(env, ConstantPolicy(3), ConstantPolicy(1), np.random.default_rng(2))
+    assert trace_to_csv(res.trace, {}) == trace_to_csv_rows(res.trace)
+    for column, row, value in (
+        ("digit", 6, 0), ("machine_action", 0, 0), ("reward", 2, 0.5), ("reward", 12, -0.0),
+    ):
+        trace = run_episode(
+            env, ConstantPolicy(3), ConstantPolicy(1), np.random.default_rng(2)
+        ).trace
+        getattr(trace, column)[row] = value
+        with pytest.raises(ValueError, match="trace column '%s'" % column):
+            trace_to_csv(trace, {})
+    trace = res.trace
+    trace.decision_interval = 3  # 20 rows are not whole blocks of 3
+    with pytest.raises(ValueError, match="not whole blocks of decision_interval 3"):
+        trace_to_csv(trace, {})
+
+
 def special_trace():
     """Float columns holding values whose repr is easy to get wrong."""
     values = [-0.0, 1e-05, 1e16, 5e-324, float("inf"), float("nan"), 0.0, -1e-310]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import PedalState, step_plant
 from pedalrl.harness import config_from_dict
-from pedalrl.plant import PlantParams, ReferenceTrajectory, sample_reference
+from pedalrl.plant import PlantParams, ReferenceTrajectory, clock, sample_reference
 
 
 def test_reference_hand_value():
@@ -32,6 +32,24 @@ def test_reference_periodicity():
 def test_reference_rejects_negative_time():
     with pytest.raises(ValueError):
         sample_reference(ReferenceTrajectory(), -0.01)
+
+
+def test_clock_samples_the_reference_over_the_running_time_sum():
+    traj = ReferenceTrajectory(amplitude=0.4, period=3.0, phase=0.2, offset=-0.1)
+    rows = clock(traj, 0.01, 250)
+    assert rows.shape == (2, 251)
+    t = 0.0
+    for i in range(251):
+        assert rows[0, i] == t and rows[1, i] == sample_reference(traj, t)
+        t += 0.01
+    assert clock(ReferenceTrajectory(0.4, 3.0, 0.2, -0.1), 0.01, 250) is rows  # built once
+    # the rows are keyed by the values' bits: on a flat reference a -0.0
+    # offset keeps the sign of amplitude * sin(...) = -0.0, and 0.0 does not
+    negative, positive = (
+        clock(ReferenceTrajectory(amplitude=0.0, phase=-1.0, offset=zero), 0.01, 10)[1]
+        for zero in (-0.0, 0.0)
+    )
+    assert np.signbit(negative).all() and not np.signbit(positive).any()
 
 
 def test_single_step_hand_value():
