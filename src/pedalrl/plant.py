@@ -58,15 +58,16 @@ def clock(traj: ReferenceTrajectory, dt: float, n_substeps: int) -> np.ndarray:
     running sum ``t += dt`` from 0, and row 1 is :func:`sample_reference` at
     each time. Column ``i`` is the state after ``i`` substeps, so a trace's
     rows are columns 1 onwards. Built once per (reference, ``dt``,
-    ``n_substeps``) and shared by every episode that asks for it. The key is
-    the values' bits: ``-0.0 == 0.0``, but an offset of ``-0.0`` can give a
-    row of another sign.
+    ``n_substeps``) and shared by every episode that asks for it; only the
+    last one built is kept, so at most one clock outlives its episodes. The
+    key is the values' bits: ``-0.0 == 0.0``, but an offset of ``-0.0`` can
+    give a row of another sign.
     """
     values = (traj.amplitude, traj.period, traj.phase, traj.offset, dt)
     return _clock(tuple(float(v).hex() for v in values), n_substeps)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _clock(key, n_substeps):
     amplitude, period, phase, offset, dt = map(float.fromhex, key)
     traj = ReferenceTrajectory(amplitude, period, phase, offset)
