@@ -14,7 +14,7 @@ from oracles import (
     step_plant,
     switch_controller,
 )
-from pedalrl import kernels, plant
+from pedalrl import episode, harness, kernels, plant, rewards
 from pedalrl.controllers import default_integral_limit
 from pedalrl.episode import (
     OBS_DIM_HUMAN,
@@ -113,6 +113,25 @@ def test_episode_matches_public_api_composition():
     assert np.array_equal(trace.omega, np.array(want["om"]))
     assert np.array_equal(trace.tau_machine, np.array(want["tm"]))
     assert np.array_equal(trace.tau_human, np.array(want["th"]))
+
+
+def test_first_substep_has_no_derivative_term_off_zero():
+    # a reference away from zero at t = 0 and a digit that acts at once give
+    # both controllers a nonzero first error; the first substep still has no
+    # derivative term, as in the oracles (the shipped reference and delay
+    # start both errors at zero, which would hide a derivative kick)
+    base = make_test_env(
+        setting_id=3, window=3, decision_interval=4, n_decisions=5,
+        reference=ReferenceTrajectory(amplitude=0.3, period=4.0, phase=0.7, offset=0.05),
+    )
+    env = replace(base, human=replace(base.human, reaction_delay=0))
+    h_idx, m_idx = [3, 0, 4, 1, 2], [0, 1, 1, 0, 0]
+    result = run_episode(
+        env, ScriptPolicy(h_idx), ScriptPolicy(m_idx), np.random.default_rng(8)
+    )
+    want = reference_episode(env, h_idx, m_idx, seed=8)
+    for field, key in TRACE_KEYS:
+        assert np.array_equal(getattr(result.trace, field), np.array(want[key])), field
 
 
 @pytest.mark.parametrize("interval", [1, 2, 3, 5, 7, 12])
@@ -337,8 +356,6 @@ def test_smoothness_matches_comfort_oracle():
 def test_comfort_is_scored_once_per_decision(monkeypatch):
     # the reward and the next human observation share one comfort_term per
     # decision; shared_reward still runs once per rewarded decision
-    from pedalrl import episode, rewards
-
     env = make_test_env(window=4, n_decisions=9)
     calls = {"comfort_term": 0, "shared_reward": 0}
 
@@ -367,8 +384,6 @@ def test_comfort_is_scored_once_per_decision(monkeypatch):
 
 
 def test_clock_rows_are_built_once_per_sweep_and_read_only(monkeypatch, tmp_path):
-    from pedalrl import harness
-
     calls = []
     real = plant.sample_reference
     monkeypatch.setattr(plant, "sample_reference", lambda *a: calls.append(a) or real(*a))
