@@ -17,6 +17,7 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +89,6 @@ def test_shipped_bytes_match_the_golden_digests(tmp_path, capsys):
 
 
 def regenerate():
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         files = digests(Path(tmp))
     record = {
