@@ -14,7 +14,6 @@ from .controllers import SETTING_RANGE, SETTINGS
 from .harness import (
     CHECKPOINT_KEYS,
     CONFIG_KEYS,
-    MAX_SUBSTEPS,
     config_from_dict,
     evaluate_agents,
     make_env,
@@ -136,17 +135,10 @@ def cmd_bridge_serve(args) -> int:
 def cmd_bench(args) -> int:
     """Time the fused substep kernel: compiled backend vs pure Python."""
     # Shipped plant, reference, human and decision interval; setting 1,
-    # machine sub-controller 0.
-    env = make_env(config_from_dict({"seed": 0, "setting": 1}))
-    interval = env.decision_interval if args.interval is None else args.interval
-    for flag, value in (("--blocks", args.blocks), ("--interval", interval)):
-        if value < 1:
-            raise ValueError("%s must be >= 1, got %d" % (flag, value))
-    if args.blocks * interval > MAX_SUBSTEPS:
-        raise ValueError(
-            "--blocks * --interval must be <= %d substeps, got %d * %d"
-            % (MAX_SUBSTEPS, args.blocks, interval)
-        )
+    # machine sub-controller 0. The blocks are the episode's decisions, so
+    # config_from_dict types and bounds both flags.
+    env = make_env(config_from_dict({"seed": 0, "setting": 1, **_config_dict(args)}))
+    blocks, interval = env.n_decisions, env.decision_interval
     noise = memoryview(np.zeros(interval))
     constants, bank = kernels.pack(env)
 
@@ -162,7 +154,6 @@ def cmd_bench(args) -> int:
         # every trace row, the final state and the delay line, as bytes
         return elapsed, (block.tobytes(), sim.tobytes(), queue.tobytes())
 
-    blocks = args.blocks
     if kernels.NUMBA_ENABLED:
         run(kernels.run_substeps, 1)  # compile once so the timing excludes it
         jit_time, jit_state = run(kernels.run_substeps, blocks)
@@ -230,9 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(fn=cmd_bridge_serve)
 
     p_bench = sub.add_parser("bench", help="compare kernel backends")
-    p_bench.add_argument("--blocks", type=int, default=20000)
-    p_bench.add_argument("--interval", type=int, help="default: the decision interval")
-    p_bench.set_defaults(fn=cmd_bench)
+    p_bench.add_argument("--blocks", dest="episode.n_decisions", metavar="N", default="20000")
+    p_bench.add_argument("--interval", dest="episode.decision_interval", metavar="N",
+                         help="default: the decision interval")
+    # no config file and no --set pairs: the two flags are bench's only keys
+    p_bench.set_defaults(fn=cmd_bench, config=None, set=None)
 
     return parser
 

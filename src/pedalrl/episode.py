@@ -18,9 +18,10 @@ sit in one ``(n_decisions, dim)`` array, each computed by one formula and
 stored once: row z, at the top of decision z, from decision z - 1's
 block-final values, or from the pedal at rest for z = 0. A policy is
 handed row z as a 1-D view, which is never rewritten, so it may keep it.
-The trace records every plant substep; the reward lands on block-final
-rows and in both agents' ``experience``, one record array per agent and
-episode, whose row z + 1 holds row z's next observation.
+The trace records every plant substep and each decision's digit, machine
+action and reward once; the reward also goes to both agents'
+``experience``, one record array per agent and episode, whose row z + 1
+holds row z's next observation.
 
 RNG discipline: per decision step the stream is consumed in a fixed order
 (human sample, machine sample, one noise vector), and non-sampling policies
@@ -106,13 +107,13 @@ def experience(obs, action, log_prob_old, reward, terminal) -> np.recarray:
 
 @dataclass
 class EpisodeTrace:
-    """Plant-rate record of one episode (one row per substep).
+    """Record of one episode: six plant-rate rows and three decision-rate columns.
 
-    The rows come in blocks of ``decision_interval``, one block per
-    decision: within a block the digit and the machine action hold, and the
-    reward is +0.0 on every row but the last (``harness.trace_to_csv``
-    renders each of them once per block and refuses a trace that breaks
-    this). The time and reference rows are the env's clock
+    ``time`` to ``tau_human`` hold one value per plant substep; ``digit``,
+    ``machine_action`` and ``reward`` hold one per decision. Decision z
+    spans substeps ``z * decision_interval`` to ``(z + 1) *
+    decision_interval - 1``, and its reward is scored at the last of them.
+    The time and reference rows are the env's clock
     (:func:`pedalrl.plant.clock`), the same in every episode of an env.
     """
 
@@ -122,9 +123,9 @@ class EpisodeTrace:
     omega: np.ndarray
     tau_machine: np.ndarray
     tau_human: np.ndarray
-    digit: np.ndarray  # commanded digit in force at each substep
-    machine_action: np.ndarray  # selected sub-controller index in force
-    reward: np.ndarray  # shared reward on block-final rows, 0 elsewhere
+    digit: np.ndarray  # commanded digit of each decision
+    machine_action: np.ndarray  # selected sub-controller index of each decision
+    reward: np.ndarray  # shared reward of each decision
     decision_interval: int
 
     def __len__(self):
@@ -225,11 +226,9 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         rewards.append(reward)
         total_reward += reward
 
-    reward_arr = np.zeros(n * interval)
-    reward_arr[interval - 1 :: interval] = rewards
     trace = EpisodeTrace(
-        *block, digit=np.repeat(np.array(digits, dtype=np.int64), interval),
-        machine_action=np.repeat(np.array(act_m, dtype=np.int64), interval), reward=reward_arr,
+        *block, digit=np.array(digits, dtype=np.int64),
+        machine_action=np.array(act_m, dtype=np.int64), reward=np.array(rewards),
         decision_interval=interval,
     )
     terminal = np.arange(n) == n - 1

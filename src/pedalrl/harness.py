@@ -7,6 +7,7 @@ reflects the learned distribution rather than its mode; the evaluation
 seeds are fixed and shared across settings so rows stay comparable.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -97,7 +98,10 @@ BOUNDS = {
     "plant.omega_max": (lambda v: v > 0, "> 0"),
     "reference.amplitude": (lambda v: v >= 0, ">= 0"),
     "reference.period": (lambda v: v > 0, "> 0"),
-    "human.unit_torque": (lambda v: v > 0, "> 0"),
+    # mse_metrics sums up to MAX_SUBSTEPS squared deviations of the commanded
+    # torque, each at most (4 * unit_torque)**2 for digits in -2..2
+    "human.unit_torque": (lambda v: v > 0 and math.isfinite(MAX_SUBSTEPS * (4 * v) * (4 * v)),
+        "> 0 and small enough that %d * (4 * unit_torque)**2 is finite" % MAX_SUBSTEPS),
     "human.reaction_delay": (lambda v: 0 <= v <= MAX_SUBSTEPS, "in 0..%d" % MAX_SUBSTEPS),
     "human.lag_time_constant": (lambda v: v >= 0, ">= 0"),
     "human.noise_std": (lambda v: v >= 0, ">= 0"),
@@ -207,15 +211,15 @@ def mse_metrics(trace: EpisodeTrace, unit_torque: float) -> MetricsReport:
     """
     err = trace.position - trace.reference
     tracking = float((err * err).mean())
-    rows = np.arange(
-        trace.decision_interval - 1, len(trace), trace.decision_interval
-    )
-    scaled = trace.digit[rows] * unit_torque
+    scaled = trace.digit * unit_torque
     action = float(((scaled - scaled.mean()) ** 2).mean())
+    # Summed at plant rate: numpy's pairwise sum groups the decision rewards alone differently.
+    reward = np.zeros(len(trace))
+    reward[trace.decision_interval - 1 :: trace.decision_interval] = trace.reward
     return MetricsReport(
         human_action_mse=action,
         tracking_error_mse=tracking,
-        value=float(trace.reward.sum()),
+        value=float(reward.sum()),
     )
 
 
@@ -265,68 +269,41 @@ TRACE_COLUMNS = (
 )
 
 
-def _reprs(col: np.ndarray, shared: dict) -> list:
-    """``repr`` of each value of a float column, once per distinct column in ``shared``.
+@functools.lru_cache(maxsize=2)
+def _column_reprs(data: bytes) -> tuple:
+    """``repr`` of each float64 of a column, given as its bytes.
 
-    The key is the column's bytes, not its values: ``-0.0 == 0.0``, but their
-    ``repr``s differ.
+    The key is the bytes, not the values: ``-0.0 == 0.0``, but their
+    ``repr``s differ. Two entries hold a sweep's time and reference columns;
+    a tuple, since every caller is handed the same one.
     """
-    key = col.tobytes()
-    text = shared.get(key)
-    if text is None:
-        text = shared[key] = list(map(repr, col.tolist()))
-    return text
+    return tuple(map(repr, np.frombuffer(data).tolist()))
 
 
-def _decision_tails(trace: EpisodeTrace) -> list:
-    """The ``digit,machine_action,reward`` text of each row, rendered once per decision.
-
-    Within a decision's block the digit and the machine action hold and the
-    reward is +0.0 before the last row (``EpisodeTrace``); a trace that breaks
-    this raises ValueError naming the column.
-    """
-    interval = trace.decision_interval
-    if interval < 1 or len(trace) % interval:
-        raise ValueError(
-            "trace of %d rows is not whole blocks of decision_interval %d"
-            % (len(trace), interval)
-        )
-    digit, action, reward = (
-        getattr(trace, name).reshape(-1, interval) for name in ("digit", "machine_action", "reward")
-    )
-    for name, col in (("digit", digit), ("machine_action", action)):
-        if (col != col[:, :1]).any():
-            raise ValueError("trace column %r changes within a decision block" % name)
-    early = reward[:, :-1]
-    if (early != 0.0).any() or np.signbit(early).any():
-        raise ValueError("trace column 'reward' is not 0.0 before a decision block's last row")
-    tails = []
-    for d, a, r in zip(digit[:, 0].tolist(), action[:, 0].tolist(), reward[:, -1].tolist()):
-        head = "%s,%s," % (d, a)
-        tails += [head + "0.0"] * (interval - 1)
-        tails.append(head + repr(r))
-    return tails
-
-
-def trace_to_csv(trace: EpisodeTrace, shared: dict) -> str:
+def trace_to_csv(trace: EpisodeTrace) -> str:
     """Exact-precision CSV, one row per plant substep.
 
     Each column is rendered once (``repr`` of each float, ``str`` of each
-    int), then joined row by row. The digit, machine action and reward are
-    rendered once per decision and repeated down its block, which needs the
-    trace to keep ``EpisodeTrace``'s per-decision rules (ValueError naming
-    the column otherwise). ``shared`` is a dict owned by one export: the
-    time and reference columns depend only on the env, never on the policy
-    or the noise, so every trace of a sweep has the same two, and they are
-    rendered once per export. The other columns are not shared. They repeat
-    across settings only when nothing is trained (every setting then starts
-    from the same networks and evaluation seeds), and a real sweep does not
-    repeat them.
+    int), then joined row by row. Each decision's digit and machine action
+    are rendered once and written on every row of its block, its reward on
+    the block's last row and ``0.0`` above it. The time and reference
+    columns depend only on the env, never on the policy or the noise, so
+    every trace of a sweep has the same two, and ``_column_reprs`` renders
+    each once. The other columns are not cached. They repeat across
+    settings only when nothing is trained (every setting then starts from
+    the same networks and evaluation seeds), and a real sweep does not
+    repeat them. A column of the wrong length raises ValueError.
     """
-    tails = _decision_tails(trace)
+    interval = trace.decision_interval
+    tails = []
+    decisions = (trace.digit.tolist(), trace.machine_action.tolist(), trace.reward.tolist())
+    for d, a, r in zip(*decisions, strict=True):
+        head = "%s,%s," % (d, a)
+        tails += [head + "0.0"] * (interval - 1)
+        tails.append(head + repr(r))
     columns = (
-        _reprs(trace.time, shared),
-        _reprs(trace.reference, shared),
+        _column_reprs(trace.time.tobytes()),
+        _column_reprs(trace.reference.tobytes()),
         map(repr, trace.position.tolist()),
         map(repr, trace.omega.tolist()),
         map(repr, trace.tau_machine.tolist()),
@@ -334,7 +311,7 @@ def trace_to_csv(trace: EpisodeTrace, shared: dict) -> str:
         tails,
     )
     lines = [",".join(TRACE_COLUMNS)]
-    lines.extend(map(",".join, zip(*columns)))
+    lines.extend(map(",".join, zip(*columns, strict=True)))
     return "\n".join(lines) + "\n"
 
 
@@ -343,18 +320,16 @@ def _write(out_dir, name, text: str) -> str:
     return hashlib.sha256(write_utf8(os.path.join(out_dir, name), text)).hexdigest()
 
 
-def export_traces(sid: int, traces, out_dir, shared: dict) -> dict:
+def export_traces(sid: int, traces, out_dir) -> dict:
     """Write one setting's evaluation traces, one CSV per episode in order.
 
     Each CSV is written as soon as it is rendered, so one text at a time is
-    held. ``shared`` is the export's dict of rendered columns (see
-    ``trace_to_csv``); pass the same one for every setting of a sweep.
-    Returns {filename: sha256}.
+    held. Returns {filename: sha256}.
     """
     hashes = {}
     for i, trace in enumerate(traces):
         name = "trace_setting%d_ep%d.csv" % (sid, i)
-        hashes[name] = _write(out_dir, name, trace_to_csv(trace, shared))
+        hashes[name] = _write(out_dir, name, trace_to_csv(trace))
     return hashes
 
 
@@ -390,14 +365,14 @@ def save_setting_checkpoint(cfg: ExperimentConfig, result, out_dir) -> str:
     return path
 
 
-def _sweep_setting(cfg: ExperimentConfig, out_dir, shared: dict, hashes: dict):
+def _sweep_setting(cfg: ExperimentConfig, out_dir, hashes: dict):
     """Train, evaluate and export one setting of a sweep.
 
     Returns its MetricsReport; the TrainResult, traces and CSV texts die on
     return, so a sweep holds one setting's at a time.
     """
     result, mean, traces = train_setting(cfg)
-    hashes.update(export_traces(cfg.setting_id, traces, out_dir, shared))
+    hashes.update(export_traces(cfg.setting_id, traces, out_dir))
     save_setting_checkpoint(cfg, result, out_dir)
     return mean
 
@@ -408,16 +383,17 @@ def sweep(settings, cfg: ExperimentConfig, out_dir) -> dict:
     Returns {setting id: MetricsReport}. Each setting's trace CSVs and
     checkpoint are written to ``out_dir`` as soon as it is evaluated, and
     the value table and manifest after the last setting, so a sweep that
-    stops part-way leaves no manifest. The manifest's run block is ``cfg``
-    as a dict, without ``output_dir`` and ``setting_id``, plus ``settings``.
-    A ValueError from a setting names it: ``setting s``.
+    stops part-way leaves no manifest. The env's time and reference columns
+    are rendered once for every trace CSV (``trace_to_csv``). The
+    manifest's run block is ``cfg`` as a dict, without ``output_dir`` and
+    ``setting_id``, plus ``settings``. A ValueError from a setting names
+    it: ``setting s``.
     """
     reports = {}
     hashes = {}
-    shared = {}  # time and reference columns, rendered once per sweep
     for sid in settings:
         try:
-            reports[sid] = _sweep_setting(replace(cfg, setting_id=sid), out_dir, shared, hashes)
+            reports[sid] = _sweep_setting(replace(cfg, setting_id=sid), out_dir, hashes)
         except ValueError as exc:
             raise ValueError("setting %d: %s" % (sid, exc)) from None
     run_info = asdict(cfg)

@@ -118,16 +118,20 @@ def test_bad_input_exits_2(tmp_path, capsys):
         assert main(args + FAST) == 2
         assert "--settings" in capsys.readouterr().err
     assert not sweep_out.exists()
-    for flags in (["--blocks", "0"], ["--blocks", "-1"], ["--interval", "-3"],
-                  ["--interval", "0", "--blocks", "5"]):
+    # --blocks and --interval set the episode's n_decisions and decision_interval
+    blocks, interval = "episode.n_decisions", "episode.decision_interval"
+    for flags, key in ((["--blocks", "0"], blocks), (["--blocks", "-1"], blocks),
+                       (["--interval", "-3"], interval),
+                       (["--interval", "0", "--blocks", "5"], interval)):
         assert main(["bench"] + flags) == 2
         shown = capsys.readouterr()
-        assert shown.out == "" and "error: %s must be >= 1" % flags[0] in shown.err
+        assert shown.out == "" and "error: config key %r must be >= 1" % key in shown.err
     # the size is bounded before the noise and trace buffers are allocated
     assert main(["bench", "--blocks", "20000", "--interval", "1000000"]) == 2
     shown = capsys.readouterr()
     assert shown.out == "" and shown.err == (
-        "error: --blocks * --interval must be <= 10000000 substeps, got 20000 * 1000000\n"
+        "error: config key 'episode.n_decisions' must be <= 10000000 substeps / config key"
+        " 'episode.decision_interval', got 20000 and 1000000\n"
     )
 
 
@@ -172,6 +176,26 @@ def test_overflowing_reference_phase_exits_2_naming_both_keys(capsys):
         shown = capsys.readouterr()
         assert shown.err.startswith("error: config key 'reference.period' must be "), pair
         assert "config key 'plant.dt'" in shown.err and "Traceback" not in shown.err, pair
+
+
+def test_unit_torque_that_overflows_the_action_metric_exits_2(capsys):
+    # mse_metrics squares the commanded torque: 1e300 overflowed it to inf
+    args = ["sweep", "--settings", "2", "--seed", "1", "--set", "train.n_updates=0",
+            "--set", "eval.episodes=1", "--set", "human.unit_torque=1e300"]
+    assert main(args) == 2
+    shown = capsys.readouterr()
+    assert shown.err.startswith("error: config key 'human.unit_torque' must be ")
+    assert "finite" in shown.err and "Traceback" not in shown.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_torque_of_1e149_runs_to_finite_metrics(tmp_path):
+    args = ["sweep", "--settings", "2", "--seed", "1", "--set", "train.n_updates=1",
+            "--set", "eval.episodes=1", "--set", "human.unit_torque=1e149",
+            "--out", str(tmp_path)]
+    assert main(args) == 0
+    _, row = (tmp_path / "value_table.csv").read_text().splitlines()
+    assert all(np.isfinite(float(v)) for v in row.split(","))
 
 
 def test_failed_rollout_or_evaluation_names_where(tmp_path, capsys):

@@ -413,19 +413,18 @@ def test_trace_layout_and_block_structure():
         arr = getattr(trace, field)
         assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == (n,), field
     assert np.all(np.diff(trace.time) > 0)
-    digits = trace.digit.reshape(env.n_decisions, env.decision_interval)
-    actions = trace.machine_action.reshape(env.n_decisions, env.decision_interval)
-    assert np.all(digits == digits[:, :1])
-    assert np.all(actions == actions[:, :1])
-    assert list(digits[:5, 0]) == [DIGITS[i] for i in (0, 1, 2, 3, 4)]
+    # the digit, the machine action and the reward are stored once per decision
+    for field, dtype in (("digit", np.int64), ("machine_action", np.int64), ("reward", np.float64)):
+        arr = getattr(trace, field)
+        assert type(arr) is np.ndarray and arr.dtype == dtype, field
+        assert arr.shape == (env.n_decisions,), field
+    assert list(trace.digit[:5]) == [DIGITS[i] for i in (0, 1, 2, 3, 4)]
+    assert list(trace.machine_action) == [z % 2 for z in range(env.n_decisions)]
 
-    # shared reward appears only on block-final rows, and only once the
-    # position history spans a full window
-    mask = np.zeros(n, dtype=bool)
-    rows = np.arange(env.n_decisions) * env.decision_interval + env.decision_interval - 1
-    mask[rows[env.window - 1 :]] = True
-    assert np.all(trace.reward[~mask] == 0.0)
-    assert np.all(trace.reward[rows[env.window - 1 :]] != 0.0)
+    # the shared reward is scored only once the position history spans a
+    # full window
+    assert np.all(trace.reward[: env.window - 1] == 0.0)
+    assert np.all(trace.reward[env.window - 1 :] != 0.0)
     assert result.total_reward == pytest.approx(trace.reward.sum(), rel=1e-12)
 
 
@@ -438,9 +437,8 @@ def test_transition_chaining_and_terminals():
         ts = getattr(result, name)
         assert len(ts) == env.n_decisions
         assert [t.terminal for t in ts] == [False] * 6 + [True]
-    rows = np.arange(env.n_decisions) * env.decision_interval + env.decision_interval - 1
     for z, t in enumerate(result.transitions_human):
-        assert t.reward == result.trace.reward[rows[z]]
+        assert t.reward == result.trace.reward[z]
 
 
 class RecordingPolicy(ScriptPolicy):
@@ -482,7 +480,7 @@ def test_rewards_replayable_from_trace():
     pos = result.trace.position[rows]
     ref = result.trace.reference[rows]
     om = result.trace.omega[rows]
-    dig = result.trace.digit[rows]
+    dig = result.trace.digit
     tau_m = result.trace.tau_machine[rows]
     tau_h = result.trace.tau_human[rows]
     div_h, div_m = obs_divisors(env)

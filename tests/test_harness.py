@@ -4,7 +4,7 @@ import hashlib
 import json
 import os
 import weakref
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -324,18 +324,22 @@ def trace_from_csv(text: str, decision_interval: int) -> EpisodeTrace:
             slot.append(val)
     as_f = lambda c: np.array([float(v) for v in c])
     as_i = lambda c: np.array([int(v) for v in c], dtype=np.int64)
+    # the decision columns fold back to one value per decision: its block's last row
+    last = slice(decision_interval - 1, None, decision_interval)
     return EpisodeTrace(
         time=as_f(cols[0]), reference=as_f(cols[1]), position=as_f(cols[2]),
         omega=as_f(cols[3]), tau_machine=as_f(cols[4]), tau_human=as_f(cols[5]),
-        digit=as_i(cols[6]), machine_action=as_i(cols[7]), reward=as_f(cols[8]),
-        decision_interval=decision_interval,
+        digit=as_i(cols[6][last]), machine_action=as_i(cols[7][last]),
+        reward=as_f(cols[8][last]), decision_interval=decision_interval,
     )
 
 
 def trace_to_csv_rows(trace: EpisodeTrace) -> str:
     """The per-row renderer ``trace_to_csv`` must equal byte for byte."""
     lines = [",".join(TRACE_COLUMNS)]
+    interval = trace.decision_interval
     for i in range(len(trace)):
+        z, pos = divmod(i, interval)  # row i is row ``pos`` of decision z's block
         lines.append(
             ",".join(
                 (
@@ -345,9 +349,9 @@ def trace_to_csv_rows(trace: EpisodeTrace) -> str:
                     repr(float(trace.omega[i])),
                     repr(float(trace.tau_machine[i])),
                     repr(float(trace.tau_human[i])),
-                    str(int(trace.digit[i])),
-                    str(int(trace.machine_action[i])),
-                    repr(float(trace.reward[i])),
+                    str(int(trace.digit[z])),
+                    str(int(trace.machine_action[z])),
+                    repr(float(trace.reward[z]) if pos == interval - 1 else 0.0),
                 )
             )
         )
@@ -390,7 +394,7 @@ def test_trace_csv_round_trip_is_exact():
     res = run_episode(
         env, ConstantPolicy(3), ConstantPolicy(1), np.random.default_rng(2)
     )
-    text = trace_to_csv(res.trace, {})
+    text = trace_to_csv(res.trace)
     back = trace_from_csv(text, env.decision_interval)
     for field in (
         "time", "reference", "position", "omega",
@@ -408,39 +412,37 @@ def test_trace_from_csv_rejects_bad_header():
 
 
 def test_trace_csv_equals_row_oracle_on_episodes():
-    shared = {}
+    harness._column_reprs.cache_clear()
     for setting_id, seed in ((2, 0), (5, 1), (8, 2)):
         env = make_test_env(setting_id)
         rng = np.random.default_rng(seed)
         human = SamplingPolicy(init_params(rng, 5, 5))
         machine = SamplingPolicy(init_params(rng, 6, 2))
         trace = run_episode(env, human, machine, rng).trace
-        expected = trace_to_csv_rows(trace)
-        assert trace_to_csv(trace, {}) == expected
-        assert trace_to_csv(trace, shared) == expected
+        assert trace_to_csv(trace) == trace_to_csv_rows(trace)
     # every trace of the shipped env shares one time and one reference column
-    assert len(shared) == 2
+    assert harness._column_reprs.cache_info().misses == 2
 
 
-def test_trace_csv_refuses_a_column_that_changes_within_a_decision():
-    # the decision columns are rendered once per block, so a trace that
-    # breaks EpisodeTrace's per-block rules is refused, naming the column
+def test_trace_csv_refuses_columns_of_unequal_length():
+    # a short column is refused, not written truncated to its length
+    trace = hand_trace()
+    trace.position = trace.position[:2]
+    with pytest.raises(ValueError, match="shorter"):
+        trace_to_csv(trace)
     env = make_test_env(decision_interval=5, n_decisions=4)
     res = run_episode(env, ConstantPolicy(3), ConstantPolicy(1), np.random.default_rng(2))
-    assert trace_to_csv(res.trace, {}) == trace_to_csv_rows(res.trace)
-    for column, row, value in (
-        ("digit", 6, 0), ("machine_action", 0, 0), ("reward", 2, 0.5), ("reward", 12, -0.0),
+    assert trace_to_csv(res.trace) == trace_to_csv_rows(res.trace)
+    # decision columns that do not fill len(trace) / decision_interval
+    for change in (
+        {"decision_interval": 3},  # 20 rows are not whole blocks of 3
+        {"digit": res.trace.digit[:3]},
+        {"digit": np.append(res.trace.digit, 3)},
+        {"reward": res.trace.reward[:3], "digit": res.trace.digit[:3],
+         "machine_action": res.trace.machine_action[:3]},
     ):
-        trace = run_episode(
-            env, ConstantPolicy(3), ConstantPolicy(1), np.random.default_rng(2)
-        ).trace
-        getattr(trace, column)[row] = value
-        with pytest.raises(ValueError, match="trace column '%s'" % column):
-            trace_to_csv(trace, {})
-    trace = res.trace
-    trace.decision_interval = 3  # 20 rows are not whole blocks of 3
-    with pytest.raises(ValueError, match="not whole blocks of decision_interval 3"):
-        trace_to_csv(trace, {})
+        with pytest.raises(ValueError, match="shorter|longer"):
+            trace_to_csv(replace(res.trace, **change))
 
 
 def special_trace():
@@ -461,10 +463,10 @@ def test_trace_csv_equals_row_oracle_on_special_values():
     trace = special_trace()
     expected = trace_to_csv_rows(trace)
     assert "-0.0," in expected and "5e-324" in expected and "nan" in expected
-    assert trace_to_csv(trace, {}) == expected
-    shared = {}
-    assert trace_to_csv(trace, shared) == expected
-    assert trace_to_csv(trace, shared) == expected  # served from ``shared``
+    harness._column_reprs.cache_clear()
+    assert trace_to_csv(trace) == expected
+    assert trace_to_csv(trace) == expected  # served from the cache
+    assert harness._column_reprs.cache_info().hits == 2
 
 
 def test_export_shares_columns_by_bytes_not_values(tmp_path):
@@ -477,9 +479,8 @@ def test_export_shares_columns_by_bytes_not_values(tmp_path):
     b.time[0] = -0.0
     assert np.array_equal(a.time, b.time)
     report = mse_metrics(hand_trace(), unit_torque=1.0)
-    shared = {}  # one dict across both settings, as in a sweep
-    hashes = export_traces(2, [a, b], tmp_path, shared)
-    hashes.update(export_traces(6, [b, a], tmp_path, shared))
+    hashes = export_traces(2, [a, b], tmp_path)
+    hashes.update(export_traces(6, [b, a], tmp_path))
     export_results({2: report, 6: report}, hashes, tmp_path, {})
     for name, trace in (
         ("trace_setting2_ep0.csv", a), ("trace_setting2_ep1.csv", b),
@@ -567,9 +568,9 @@ def test_export_results_stable_and_hashed(tmp_path):
     info = {"settings": [2, 6], "seed": 7}
 
     def export(out):
-        shared, hashes = {}, {}
+        hashes = {}
         for sid in sorted(traces):
-            hashes.update(export_traces(sid, traces[sid], out, shared))
+            hashes.update(export_traces(sid, traces[sid], out))
         return export_results(reports, hashes, out, info)
 
     out_a = tmp_path / "a"
