@@ -425,11 +425,13 @@ def test_trace_csv_equals_row_oracle_on_episodes():
 
 
 def test_trace_csv_refuses_columns_of_unequal_length():
-    # a short column is refused, not written truncated to its length
+    # a short column is refused, not written truncated to its length: a
+    # 4-row trace whose position has 2 entries
     trace = hand_trace()
-    trace.position = trace.position[:2]
+    rows = {f.name: getattr(trace, f.name)[:4] for f in fields(trace)[:-1]}  # all but the interval
+    rows["position"] = trace.position[:2]
     with pytest.raises(ValueError, match="shorter"):
-        trace_to_csv(trace)
+        trace_to_csv(replace(trace, **rows))
     env = make_test_env(decision_interval=5, n_decisions=4)
     res = run_episode(env, ConstantPolicy(3), ConstantPolicy(1), np.random.default_rng(2))
     assert trace_to_csv(res.trace) == trace_to_csv_rows(res.trace)
