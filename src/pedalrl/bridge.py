@@ -219,6 +219,11 @@ class RemotePolicy:
     silent one ``TimeoutError``, a closed one ``ConnectionError``). After a
     timed-out or missing reply the socket cannot be read again, so ``close``
     then skips the BYE exchange.
+
+    Each instance opens its own connection, and a ``bridge-serve`` answers
+    one connection at a time. So an episode can have one remote agent per
+    server: a second ``RemotePolicy`` on the same server waits until the
+    first connection closes, and its first reply times out.
     """
 
     def __init__(self, host: str, port: int, agent_id: int):

@@ -143,15 +143,15 @@ def cmd_bench(args) -> int:
     constants, bank = kernels.pack(env)
 
     def run(fn, blocks):
-        # the clock rows and buffers run_episode hands the kernel
-        clock = plant.clock(env.reference, env.plant.dt, blocks * interval)
-        block, sim, queue, ref, rows = kernels.buffers(env.human.reaction_delay, clock)
+        # the reference row and buffers run_episode hands the kernel
+        ref = memoryview(plant.clock(env.reference, env.plant.dt, blocks * interval)[1])
+        block, sim, queue, rows = kernels.buffers(env.human.reaction_delay, blocks * interval)
         start = time.perf_counter()
         for b in range(blocks):
             digit = (-2, -1, 0, 1, 2)[b % 5]
             fn(sim, queue, digit, 0, constants, bank, noise, ref, rows, b * interval, interval)
         elapsed = time.perf_counter() - start
-        # every trace row, the final state and the delay line, as bytes
+        # every row the kernel writes, the final state and the delay line, as bytes
         return elapsed, (block.tobytes(), sim.tobytes(), queue.tobytes())
 
     if kernels.NUMBA_ENABLED:

@@ -4,11 +4,11 @@ Agents act every ``decision_interval`` plant substeps. One decision step is:
 observe (both agents), pick a digit and a machine sub-controller, run the
 substep block through the hot kernel (which owns the switch rule), then
 score the shared reward over a sliding window of the last ``window``
-block-final samples. The env's clock rows (time and reference, built once
-per env by ``plant.clock``) fill the trace block's first two rows. The
-kernel gets memoryviews of the clock's reference row, the trace block's
-rows, the simulation state, the delay queue (all from ``kernels.buffers``)
-and each decision's noise, because its uncompiled body reads and writes a
+block-final samples. The trace's time and reference rows view the env's
+clock (``plant.clock``, built once per env). The kernel gets memoryviews of
+the clock's reference row, of the trace block's rows, the simulation state
+and the delay queue (all three from ``kernels.buffers``) and of each
+decision's noise, because its uncompiled body reads and writes a
 memoryview element several times faster than a numpy array's. The
 block-final values are read once per decision from those row views as
 Python floats. The comfort term of each decision's window is scored once:
@@ -113,8 +113,8 @@ class EpisodeTrace:
     ``machine_action`` and ``reward`` hold one per decision. Decision z
     spans substeps ``z * decision_interval`` to ``(z + 1) *
     decision_interval - 1``, and its reward is scored at the last of them.
-    The time and reference rows are the env's clock
-    (:func:`pedalrl.plant.clock`), the same in every episode of an env.
+    The time and reference rows are read-only views of the env's clock
+    (:func:`pedalrl.plant.clock`), shared by every episode of an env.
     """
 
     time: np.ndarray
@@ -176,8 +176,9 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
 
     constants, bank = kernels.pack(env)
     clock = plant.clock(env.reference, env.plant.dt, n * interval)
-    block, sim, queue, ref_clock, rows = kernels.buffers(env.human.reaction_delay, clock)
-    _, ref_row, pos_row, om_row, tm_row, th_row = rows
+    ref_clock = memoryview(clock[1])
+    block, sim, queue, rows = kernels.buffers(env.human.reaction_delay, n * interval)
+    pos_row, om_row, tm_row, th_row = rows
 
     obs_h = np.empty((n, len(div_h)))
     obs_m = np.empty((n, len(div_m)))
@@ -208,7 +209,7 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
             z * interval, interval,
         )
         c = (z + 1) * interval - 1
-        ref, pos, om, tm, th = ref_row[c], pos_row[c], om_row[c], tm_row[c], th_row[c]
+        ref, pos, om, tm, th = ref_clock[c + 1], pos_row[c], om_row[c], tm_row[c], th_row[c]
         act_h.append(a_h)
         act_m.append(a_m)
         logp_h.append(lp_h)
@@ -227,7 +228,7 @@ def run_episode(env: EnvParams, human_policy, machine_policy, rng) -> EpisodeRes
         total_reward += reward
 
     trace = EpisodeTrace(
-        *block, digit=np.array(digits, dtype=np.int64),
+        clock[0, 1:], clock[1, 1:], *block, digit=np.array(digits, dtype=np.int64),
         machine_action=np.array(act_m, dtype=np.int64), reward=np.array(rewards),
         decision_interval=interval,
     )

@@ -87,6 +87,12 @@ CHECKPOINT_KEYS = ("setting", "seed", "subject")  # checkpoint meta, read back b
 # size that allocates fails at the config boundary, naming its key.
 MAX_SUBSTEPS = 10**7
 
+# The tracking error mse_metrics squares is at most max(|angle_min|,
+# |angle_max|) + |offset| + amplitude; with each of those three terms in
+# this bound, MAX_SUBSTEPS squares of their sum stay finite.
+_REACH = (lambda v: math.isfinite(MAX_SUBSTEPS * (3 * v) * (3 * v)),
+          "small enough that %d * (3 * |value|)**2 is finite" % MAX_SUBSTEPS)
+
 # Config key -> (test, rule), checked by ``config_from_dict`` on the resolved config.
 BOUNDS = {
     "seed": (lambda v: v >= 0, ">= 0"),  # numpy seeds are non-negative
@@ -95,9 +101,12 @@ BOUNDS = {
     "plant.damping": (lambda v: v >= 0, ">= 0"),
     "plant.torque_limit": (lambda v: v > 0, "> 0"),
     "plant.dt": (lambda v: v > 0, "> 0"),
+    "plant.angle_min": _REACH,
+    "plant.angle_max": _REACH,
     "plant.omega_max": (lambda v: v > 0, "> 0"),
-    "reference.amplitude": (lambda v: v >= 0, ">= 0"),
+    "reference.amplitude": (lambda v: v >= 0 and _REACH[0](v), ">= 0 and " + _REACH[1]),
     "reference.period": (lambda v: v > 0, "> 0"),
+    "reference.offset": _REACH,
     # mse_metrics sums up to MAX_SUBSTEPS squared deviations of the commanded
     # torque, each at most (4 * unit_torque)**2 for digits in -2..2
     "human.unit_torque": (lambda v: v > 0 and math.isfinite(MAX_SUBSTEPS * (4 * v) * (4 * v)),
@@ -119,20 +128,31 @@ BOUNDS = {
     "eval.episodes": (lambda v: v >= 1, ">= 1"),
     "output_dir": (lambda v: v != "", "non-empty"),
 }
-# The cross-field rules, whose errors name both keys: (key, test, rule, other key).
+# The cross-field rules, whose errors name both keys: (key, test, rule, other
+# key). A test takes both keys' values and the setting's ``SettingConfig``.
 PAIRED_BOUNDS = (
-    ("plant.angle_min", lambda v, w: v < w, "<", "plant.angle_max"),
-    ("hyper.batch_size", lambda v, w: v <= w, "<=", "hyper.buffer_size"),
+    ("plant.angle_min", lambda v, w, _: v < w, "<", "plant.angle_max"),
+    ("hyper.batch_size", lambda v, w, _: v <= w, "<=", "hyper.buffer_size"),
     # a flat reference scales angle observations by the upper stop
-    ("plant.angle_max", lambda v, w: v > 0 or w > 0, "> 0 at a zero", "reference.amplitude"),
+    ("plant.angle_max", lambda v, w, _: v > 0 or w > 0, "> 0 at a zero", "reference.amplitude"),
     # the trace holds one column per substep
-    ("episode.n_decisions", lambda v, w: v * w <= MAX_SUBSTEPS,
+    ("episode.n_decisions", lambda v, w, _: v * w <= MAX_SUBSTEPS,
      "<= %d substeps /" % MAX_SUBSTEPS, "episode.decision_interval"),
     # math.sin rejects an infinite reference phase 2*pi*t/period; plant.clock's
     # t is at most MAX_SUBSTEPS steps of dt, doubled for its running sum's rounding
-    ("reference.period", lambda v, w: math.isfinite(2.0 * math.pi * (2 * MAX_SUBSTEPS * w) / v),
+    ("reference.period",
+     lambda v, w, _: math.isfinite(2.0 * math.pi * (2 * MAX_SUBSTEPS * w) / v),
      "long enough that 2*pi*t/period stays finite for t up to 2 * %d substeps of"
      % MAX_SUBSTEPS, "plant.dt"),
+    # The human lag's Euler step: with x the applied torque minus its setpoint
+    # and a PD pair held, x[n+1] = (1 - a - b) x[n] + b x[n-1], where
+    # a = L kp, b = L kd / dt and L = dt / (lag + dt) * dt. The recurrence
+    # converges iff dt (kp dt + 2 kd) < 2 (lag + dt), which also gives b < 1.
+    ("plant.dt",
+     lambda v, w, s: all(v * (g.kp * v + 2 * g.kd) < 2 * (w + v) for g in s.human_pd),
+     "small enough that the human lag's Euler step converges, dt * (kp * dt + 2 * kd) <"
+     " 2 * (lag + dt) for both of the setting's human PD pairs, at",
+     "human.lag_time_constant"),
 )
 
 
@@ -175,8 +195,9 @@ def config_from_dict(cfg: dict) -> ExperimentConfig:
     for key, (ok, rule) in BOUNDS.items():
         if not ok(values[key]):
             raise ValueError("config key %r must be %s, got %r" % (key, rule, values[key]))
+    setting = SETTINGS[config.setting_id]
     for key, ok, rule, other in PAIRED_BOUNDS:
-        if not ok(values[key], values[other]):
+        if not ok(values[key], values[other], setting):
             got = (key, rule, other, values[key], values[other])
             raise ValueError("config key %r must be %s config key %r, got %r and %r" % got)
     return config

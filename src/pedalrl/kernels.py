@@ -24,13 +24,12 @@ possible:
 - buffers are touched only by element reads and writes: ``sim``, the
   delay queue, ``noise`` and the reference ``ref`` by index,
   ``digit_queue.shape[0]`` for the delay, and the trace through its 1-D
-  rows ``out[2] .. out[5]``. So each buffer may be a numpy array or a
+  rows ``out[0] .. out[3]``. So each buffer may be a numpy array or a
   ``memoryview`` of one, and ``out`` a 2-D array or a tuple of its row
   views;
-- the kernel keeps no clock: the caller supplies the time and reference
-  rows (:func:`pedalrl.plant.clock`, the one home of the reference), copies
-  them into the trace's rows 0 and 1, and hands the kernel the reference
-  row, from which each substep reads its starting reference;
+- the kernel keeps no clock: the caller hands it the reference row of
+  :func:`pedalrl.plant.clock`, the one home of an episode's time and
+  reference, from which each substep reads its starting reference;
 - the reaction-delay line shifts once per call, by ``n_sub`` places:
   substep ``s`` reads ``digit_queue[s]`` while ``s`` is below the delay,
   and the commanded digit after that;
@@ -45,10 +44,10 @@ values and their bits are the same either way.
 
 This module also owns the kernel's calling convention: :func:`pack` turns an
 episode's parameters into a tuple of 13 constants and a bank of gain tuples,
-the packed simulation state has the ``SIM_*`` layout, the six float fields
-of ``EpisodeTrace`` are the rows of one ``(TRACE_ROWS, n)`` block, of which
-the kernel writes the last four, and :func:`buffers` allocates that block
-with its clock rows filled, a fresh state and a delay line. The
+the packed simulation state has the ``SIM_*`` layout, the four float fields
+of ``EpisodeTrace`` that the kernel writes are the rows of one
+``(TRACE_ROWS, n)`` block, and :func:`buffers` allocates that block, a
+fresh state and a delay line. The
 sub-controller switch rule lives here too: the state keeps the previous
 block's sub-controller, and a block that runs another one starts from a
 zero integral while the derivative history carries over. A fresh state
@@ -85,9 +84,9 @@ SIM_H_PREV_ERR = 5
 SIM_M_IDX = 6  # sub-controller of the previous block
 SIM_SIZE = 7
 
-# Rows of the trace block: time, reference, position, omega, machine
-# torque, human torque (the float fields of ``EpisodeTrace``, in order).
-TRACE_ROWS = 6
+# Rows of the trace block: position, omega, machine torque, human torque
+# (the float fields of ``EpisodeTrace`` after the clock's two, in order).
+TRACE_ROWS = 4
 
 
 def pack(env):
@@ -112,23 +111,19 @@ def pack(env):
     return constants, bank
 
 
-def buffers(reaction_delay, clock):
-    """Fresh kernel buffers for the substeps of ``clock``: ``(block, sim, queue, ref, rows)``.
+def buffers(reaction_delay, n_substeps):
+    """Fresh kernel buffers for ``n_substeps`` substeps: ``(block, sim, queue, rows)``.
 
-    ``clock`` is a :func:`pedalrl.plant.clock` array of ``n + 1`` columns.
-    ``block`` is the ``(TRACE_ROWS, n)`` float64 trace, whose time and
-    reference rows are copied from the clock's columns 1 .. n; ``ref`` is a
-    memoryview of the clock's reference row, from which the kernel reads
-    each substep's starting reference, and ``rows`` the tuple of memoryviews
-    of the block's six rows that the kernel takes as ``out``. ``sim`` is a
-    memoryview of a zeroed ``SIM_SIZE`` float64 state (sub-controller 0) and
-    ``queue`` one of a zeroed ``reaction_delay``-long int64 delay line.
+    ``block`` is the ``(TRACE_ROWS, n_substeps)`` float64 trace the kernel
+    writes, and ``rows`` the tuple of memoryviews of its rows that the
+    kernel takes as ``out``. ``sim`` is a memoryview of a zeroed
+    ``SIM_SIZE`` float64 state (sub-controller 0) and ``queue`` one of a
+    zeroed ``reaction_delay``-long int64 delay line.
     """
-    block = np.empty((TRACE_ROWS, clock.shape[1] - 1))
-    block[:2] = clock[:, 1:]
+    block = np.empty((TRACE_ROWS, n_substeps))
     sim = memoryview(np.zeros(SIM_SIZE))
     queue = memoryview(np.zeros(reaction_delay, dtype=np.int64))
-    return block, sim, queue, memoryview(clock[1]), tuple(memoryview(row) for row in block)
+    return block, sim, queue, tuple(memoryview(row) for row in block)
 
 
 def _run_substeps(
@@ -139,18 +134,18 @@ def _run_substeps(
     Runs machine sub-controller ``bank[m_idx]`` (zeroing the integral if the
     previous block ran another one), mutates ``sim`` and ``digit_queue`` in
     place and writes columns ``start .. start+n_sub-1`` of the position,
-    omega and torque rows ``out[2] .. out[5]`` of the trace block. The
-    substep in column ``col`` starts from the reference ``ref[col]``, a row
-    of :func:`pedalrl.plant.clock` that the caller also copies into
-    ``out[0]`` and ``out[1]``. Column ``start`` follows the ``start``
+    omega and torque rows ``out[0] .. out[3]`` of the trace block. The
+    substep in column ``col`` starts from the reference ``ref[col]``, the
+    reference row of :func:`pedalrl.plant.clock`, whose column ``col + 1``
+    is the reference after it. Column ``start`` follows the ``start``
     substeps that ``sim`` has run: column 0 is a fresh state's first
     substep, whose derivative terms have no history. ``noise`` holds one
     pre-drawn, pre-scaled torque perturbation per substep (drawn outside so
     that the RNG stream never depends on the backend).
 
     Each buffer is a numpy array or a memoryview of one, and ``out`` a 2-D
-    array or a tuple of its six row views: the body only indexes them,
-    reads ``digit_queue.shape[0]`` and unpacks ``out[2] .. out[5]``.
+    array or a tuple of its four row views: the body only indexes them,
+    reads ``digit_queue.shape[0]`` and unpacks ``out[0] .. out[3]``.
     Episodes pass memoryviews (:func:`buffers`), because uncompiled their
     element reads and writes cost a fraction of a numpy array's.
     """
@@ -178,10 +173,10 @@ def _run_substeps(
     commanded = int(commanded_digit)
 
     n_delay = digit_queue.shape[0]
-    pos_row = out[2]
-    om_row = out[3]
-    tm_row = out[4]
-    th_row = out[5]
+    pos_row = out[0]
+    om_row = out[1]
+    tm_row = out[2]
+    th_row = out[3]
 
     if start == 0:
         # No derivative history: a previous error equal to the first

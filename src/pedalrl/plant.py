@@ -8,8 +8,8 @@ physical end stop). The step itself lives in the fused kernel
 
 This module is the one home of the reference: :func:`sample_reference` is
 its formula, and :func:`clock` its samples over an episode, which depend
-only on the env. An episode's trace copies its time and reference rows from
-the clock, and the kernel reads each substep's starting reference there.
+only on the env. Traces view the clock's time and reference rows, and the
+kernel reads each substep's starting reference there.
 """
 
 import functools
@@ -57,11 +57,11 @@ def clock(traj: ReferenceTrajectory, dt: float, n_substeps: int) -> np.ndarray:
     A read-only ``(2, n_substeps + 1)`` float64 array: row 0 is the time, the
     running sum ``t += dt`` from 0, and row 1 is :func:`sample_reference` at
     each time. Column ``i`` is the state after ``i`` substeps, so a trace's
-    rows are columns 1 onwards. Built once per (reference, ``dt``,
-    ``n_substeps``) and shared by every episode that asks for it; only the
-    last one built is kept, so at most one clock outlives its episodes. The
-    key is the values' bits: ``-0.0 == 0.0``, but an offset of ``-0.0`` can
-    give a row of another sign.
+    rows are views of columns 1 onwards. Built once per (reference, ``dt``,
+    ``n_substeps``) and shared by every episode that asks for it; the cache
+    keeps only the last one built, and an older one lives as long as a trace
+    that views it. The key is the values' bits: ``-0.0 == 0.0``, but an
+    offset of ``-0.0`` can give a row of another sign.
     """
     values = (traj.amplitude, traj.period, traj.phase, traj.offset, dt)
     return _clock(tuple(float(v).hex() for v in values), n_substeps)

@@ -14,7 +14,7 @@ import pytest
 
 import pedalrl
 from conftest import run_at_blas_threads
-from pedalrl import cli, kernels
+from pedalrl import cli, episode, harness, kernels
 from pedalrl.cli import main, parse_settings
 from pedalrl.config import load_config
 from pedalrl.controllers import SETTING_RANGE, SETTINGS
@@ -189,6 +189,56 @@ def test_unit_torque_that_overflows_the_action_metric_exits_2(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_diverging_lag_or_overflowing_reach_exits_2_naming_the_key(tmp_path, capsys):
+    # setting 2's strong human PD pair keeps the lag's Euler step stable
+    # below dt = 0.1452; a reference reach of 1e300 overflows the squared
+    # tracking error
+    args = ["train", "--setting", "2", "--seed", "1", "--set", "train.n_updates=0",
+            "--set", "eval.episodes=1", "--out", str(tmp_path)]
+    for pair in ("plant.dt=0.15", "plant.dt=1", "plant.dt=1e300", "reference.amplitude=1e300",
+                 "reference.offset=1e300", "reference.offset=-1e300"):
+        assert main(args + ["--set", pair]) == 2
+        shown = capsys.readouterr()
+        key = pair.split("=")[0]
+        assert shown.err.startswith("error: config key %r must be " % key), pair
+        assert "Traceback" not in shown.err, pair
+        if key == "plant.dt":
+            assert "config key 'human.lag_time_constant'" in shown.err, pair
+    for extra in (["--set", "plant.dt=0.14"], []):
+        assert main(args + extra) == 0, extra
+        assert capsys.readouterr().err == "", extra
+
+
+# Each float config key at values that overflow a square, a sum or a product
+# somewhere between the config and the checkpoint.
+EXTREME_FLOATS = [1e300, -1e300, 1e150, -1e150, 1e-300]
+FLOAT_KEYS = sorted(key for key, (_, _, kind) in harness.KEYS.items() if kind is float)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", EXTREME_FLOATS)
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_an_extreme_float_runs_to_finite_output_or_is_refused(key, value, tmp_path, capsys):
+    # one update on a 60-row buffer, then one evaluation episode: the run
+    # ends with finite numbers, a refusal that names the key, or the PPO
+    # divergence error, which stops before parameters are touched
+    args = ["train", "--setting", "2", "--seed", "1", "--set", "train.n_updates=1",
+            "--set", "hyper.buffer_size=60", "--set", "hyper.batch_size=60",
+            "--set", "eval.episodes=1", "--set", "%s=%r" % (key, value),
+            "--out", str(tmp_path)]
+    rc = main(args)
+    err = capsys.readouterr().err
+    if rc == 0:
+        _, *curve = (tmp_path / "value_curve_setting2.csv").read_text().splitlines()
+        assert curve and all(np.isfinite(float(row.split(",")[1])) for row in curve)
+        ckpt = load_checkpoint(str(tmp_path / "setting2.ckpt"))
+        assert all(np.isfinite(p.vector).all() for name, p in ckpt.items() if name != "meta")
+    else:
+        assert rc == 2, err
+        assert "config key %r" % key in err or err.startswith("error: PPO update 1 of 1 diverged:")
+
+
+@pytest.mark.filterwarnings("error")
 def test_unit_torque_of_1e149_runs_to_finite_metrics(tmp_path):
     args = ["sweep", "--settings", "2", "--seed", "1", "--set", "train.n_updates=1",
             "--set", "eval.episodes=1", "--set", "human.unit_torque=1e149",
@@ -198,9 +248,10 @@ def test_unit_torque_of_1e149_runs_to_finite_metrics(tmp_path):
     assert all(np.isfinite(float(v)) for v in row.split(","))
 
 
-def test_failed_rollout_or_evaluation_names_where(tmp_path, capsys):
-    # a dt this large makes every reward non-finite from the first window on
-    fail = ["--set", "plant.dt=1e300", "--set", "eval.episodes=1", "--out", str(tmp_path)]
+def test_failed_rollout_or_evaluation_names_where(tmp_path, capsys, monkeypatch):
+    # a reward that is not a number fails each episode at its first full window
+    monkeypatch.setattr(episode, "shared_reward", lambda *args: float("nan"))
+    fail = ["--set", "eval.episodes=1", "--out", str(tmp_path)]
     row = "experience row 9: non-finite reward\n"
     for command, where in (
         (["train", "--setting", "2", "--set", "train.n_updates=1"],

@@ -168,7 +168,6 @@ def test_kernel_zeroes_the_integral_on_a_switch():
     queue = np.zeros(env.human.reaction_delay, dtype=np.int64)
     out = np.empty((kernels.TRACE_ROWS, env.n_decisions * interval))
     clock = plant.clock(env.reference, env.plant.dt, env.n_decisions * interval)
-    out[:2] = clock[:, 1:]  # the caller fills the clock rows
     rng = np.random.default_rng(11)
     integrals = []
     for z, (h, m) in enumerate(zip(h_idx, m_idx)):
@@ -181,7 +180,8 @@ def test_kernel_zeroes_the_integral_on_a_switch():
     assert integrals[0] != 0.0
     assert sim[kernels.SIM_M_IDX] == 0.0
     want = reference_episode(env, h_idx, m_idx, seed=11)
-    for row, key in zip(out, ("t", "ref", "pos", "om", "tm", "th")):
+    # the kernel writes its four rows; the clock holds the time and reference
+    for row, key in zip((*clock[:, 1:], *out), ("t", "ref", "pos", "om", "tm", "th")):
         assert np.array_equal(row, np.array(want[key])), key
 
 
@@ -210,10 +210,9 @@ def test_kernel_gives_the_same_bytes_on_arrays_and_memoryviews(delay):
         np.zeros(kernels.SIM_SIZE), np.zeros(delay, dtype=np.int64), clock[1],
         np.empty((kernels.TRACE_ROWS, n * interval)),
     )
-    arrays[3][:2] = clock[:, 1:]  # the caller fills the clock rows
     play(*arrays, view=lambda a: a)
-    block, sim, queue, ref, rows = kernels.buffers(delay, clock)
-    play(sim, queue, ref, rows, view=memoryview)
+    block, sim, queue, rows = kernels.buffers(delay, n * interval)
+    play(sim, queue, memoryview(clock[1]), rows, view=memoryview)
     assert block.tobytes() == arrays[3].tobytes()
     assert sim.tobytes() == arrays[0].tobytes()
     assert queue.tobytes() == arrays[1].tobytes()
@@ -398,6 +397,28 @@ def test_clock_rows_are_built_once_per_sweep_and_read_only(monkeypatch, tmp_path
     rows = plant.clock(cfg.reference, cfg.plant.dt, n)
     with pytest.raises(ValueError, match="read-only"):
         rows[1, 0] = 1.0
+
+
+def test_trace_time_and_reference_view_the_env_clock():
+    # the clock is the only store of an episode's time and reference: a
+    # trace views its columns 1 onwards, and the kernel block holds only the
+    # four rows the kernel writes
+    env = make_test_env(window=4, decision_interval=6, n_decisions=9)
+    n = env.n_decisions * env.decision_interval
+    clock = plant.clock(env.reference, env.plant.dt, n)
+    traces = [
+        run_episode(env, ScriptPolicy([0, 3, 4]), ScriptPolicy([1, 0]), np.random.default_rng(s))
+        .trace for s in (3, 4)
+    ]
+    for trace in traces:
+        for field, row in (("time", clock[0]), ("reference", clock[1])):
+            arr = getattr(trace, field)
+            assert np.shares_memory(arr, clock) and np.array_equal(arr, row[1:]), field
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+    block, sim, queue, rows = kernels.buffers(env.human.reaction_delay, n)
+    assert kernels.TRACE_ROWS == 4 and block.shape == (4, n) and len(rows) == 4
+    assert [row.nbytes for row in rows] == [8 * n] * 4
 
 
 def test_trace_layout_and_block_structure():

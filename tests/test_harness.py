@@ -15,6 +15,7 @@ import oracles
 from conftest import ConstantPolicy, make_test_env
 from pedalrl import harness
 from pedalrl.config import apply_overrides, coerce, parse_config_text, write_utf8
+from pedalrl.controllers import SETTINGS
 from pedalrl.episode import EpisodeTrace, SamplingPolicy, run_episode
 from pedalrl.harness import (
     CONFIG_KEYS,
@@ -166,9 +167,16 @@ BAD_VALUES = [
     ("plant.damping", -1.0),
     ("plant.torque_limit", -1),
     ("plant.dt", 0),
+    ("plant.dt", 0.15),  # setting 2's strong human PD pair diverges the lag from 0.1452
+    ("plant.dt", 1.0),
+    ("plant.angle_min", -1e300),
+    ("plant.angle_max", 1e151),
     ("plant.omega_max", 0),
     ("reference.amplitude", -0.1),
+    ("reference.amplitude", 1e300),
     ("reference.period", 0),
+    ("reference.offset", 1e300),
+    ("reference.offset", -1e300),
     ("human.unit_torque", 0),
     ("human.reaction_delay", -1),
     ("human.reaction_delay", harness.MAX_SUBSTEPS + 1),
@@ -209,7 +217,7 @@ def test_every_bound_has_a_bad_value():
     assert set(harness.BOUNDS) <= {key for key, _ in BAD_VALUES}
     for key, _, _, other in harness.PAIRED_BOUNDS:
         assert {key, other} in [set(bad) for bad in BAD_PAIRS] + [
-            {"plant.angle_max", "reference.amplitude"}
+            {"plant.angle_max", "reference.amplitude"}, {"plant.dt", "human.lag_time_constant"}
         ]
 
 
@@ -238,6 +246,61 @@ def test_flat_reference_needs_a_positive_upper_stop():
         # the same stop under a moving reference, and a flat one under a positive stop
         config_from_dict({"seed": 1, "plant.angle_min": -1.0, "plant.angle_max": stop})
     config_from_dict({**flat, "plant.angle_max": 0.1})
+
+
+def test_reach_bound_keeps_the_squared_tracking_error_finite():
+    # the tracking error is at most max(|angle_min|, |angle_max|) + |offset|
+    # + amplitude; at the largest value each key accepts, MAX_SUBSTEPS
+    # squares of that sum stay finite
+    lo, hi = 1e150, 1e151
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if harness.BOUNDS["reference.offset"][0](mid) else (lo, mid)
+    for key in ("plant.angle_min", "plant.angle_max", "reference.amplitude", "reference.offset"):
+        ok = harness.BOUNDS[key][0]
+        assert ok(lo) and not ok(hi) and not ok(float("inf")), key
+    assert np.isfinite(harness.MAX_SUBSTEPS * (3 * lo) * (3 * lo))
+    # signed keys are bounded on both sides
+    for key in ("plant.angle_min", "reference.offset"):
+        config_from_dict({"seed": 1, key: -lo, "plant.angle_max": lo})
+        with pytest.raises(ValueError, match="'%s'" % key):
+            config_from_dict({"seed": 1, key: -hi})
+
+
+def _lag_step_radius(dt, lag, gains):
+    """Spectral radius of the held-PD lag recurrence x[n+1] = (1-a-b) x[n] + b x[n-1]."""
+    step = dt / (lag + dt) * dt
+    a, b = step * gains.kp, step * gains.kd / dt
+    return max(abs(np.roots([1.0, -(1.0 - a - b), -b])))
+
+
+def test_lag_step_bound_matches_the_recurrence():
+    # plant.dt and human.lag_time_constant pass together iff the applied
+    # torque's recurrence converges for both of the setting's human PD pairs
+    # (a lag never fails alone at the shipped dt, so this pair is not in BAD_PAIRS)
+    checked = 0
+    for sid in (2, 3):
+        for lag in (0.0, 0.05, 0.2, 1.0):
+            for dt in np.geomspace(1e-3, 3.0, 60):
+                radius = max(_lag_step_radius(dt, lag, g) for g in SETTINGS[sid].human_pd)
+                if abs(radius - 1.0) < 1e-9:
+                    continue  # at the boundary the roots' rounding decides
+                cfg = {"seed": 1, "setting": sid, "plant.dt": dt, "human.lag_time_constant": lag}
+                if radius < 1.0:
+                    config_from_dict(cfg)
+                else:
+                    with pytest.raises(ValueError) as info:
+                        config_from_dict(cfg)
+                    message = str(info.value)
+                    assert "'plant.dt'" in message and "'human.lag_time_constant'" in message
+                checked += 1
+    assert checked > 400
+    # setting 2's strong pair bounds dt near 0.1452; a longer lag lets 0.15 pass
+    config_from_dict({"seed": 1, "plant.dt": 0.145})
+    config_from_dict({"seed": 1, "plant.dt": 0.15, "human.lag_time_constant": 0.3})
+    config_from_dict({"seed": 1, "setting": 3, "plant.dt": 0.15})
+    with pytest.raises(ValueError, match="'human.lag_time_constant'"):
+        config_from_dict({"seed": 1, "plant.dt": 0.146})
 
 
 # Config text: lines of known or arbitrary keys with numeric, boolean, odd or

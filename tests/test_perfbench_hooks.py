@@ -5,7 +5,9 @@ and counts kernel substeps from the kernel's last argument;
 ``perfbench/workloads.py`` builds the bridge replay from each episode's
 ``transitions_*[i].obs``. A refactor that renames one of them, moves
 ``n_sub`` or changes how often a wrapped name is called, breaks the
-benchmark; these tests catch that in the unit suite.
+benchmark; these tests catch that in the unit suite. Episodes and decisions
+are counted per ``run_episode`` call, from its env's ``n_decisions``, so
+running several episodes in one call (lockstep lanes) would miscount them.
 """
 
 import socket
@@ -43,6 +45,8 @@ def test_train_hooks_count_substeps():
     assert tracer.counts["kernels.substeps"] == (
         episodes * env.n_decisions * env.decision_interval
     )
+    # counted once per run_episode call: lockstep lanes would break this
+    assert tracer.counts["episode.decisions"] == episodes * env.n_decisions
     assert tracer.counts["ppo.transitions_collected"] > 0
     # both agents act once per decision, one observation row per call
     assert tracer.counts["nets.calls"] == 2 * episodes * env.n_decisions
@@ -75,6 +79,7 @@ def test_sweep_hooks_count_spans(tmp_path):
     assert calls["harness.export_results"] == 1
     assert calls["harness.trace_to_csv"] == 4  # one call per exported trace
     assert tracer.counts["kernels.substeps"] == 4 * cfg.n_decisions * cfg.decision_interval
+    assert tracer.counts["episode.decisions"] == 4 * cfg.n_decisions
 
 
 def test_bridge_inputs_replay_both_agents(tmp_path):
