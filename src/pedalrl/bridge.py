@@ -135,14 +135,18 @@ class PolicyServer(socketserver.TCPServer):
     One connection is handled at a time (further connects wait in the
     listen backlog); within a connection the reply to each frame is written
     before the next is read, so ACT frames strictly alternate with OBS.
+
+    A ``stochastic`` server samples each action from one generator seeded
+    with 0 when the server is built, so two fresh servers of one checkpoint
+    answer one OBS sequence with the same actions.
     """
 
     allow_reuse_address = True
 
-    def __init__(self, endpoint, actors: dict, stochastic: bool = False, seed: int = 0):
+    def __init__(self, endpoint, actors: dict, stochastic: bool = False):
         self.actors = actors  # {0: human actor params, 1: machine actor params}
         self.stochastic = stochastic
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(0)
         super().__init__(endpoint, _Handler)
 
     def respond(self, frame: Frame) -> Frame:

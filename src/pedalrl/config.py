@@ -32,7 +32,7 @@ def split_pair(text: str, where: str) -> tuple:
     return key, value.strip()
 
 
-def parse_config_text(text: str, source="config") -> dict:
+def parse_config_text(text: str, source) -> dict:
     """The ``key = value`` lines of ``text``, no key twice; errors name ``source`` and the line."""
     out, first = {}, {}  # first: key -> its line number
     for ln_no, raw in enumerate(text.splitlines(), 1):

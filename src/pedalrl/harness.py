@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -92,6 +93,17 @@ MAX_SUBSTEPS = 10**7
 # this bound, MAX_SUBSTEPS squares of their sum stay finite.
 _REACH = (lambda v: math.isfinite(MAX_SUBSTEPS * (3 * v) * (3 * v)),
           "small enough that %d * (3 * |value|)**2 is finite" % MAX_SUBSTEPS)
+# Every |value| _REACH accepts is below REACH_MAX, about 1.41e150. Angle
+# observations divide the pedal angle, the reference or their difference,
+# each below 3 * REACH_MAX, by the amplitude (the upper stop for a flat
+# reference).
+REACH_MAX = math.sqrt(sys.float_info.max / MAX_SUBSTEPS) / 3
+_ANGLE_DIVISOR = (lambda v: math.isfinite(3 * REACH_MAX / v),
+                  "large enough that the angle observations, up to 3 * %.3g / value, are finite"
+                  % REACH_MAX)
+# numpy's standard normal draws stay below 14 in magnitude: its ziggurat tail
+# adds at most 53 * ln(2) / r = 10.05 to r = 3.654.
+NORMAL_DRAW_MAX = 14
 
 # Config key -> (test, rule), checked by ``config_from_dict`` on the resolved config.
 BOUNDS = {
@@ -104,7 +116,9 @@ BOUNDS = {
     "plant.angle_min": _REACH,
     "plant.angle_max": _REACH,
     "plant.omega_max": (lambda v: v > 0, "> 0"),
-    "reference.amplitude": (lambda v: v >= 0 and _REACH[0](v), ">= 0 and " + _REACH[1]),
+    "reference.amplitude": (
+        lambda v: v == 0 or (v > 0 and _REACH[0](v) and _ANGLE_DIVISOR[0](v)),
+        "0, or > 0, %s and %s" % (_REACH[1], _ANGLE_DIVISOR[1])),
     "reference.period": (lambda v: v > 0, "> 0"),
     "reference.offset": _REACH,
     # mse_metrics sums up to MAX_SUBSTEPS squared deviations of the commanded
@@ -113,7 +127,9 @@ BOUNDS = {
         "> 0 and small enough that %d * (4 * unit_torque)**2 is finite" % MAX_SUBSTEPS),
     "human.reaction_delay": (lambda v: 0 <= v <= MAX_SUBSTEPS, "in 0..%d" % MAX_SUBSTEPS),
     "human.lag_time_constant": (lambda v: v >= 0, ">= 0"),
-    "human.noise_std": (lambda v: v >= 0, ">= 0"),
+    # each substep's noise is a standard normal draw times noise_std
+    "human.noise_std": (lambda v: v >= 0 and math.isfinite(NORMAL_DRAW_MAX * v),
+        ">= 0 and small enough that %d * noise_std is finite" % NORMAL_DRAW_MAX),
     "hyper.gamma": (lambda v: 0 <= v < 1, "in [0, 1)"),
     "hyper.clip": (lambda v: 0 < v < 1, "in (0, 1)"),
     "hyper.batch_size": (lambda v: v >= 1, ">= 1"),
@@ -134,7 +150,8 @@ PAIRED_BOUNDS = (
     ("plant.angle_min", lambda v, w, _: v < w, "<", "plant.angle_max"),
     ("hyper.batch_size", lambda v, w, _: v <= w, "<=", "hyper.buffer_size"),
     # a flat reference scales angle observations by the upper stop
-    ("plant.angle_max", lambda v, w, _: v > 0 or w > 0, "> 0 at a zero", "reference.amplitude"),
+    ("plant.angle_max", lambda v, w, _: w > 0 or (v > 0 and _ANGLE_DIVISOR[0](v)),
+     "> 0 and %s at a zero" % _ANGLE_DIVISOR[1], "reference.amplitude"),
     # the trace holds one column per substep
     ("episode.n_decisions", lambda v, w, _: v * w <= MAX_SUBSTEPS,
      "<= %d substeps /" % MAX_SUBSTEPS, "episode.decision_interval"),
@@ -153,6 +170,13 @@ PAIRED_BOUNDS = (
      "small enough that the human lag's Euler step converges, dt * (kp * dt + 2 * kd) <"
      " 2 * (lag + dt) for both of the setting's human PD pairs, at",
      "human.lag_time_constant"),
+    # The human PD derivative: a digit change moves the PD error by up to
+    # 4 * unit_torque in one substep, which the kernel divides by dt. An
+    # infinite derivative times the lag step, which then underflows to 0, is nan.
+    ("plant.dt",
+     lambda v, w, s: all(math.isfinite(g.kd * (4 * w / v)) for g in s.human_pd),
+     "large enough that the human PD derivative kd * (4 * unit_torque / dt) is finite for"
+     " both of the setting's human PD pairs, at", "human.unit_torque"),
 )
 
 

@@ -18,9 +18,10 @@ Every matrix product, in ``forward_cache`` and in ``backward``, is
 ``ndarray.dot``: it reaches the same BLAS call as ``@`` and
 ``np.matmul(out=)``, so the bits are those of the matmul composition
 (pinned in tests/test_nets.py at one and two BLAS threads), with less
-dispatch per call. ``backward`` writes its weight gradients with
-``dot(out=)`` straight into the gradient views, and takes a 1-D cache or
-``d_out`` as one row.
+dispatch per call. ``backward`` takes the cache and ``d_out`` of a
+minibatch, 2-D as the PPO update makes them, and writes its weight
+gradients with ``dot(out=)`` straight into the views of a gradient buffer
+the caller reuses.
 
 Acting normalizes one row of 5 or 2 logits per call. ``softmax_probs``
 does that on Python floats (one ``exp`` ufunc, then plain loops) rather
@@ -105,19 +106,19 @@ class MLPParams:
         return self.dims[3]
 
 
-def init_params(seed, in_dim: int, out_dim: int, hidden: int = HIDDEN) -> MLPParams:
-    """Glorot-uniform weights, zero biases, final layer shrunk.
+def init_params(
+    rng: np.random.Generator, in_dim: int, out_dim: int, hidden: int = HIDDEN
+) -> MLPParams:
+    """Glorot-uniform weights drawn from ``rng``, zero biases, final layer shrunk.
 
-    ``seed`` may be an int or a numpy Generator. The output-layer scale
-    keeps the initial actor close to uniform (max/min probability ratio
-    stays under 2 on O(1) inputs).
+    The output-layer scale keeps the initial actor close to uniform
+    (max/min probability ratio stays under 2 on O(1) inputs). The weights
+    are bounded uniform draws, so they are finite.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     params = MLPParams((in_dim, hidden, hidden, out_dim))
     for w, scale in ((params.w1, 1.0), (params.w2, 1.0), (params.w3, FINAL_LAYER_SCALE)):
         limit = scale * np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
         w[...] = rng.uniform(-limit, limit, size=w.shape)
-    params.validate()
     return params
 
 
@@ -163,42 +164,37 @@ def forward_cache(params: MLPParams, x: np.ndarray):
     return out, (x, h1, h2)
 
 
-def backward(params: MLPParams, cache, d_out: np.ndarray, out: MLPParams = None) -> MLPParams:
-    """Reverse-mode gradients from d(loss)/d(raw output).
+def backward(params: MLPParams, cache, d_out: np.ndarray, out: MLPParams) -> MLPParams:
+    """Reverse-mode gradients from d(loss)/d(raw output), written into ``out``.
 
-    Writes parameter-shaped gradients into ``out`` (a fresh MLPParams when
-    None) and returns it. Raises on a non-finite gradient so a diverging
-    update fails loudly instead of poisoning the parameters.
+    ``cache`` is the ``forward_cache`` of a (B, in_dim) minibatch and
+    ``d_out`` a float64 array of shape (B, out_dim); ``out`` is an
+    MLPParams of ``params.dims``, returned. Raises on a non-finite gradient
+    so a diverging update fails loudly instead of poisoning the parameters.
 
-    ``d_out`` is a float64 array of shape (B, out_dim); a 1-D ``d_out`` or
-    cache is taken as one row. Every product is ``ndarray.dot``, the weight
-    gradients written with ``out=`` into their views: the bits of ``@`` and
-    ``np.matmul(out=)`` with less dispatch, which counts on 64-row minibatches.
+    Every product is ``ndarray.dot``, the weight gradients written with
+    ``out=`` into their views: the bits of ``@`` and ``np.matmul(out=)``
+    with less dispatch, which counts on 64-row minibatches.
     """
     x, h1, h2 = cache
-    if d_out.ndim == 1:
-        d_out = d_out[None]
-    if x.ndim == 1:
-        x, h1, h2 = x[None], h1[None], h2[None]
-    grads = MLPParams(params.dims) if out is None else out
 
     # dz = dh * (1 - h * h), built in place on dh and on one h * h temporary
-    h2.T.dot(d_out, out=grads.w3)
-    np.add.reduce(d_out, axis=0, out=grads.b3)
+    h2.T.dot(d_out, out=out.w3)
+    np.add.reduce(d_out, axis=0, out=out.b3)
     dz2 = d_out.dot(params.w3.T)
     tanh_grad2 = h2 * h2
     dz2 *= np.subtract(1.0, tanh_grad2, out=tanh_grad2)
-    h1.T.dot(dz2, out=grads.w2)
-    np.add.reduce(dz2, axis=0, out=grads.b2)
+    h1.T.dot(dz2, out=out.w2)
+    np.add.reduce(dz2, axis=0, out=out.b2)
     dz1 = dz2.dot(params.w2.T)
     tanh_grad1 = h1 * h1
     dz1 *= np.subtract(1.0, tanh_grad1, out=tanh_grad1)
-    x.T.dot(dz1, out=grads.w1)
-    np.add.reduce(dz1, axis=0, out=grads.b1)
+    x.T.dot(dz1, out=out.w1)
+    np.add.reduce(dz1, axis=0, out=out.b1)
 
-    if not np.isfinite(grads.vector).all():
-        raise ValueError("non-finite gradient in %s" % grads.first_nonfinite())
-    return grads
+    if not np.isfinite(out.vector).all():
+        raise ValueError("non-finite gradient in %s" % out.first_nonfinite())
+    return out
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

@@ -43,9 +43,7 @@ class ReferenceTrajectory:
 
 
 def sample_reference(traj: ReferenceTrajectory, t: float) -> float:
-    """Reference pedal angle at time ``t``."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    """Reference pedal angle at time ``t`` (:func:`clock` passes times from 0)."""
     return traj.offset + traj.amplitude * math.sin(
         2.0 * math.pi * t / traj.period + traj.phase
     )

@@ -137,17 +137,15 @@ def clip_ratio(ratio, eps: float):
     return np.maximum(np.minimum(ratio, 1.0 + eps), 1.0 - eps)
 
 
-def entropy_term(probabilities: np.ndarray, log_probabilities: np.ndarray = None) -> np.ndarray:
-    """Shannon entropy per row, in nats (``log_probabilities`` saves the log)."""
-    p = probabilities
-    log_p = np.log(p) if log_probabilities is None else log_probabilities
-    return -(p * log_p).sum(axis=-1)
+def entropy_term(probabilities: np.ndarray, log_probabilities: np.ndarray) -> np.ndarray:
+    """Shannon entropy per row, in nats, from the probabilities and their logs."""
+    return -(probabilities * log_probabilities).sum(axis=-1)
 
 
-def critic_grads(params: MLPParams, obs: np.ndarray, returns: np.ndarray, out=None):
+def critic_grads(params: MLPParams, obs: np.ndarray, returns: np.ndarray, out: MLPParams):
     """(loss, exact parameter gradients) of the squared-error value loss.
 
-    The gradients are written into ``out`` when given (see ``nets.backward``).
+    The gradients are written into ``out`` (see ``nets.backward``).
     """
     raw, cache = forward_cache(params, obs)
     v = raw[:, 0]
@@ -183,14 +181,14 @@ def actor_loss_parts(
     return loss, p, log_p, cache, ratio, unclipped, ent
 
 
-def actor_grads(params, obs, actions, log_prob_old, advantages, hyper, out=None):
+def actor_grads(params, obs, actions, log_prob_old, advantages, hyper, out):
     """(loss, exact parameter gradients) of the clipped surrogate loss.
 
     d/dlogits of the surrogate is nonzero only on the unclipped branch:
     -Q * (p_a/q_a) * (1[j=a] - p_j). The entropy bonus contributes
     p_j (ln p_j + K) per unit weight. The probability floor is treated as
     inactive; it binds only at logit spreads past ~18. The gradients are
-    written into ``out`` when given (see ``nets.backward``).
+    written into ``out`` (see ``nets.backward``).
     """
     loss, p, log_p, cache, ratio, unclipped, ent = actor_loss_parts(
         params, obs, actions, log_prob_old, advantages, hyper
@@ -364,14 +362,14 @@ CHECKPOINT_SIZES = {
 CHECKPOINT_SECTIONS = tuple(CHECKPOINT_SIZES)
 
 
-def save_checkpoint(path, human: Agent, machine: Agent, meta: dict = None):
-    """Write all four networks to one text file (exact float round-trip)."""
+def save_checkpoint(path, human: Agent, machine: Agent, meta: dict):
+    """Write ``meta`` and all four networks to one text file (exact float round-trip)."""
     nets = {
         "human.actor": human.actor, "human.critic": human.critic,
         "machine.actor": machine.actor, "machine.critic": machine.critic,
     }
     lines = [CHECKPOINT_HEADER]
-    for key in sorted((meta or {})):
+    for key in sorted(meta):
         lines.append("meta %s %s" % (key, meta[key]))
     for name in CHECKPOINT_SECTIONS:
         lines.append("section %s" % name)

@@ -6,11 +6,8 @@ actions. Tracking error and motion roughness are penalties, action
 variability under engagement is a bonus; the combined scalar is shared by
 both agents each decision step, weighted by the setting's RewardWeights.
 
-:func:`machine_reward`, which no episode uses, sums the squared tracking
-error over one extra sample (k+1 summands for window parameter k) and adds a
-signed angular velocity term. The variability term has a quirk of its own:
-the mean is taken over all k actions while the deviations are summed over
-the first k-1 and normalized by k-2.
+The variability term has a quirk: the mean is taken over all k actions
+while the deviations are summed over the first k-1 and normalized by k-2.
 """
 
 from dataclasses import dataclass
@@ -76,27 +73,17 @@ def effort_term(actions) -> float:
     return total / (k - 2)
 
 
-def machine_reward(actual, reference, omega_z: float, sigma: float, beta: float) -> float:
-    """sigma * (sum of squared errors over the whole window) + beta * omega_z.
-
-    Callers give this window one more sample than the human-side windows
-    (k+1 positions for window parameter k).
-    """
-    return sigma * tracking_term(actual, reference) + beta * omega_z
-
-
 def human_reward(r_m: float, r_c: float, r_e: float, weights: RewardWeights) -> float:
     """-mu*r_m - kappa*r_c + rho*r_e: penalties negative, engagement positive."""
     return -weights.mu * r_m - weights.kappa * r_c + weights.rho * r_e
 
 
-def shared_reward(actual, reference, actions, weights: RewardWeights, comfort=None) -> float:
+def shared_reward(actual, reference, actions, weights: RewardWeights, comfort: float) -> float:
     """The combined scalar delivered identically to both agents.
 
-    ``comfort`` is ``comfort_term(actual)``, for a caller that already has it.
+    ``comfort`` is ``comfort_term(actual)``, which the episode has already
+    scored for the next human observation.
     """
-    if comfort is None:
-        comfort = comfort_term(actual)
     return human_reward(
         tracking_term(actual, reference), comfort, effort_term(actions), weights
     )

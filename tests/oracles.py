@@ -19,6 +19,10 @@ float or bool from the text alone, before the field's type was known;
 ``pedalrl.config.coerce`` on text is pinned against ``coerce`` on its guess
 for the numeric fields.
 
+``machine_reward`` is the machine reward the package once held, which no
+episode used; criterion 1 and tests/test_rewards.py check it against
+``machine_value``.
+
 ``matmul_backward`` is the network backward pass in its earlier composition:
 ``np.atleast_2d`` on every operand, then ``@`` and ``np.matmul(out=)``.
 ``pedalrl.nets.backward`` and the PPO gradients are pinned against it bit
@@ -62,6 +66,21 @@ def effort_value(actions, effort_flag):
 
 def machine_value(actual, reference, omega_z, sigma, beta):
     return sigma * tracking_sum(actual, reference) + beta * omega_z
+
+
+def machine_reward(actual, reference, omega_z, sigma, beta):
+    """sigma * (sum of squared errors over the whole window) + beta * omega_z.
+
+    The machine reward as the package once had it, which no episode used:
+    its window holds one more sample than the human side's (k+1 positions
+    for window parameter k), and it squares each error as
+    ``pedalrl.rewards.tracking_term`` does. ``machine_value`` checks it.
+    """
+    total = 0.0
+    for p, ref in zip(actual, reference, strict=True):
+        d = p - ref
+        total += d * d
+    return sigma * total + beta * omega_z
 
 
 def human_value(r_m, r_c, r_e, mu, kappa, rho):

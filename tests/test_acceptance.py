@@ -27,7 +27,7 @@ from pedalrl.harness import (
     mse_metrics,
     train_setting,
 )
-from pedalrl.nets import actor_forward, init_params, sample_action
+from pedalrl.nets import actor_forward, init_params, sample_action, zeros_like_params
 from pedalrl.ppo import (
     PPOHyper,
     actor_grads,
@@ -45,7 +45,6 @@ from pedalrl.rewards import (
     RewardWeights,
     comfort_term,
     effort_term,
-    machine_reward,
     shared_reward,
     tracking_term,
 )
@@ -85,11 +84,11 @@ def test_criterion_01_reward_terms_match_brute_force():
             (comfort_term(w_actual), oracles.comfort_sum(actual[1:])),
             (effort_term(digits), oracles.effort_value(list(digits), flag)),
             (
-                machine_reward(actual, reference, omega, sigma, beta),
+                oracles.machine_reward(actual, reference, omega, sigma, beta),
                 oracles.machine_value(actual, reference, omega, sigma, beta),
             ),
             (
-                shared_reward(w_actual, w_reference, digits, weights),
+                shared_reward(w_actual, w_reference, digits, weights, comfort_term(w_actual)),
                 oracles.human_value(
                     oracles.tracking_sum(actual[1:], reference[1:]),
                     oracles.comfort_sum(actual[1:]),
@@ -151,7 +150,7 @@ def test_criterion_03_gradients_match_finite_differences():
             out = critic_values(critic, obs)
             return float(((returns - out) ** 2).sum() / (2.0 * len(returns)))
 
-        _, grads = critic_grads(critic, obs, returns)
+        _, grads = critic_grads(critic, obs, returns, zeros_like_params(critic))
         for (_, g), (_, arr) in zip(grads.arrays(), critic.arrays()):
             fd = oracles.central_difference(c_loss, arr, h=3e-5)
             denom = np.maximum(np.abs(fd), 1e-8)
@@ -171,7 +170,9 @@ def test_criterion_03_gradients_match_finite_differences():
         def a_loss():
             return actor_loss_parts(actor, a_obs, actions, logp_old, adv, hyper)[0]
 
-        _, grads = actor_grads(actor, a_obs, actions, logp_old, adv, hyper)
+        _, grads = actor_grads(
+            actor, a_obs, actions, logp_old, adv, hyper, zeros_like_params(actor)
+        )
         for (_, g), (_, arr) in zip(grads.arrays(), actor.arrays()):
             fd = oracles.central_difference(a_loss, arr, h=3e-5)
             denom = np.maximum(np.abs(fd), 1e-8)
@@ -192,16 +193,16 @@ def test_criterion_04_clip_and_entropy_invariants():
 
     y = 5
     uniform = np.full(y, 1.0 / y)
-    uniform_err = abs(entropy_term(uniform) - np.log(y))
+    uniform_err = abs(entropy_term(uniform, np.log(uniform)) - np.log(y))
     delta = 1e-8
     hot = np.full(y, delta / (y - 1))
     hot[0] = 1.0 - delta
-    hot_ent = entropy_term(hot)
+    hot_ent = entropy_term(hot, np.log(hot))
     ok = (
         in_band
         and uniform_err <= 1e-12
         and 0.0 < hot_ent < 1e-6
-        and 0.0 <= entropy_term(uniform) <= np.log(y) + 1e-15
+        and 0.0 <= entropy_term(uniform, np.log(uniform)) <= np.log(y) + 1e-15
     )
     elapsed = time.perf_counter() - start
     _report(

@@ -26,7 +26,7 @@ from pedalrl.bridge import (
     encode_frame,
     parse_endpoint,
 )
-from pedalrl.episode import GreedyPolicy, run_episode
+from pedalrl.episode import GreedyPolicy, SamplingPolicy, run_episode
 from pedalrl.nets import init_params
 from pedalrl.ppo import make_agent, save_checkpoint
 
@@ -537,7 +537,7 @@ def test_sequential_connections(server):
 
 
 def test_stochastic_server_varies_actions():
-    srv = PolicyServer(("127.0.0.1", 0), make_actors(), stochastic=True, seed=3)
+    srv = PolicyServer(("127.0.0.1", 0), make_actors(), stochastic=True)
     try:
         # a near-uniform 5-way head answered 60 times must vary
         obs = tuple(np.zeros(5))
@@ -547,12 +547,34 @@ def test_stochastic_server_varies_actions():
         srv.server_close()
 
 
+def test_fresh_stochastic_servers_of_one_checkpoint_answer_alike(tmp_path):
+    # each server samples from a generator seeded with 0 when it is built, so
+    # two servers answer one OBS sequence with the same actions, and those are
+    # the in-process samples of a generator seeded with 0
+    rng = np.random.default_rng(6)
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, make_agent(rng, 5, 5, 4), make_agent(rng, 6, 2, 4), meta={})
+    frames = [Frame("OBS", i, i % 2, tuple(rng.normal(size=5 + i % 2).tolist()))
+              for i in range(80)]
+    answers = []
+    for _ in range(2):
+        srv = PolicyServer(("127.0.0.1", 0), actors_from_checkpoint(path), stochastic=True)
+        try:
+            answers.append([srv.respond(frame).payload[0] for frame in frames])
+        finally:
+            srv.server_close()
+    actors, sampler = actors_from_checkpoint(path), np.random.default_rng(0)
+    local = [SamplingPolicy(actors[f.agent]).act(np.array(f.payload), sampler)[0] for f in frames]
+    assert answers[0] == answers[1] == local
+    assert len(set(answers[0][::2])) >= 2  # the human's 5-way head varies
+
+
 def test_actors_from_checkpoint(tmp_path):
     rng = np.random.default_rng(4)
     human = make_agent(rng, 5, 5, buffer_size=4)
     machine = make_agent(rng, 6, 2, buffer_size=4)
     path = tmp_path / "a.ckpt"
-    save_checkpoint(path, human, machine)
+    save_checkpoint(path, human, machine, meta={})
     actors = actors_from_checkpoint(path)
     assert set(actors) == {0, 1}
     for (_, a), (_, b) in zip(actors[0].arrays(), human.actor.arrays()):
@@ -560,6 +582,6 @@ def test_actors_from_checkpoint(tmp_path):
     for (_, a), (_, b) in zip(actors[1].arrays(), machine.actor.arrays()):
         assert np.array_equal(a, b)
     # networks that do not fit the agents are refused, naming file and section
-    save_checkpoint(path, machine, human)
+    save_checkpoint(path, machine, human, meta={})
     with pytest.raises(ValueError, match="a.ckpt: section human.actor has 6 inputs"):
         actors_from_checkpoint(path)

@@ -1,16 +1,21 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import re
 import resource
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pedalrl
 from conftest import run_at_blas_threads
@@ -209,33 +214,78 @@ def test_diverging_lag_or_overflowing_reach_exits_2_naming_the_key(tmp_path, cap
         assert capsys.readouterr().err == "", extra
 
 
-# Each float config key at values that overflow a square, a sum or a product
-# somewhere between the config and the checkpoint.
-EXTREME_FLOATS = [1e300, -1e300, 1e150, -1e150, 1e-300]
+def test_overflowing_derivative_observation_or_noise_exits_2_naming_the_key(tmp_path, capsys):
+    # a tiny dt overflows the human PD derivative, a tiny amplitude the angle
+    # observations and a huge noise_std the noise draws
+    args = ["train", "--seed", "1", "--set", "train.n_updates=1", "--set", "hyper.buffer_size=60",
+            "--set", "hyper.batch_size=60", "--set", "eval.episodes=1", "--out", str(tmp_path)]
+    for setting, pairs in (
+        (2, ["plant.dt=1e-308"]), (2, ["plant.dt=5e-324"]), (3, ["plant.dt=5e-324"]),
+        (2, ["plant.dt=1e-300", "human.unit_torque=1e10"]),
+        (2, ["reference.amplitude=5e-324"]), (2, ["human.noise_std=1.7e308"]),
+    ):
+        sets = [arg for pair in pairs for arg in ("--set", pair)]
+        assert main(args + ["--setting", str(setting)] + sets) == 2, pairs
+        shown = capsys.readouterr()
+        key = pairs[0].split("=")[0]
+        assert shown.err.startswith("error: config key %r must be " % key), pairs
+        if len(pairs) == 2:
+            assert "config key 'human.unit_torque'" in shown.err, pairs
+    for extra in ([], ["--set", "plant.dt=1e-300"],
+                  ["--set", "plant.dt=1e-300", "--set", "human.unit_torque=1e6"]):
+        assert main(args + ["--setting", "2"] + extra) == 0, extra
+        assert capsys.readouterr().err == "", extra
+
+
+# Each float config key at values that overflow a square, a sum, a product
+# or a quotient somewhere between the config and the checkpoint.
+EXTREME_FLOATS = [1e300, -1e300, 1e150, -1e150, 1e-300, 1e-308, 5e-324, 1.7e308]
 FLOAT_KEYS = sorted(key for key, (_, _, kind) in harness.KEYS.items() if kind is float)
+
+
+def train_runs_or_is_refused(setting, pairs, out, keys):
+    """Train one update on a 60-row buffer with ``--set`` ``pairs``, then one
+    evaluation episode: the run ends with finite numbers, a refusal that
+    names one of ``keys``, or the PPO divergence error, which stops before
+    parameters are touched."""
+    args = ["train", "--setting", str(setting), "--seed", "1", "--set", "train.n_updates=1",
+            "--set", "hyper.buffer_size=60", "--set", "hyper.batch_size=60",
+            "--set", "eval.episodes=1", "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(args + [arg for pair in pairs for arg in ("--set", pair)])
+    err = err.getvalue()
+    if rc == 0:
+        _, *curve = (out / ("value_curve_setting%d.csv" % setting)).read_text().splitlines()
+        assert curve and all(np.isfinite(float(row.split(",")[1])) for row in curve)
+        ckpt = load_checkpoint(str(out / ("setting%d.ckpt" % setting)))
+        assert all(np.isfinite(p.vector).all() for name, p in ckpt.items() if name != "meta")
+    else:
+        assert rc == 2, err
+        assert (any("config key %r" % key in err for key in keys)
+                or err.startswith("error: PPO update 1 of 1 diverged:")), err
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", EXTREME_FLOATS)
 @pytest.mark.parametrize("key", FLOAT_KEYS)
-def test_an_extreme_float_runs_to_finite_output_or_is_refused(key, value, tmp_path, capsys):
-    # one update on a 60-row buffer, then one evaluation episode: the run
-    # ends with finite numbers, a refusal that names the key, or the PPO
-    # divergence error, which stops before parameters are touched
-    args = ["train", "--setting", "2", "--seed", "1", "--set", "train.n_updates=1",
-            "--set", "hyper.buffer_size=60", "--set", "hyper.batch_size=60",
-            "--set", "eval.episodes=1", "--set", "%s=%r" % (key, value),
-            "--out", str(tmp_path)]
-    rc = main(args)
-    err = capsys.readouterr().err
-    if rc == 0:
-        _, *curve = (tmp_path / "value_curve_setting2.csv").read_text().splitlines()
-        assert curve and all(np.isfinite(float(row.split(",")[1])) for row in curve)
-        ckpt = load_checkpoint(str(tmp_path / "setting2.ckpt"))
-        assert all(np.isfinite(p.vector).all() for name, p in ckpt.items() if name != "meta")
-    else:
-        assert rc == 2, err
-        assert "config key %r" % key in err or err.startswith("error: PPO update 1 of 1 diverged:")
+def test_an_extreme_float_runs_to_finite_output_or_is_refused(key, value, tmp_path):
+    train_runs_or_is_refused(2, ["%s=%r" % (key, value)], tmp_path, [key])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(keys=["plant.dt", "human.unit_torque"], values=[1e-300, 1e10], setting=2)
+@given(
+    keys=st.lists(st.sampled_from(FLOAT_KEYS), min_size=2, max_size=2, unique=True),
+    values=st.lists(st.sampled_from(EXTREME_FLOATS + [1e10, -1e10, -1e-300]),
+                    min_size=2, max_size=2),
+    setting=st.sampled_from(sorted(SETTINGS)),
+)
+def test_two_extreme_floats_run_to_finite_output_or_are_refused(keys, values, setting):
+    with tempfile.TemporaryDirectory() as out:
+        pairs = ["%s=%r" % pair for pair in zip(keys, values)]
+        train_runs_or_is_refused(setting, pairs, Path(out), keys)
 
 
 @pytest.mark.filterwarnings("error")

@@ -2,6 +2,7 @@ import errno
 import gc
 import hashlib
 import json
+import math
 import os
 import weakref
 from dataclasses import MISSING, fields, is_dataclass, replace
@@ -63,15 +64,15 @@ def test_parse_config_text():
             "subject = subject_13",
         )
     )
-    cfg = parse_config_text(text)
+    cfg = parse_config_text(text, "config")
     assert cfg == {"setting": "4", "hyper.gamma": "0.9", "subject": "subject_13"}
 
 
 def test_parse_config_errors_carry_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
-        parse_config_text("a = 1\nnot a pair\n")
+        parse_config_text("a = 1\nnot a pair\n", "config")
     with pytest.raises(ValueError, match="line 1"):
-        parse_config_text("= 3\n")
+        parse_config_text("= 3\n", "config")
 
 
 def test_parse_config_rejects_a_repeated_key_naming_both_lines():
@@ -81,7 +82,7 @@ def test_parse_config_rejects_a_repeated_key_naming_both_lines():
     assert str(err.value) == "dup.cfg: line 4 repeats key 'seed' from line 1"
     # a key is its stripped text, so spacing does not hide a repeat
     with pytest.raises(ValueError, match="line 2 repeats key 'seed' from line 1"):
-        parse_config_text("seed = 1\n  seed=1\n")
+        parse_config_text("seed = 1\n  seed=1\n", "config")
 
 
 def test_apply_overrides():
@@ -144,8 +145,9 @@ BAD_PAIRS = [
     {"reference.period": 1e-320, "plant.dt": 1e308},
 ]
 # A flat reference scales angle observations by the upper stop, so a stop at
-# or below zero is rejected only with a zero amplitude (each alone is fine).
-FLAT_REFERENCE_STOPS = [0.0, -0.0, -0.1]
+# or below zero, or one that small observations overflow, is rejected only
+# with a zero amplitude (each alone is fine).
+FLAT_REFERENCE_STOPS = [0.0, -0.0, -0.1, 5e-324, 1e-300]
 
 # (key, value) pairs each config_from_dict must reject with an error naming the key
 BAD_VALUES = [
@@ -169,11 +171,15 @@ BAD_VALUES = [
     ("plant.dt", 0),
     ("plant.dt", 0.15),  # setting 2's strong human PD pair diverges the lag from 0.1452
     ("plant.dt", 1.0),
+    ("plant.dt", 1e-308),  # overflows the human PD derivative
+    ("plant.dt", 5e-324),
     ("plant.angle_min", -1e300),
     ("plant.angle_max", 1e151),
     ("plant.omega_max", 0),
     ("reference.amplitude", -0.1),
     ("reference.amplitude", 1e300),
+    ("reference.amplitude", 5e-324),  # overflows the angle observations
+    ("reference.amplitude", 1e-300),
     ("reference.period", 0),
     ("reference.offset", 1e300),
     ("reference.offset", -1e300),
@@ -182,6 +188,7 @@ BAD_VALUES = [
     ("human.reaction_delay", harness.MAX_SUBSTEPS + 1),
     ("human.lag_time_constant", -0.1),
     ("human.noise_std", -0.5),
+    ("human.noise_std", 1.7e308),  # overflows the noise draws
     ("hyper.gamma", 1.0),
     ("hyper.clip", 0.0),
     ("hyper.clip", 1.0),
@@ -217,7 +224,8 @@ def test_every_bound_has_a_bad_value():
     assert set(harness.BOUNDS) <= {key for key, _ in BAD_VALUES}
     for key, _, _, other in harness.PAIRED_BOUNDS:
         assert {key, other} in [set(bad) for bad in BAD_PAIRS] + [
-            {"plant.angle_max", "reference.amplitude"}, {"plant.dt", "human.lag_time_constant"}
+            {"plant.angle_max", "reference.amplitude"}, {"plant.dt", "human.lag_time_constant"},
+            {"plant.dt", "human.unit_torque"},
         ]
 
 
@@ -227,6 +235,50 @@ def test_cross_field_errors_name_both_keys():
             with pytest.raises(ValueError) as info:
                 config_from_dict({"seed": 1, **cfg})
             assert all("'%s'" % key in str(info.value) for key in bad), info.value
+
+
+def test_pd_derivative_bound_keeps_the_applied_torque_finite():
+    # kd * (4 * unit_torque / dt) is the largest derivative term a digit
+    # change gives; where the rule refuses, one substep after a change from
+    # digit -2 to 2 leaves the applied torque nan (a unit torque of 1e10 passes
+    # at the shipped dt and is refused, with both keys named, at 1e-300)
+    def applied_after_a_change(dt, unit_torque, gains):
+        lag_step = dt / (0.2 + dt) * dt
+        e0, e1 = -2 * unit_torque, 2 * unit_torque
+        return lag_step * (gains.kp * e1 + gains.kd * ((e1 - e0) / dt))
+
+    for sid in (2, 3):
+        for dt, unit_torque in ((1e-305, 5.0), (1e-300, 5.0), (1e-300, 1e6), (0.01, 1e149),
+                                (0.01, 1e10), (1e-308, 5.0), (5e-324, 5.0), (1e-300, 1e10)):
+            cfg = {"seed": 1, "setting": sid, "plant.dt": dt, "human.unit_torque": unit_torque}
+            finite = all(
+                math.isfinite(applied_after_a_change(dt, unit_torque, g))
+                for g in SETTINGS[sid].human_pd
+            )
+            if finite:
+                config_from_dict(cfg)
+            else:
+                with pytest.raises(ValueError, match="'plant.dt'.*'human.unit_torque'"):
+                    config_from_dict(cfg)
+    assert not math.isfinite(applied_after_a_change(1e-308, 5.0, SETTINGS[2].human_pd[0]))
+
+
+def test_angle_observation_and_noise_bounds_keep_their_products_finite():
+    # the smallest amplitude the bounds accept keeps the largest angle
+    # observation finite; the largest noise_std keeps every normal draw's product finite
+    ok_amplitude = harness.BOUNDS["reference.amplitude"][0]
+    lo, hi = 1e-160, 1e-155
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if ok_amplitude(mid) else (mid, hi)
+    assert not ok_amplitude(lo) and ok_amplitude(hi) and ok_amplitude(0.0)
+    assert math.isfinite(3 * harness.REACH_MAX / hi)
+    assert not harness.BOUNDS["plant.angle_min"][0](harness.REACH_MAX)
+    ok_noise = harness.BOUNDS["human.noise_std"][0]
+    assert ok_noise(1e307) and not ok_noise(5e307)
+    assert math.isfinite(harness.NORMAL_DRAW_MAX * 1e307)
+    draws = np.random.default_rng(0).standard_normal(10**6)
+    assert np.abs(draws).max() < harness.NORMAL_DRAW_MAX
 
 
 def test_sizes_up_to_the_substep_cap_are_accepted():
@@ -332,7 +384,7 @@ _config_texts = st.one_of(
 @given(_config_texts)
 def test_config_text_raises_only_value_error(text):
     try:
-        cfg = parse_config_text(text)
+        cfg = parse_config_text(text, "config")
         cfg.setdefault("seed", 0)
         config_from_dict(cfg)
     except ValueError:

@@ -29,11 +29,6 @@ def test_reference_periodicity():
         )
 
 
-def test_reference_rejects_negative_time():
-    with pytest.raises(ValueError):
-        sample_reference(ReferenceTrajectory(), -0.01)
-
-
 def test_clock_samples_the_reference_over_the_running_time_sum():
     traj = ReferenceTrajectory(amplitude=0.4, period=3.0, phase=0.2, offset=-0.1)
     rows = clock(traj, 0.01, 250)

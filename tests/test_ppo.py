@@ -270,7 +270,7 @@ def test_a_terminal_rows_next_observation_cannot_reach_the_advantages(monkeypatc
 
 def test_critic_values_hold_activations_for_at_most_511_rows():
     # one forward_cache call over all 20000 rows peaks at about 20 MB
-    critic = init_params(0, 6, 1)
+    critic = init_params(np.random.default_rng(0), 6, 1)
     obs = np.random.default_rng(1).uniform(-1.0, 1.0, (20000, 6))
     tracemalloc.start()
     try:
@@ -298,7 +298,7 @@ def test_clip_ratio_hand_values_and_bounds():
 
 def test_entropy_term_rows():
     p = np.array([[0.25, 0.75], [0.5, 0.5]])
-    e = entropy_term(p)
+    e = entropy_term(p, np.log(p))
     assert e[0] == pytest.approx(-(0.25 * math.log(0.25) + 0.75 * math.log(0.75)))
     assert e[1] == pytest.approx(math.log(2))
 
@@ -336,9 +336,8 @@ def test_actor_entropy_sign_flag():
     adv = rng.normal(size=6)
     base = actor_loss_parts(params, obs, actions, logp_old, adv, PPOHyper(entropy_weight=0.0))[0]
     bonus = actor_loss_parts(params, obs, actions, logp_old, adv, PPOHyper(entropy_weight=0.5))[0]
-    mean_ent = entropy_term(
-        np.stack([actor_forward(params, o).probabilities for o in obs])
-    ).mean()
+    probs = np.stack([actor_forward(params, o).probabilities for o in obs])
+    mean_ent = entropy_term(probs, np.log(probs)).mean()
     assert bonus == pytest.approx(base - 0.5 * mean_ent, rel=1e-12)
 
 
@@ -357,7 +356,7 @@ def _fd_check_actor(hyper, seed):
     def loss():
         return actor_loss_parts(params, obs, actions, logp_old, adv, hyper)[0]
 
-    _, grads = actor_grads(params, obs, actions, logp_old, adv, hyper)
+    _, grads = actor_grads(params, obs, actions, logp_old, adv, hyper, zeros_like_params(params))
     worst = 0.0
     # h = 3e-5 balances truncation against roundoff for a loss of order 1;
     # smaller steps leave tiny gradient entries roundoff-dominated
@@ -384,7 +383,7 @@ def test_critic_grads_match_finite_differences():
         out = critic_values(params, obs)
         return float(((returns - out) ** 2).sum() / (2.0 * len(returns)))
 
-    reported, grads = critic_grads(params, obs, returns)
+    reported, grads = critic_grads(params, obs, returns, zeros_like_params(params))
     assert reported == pytest.approx(loss(), rel=1e-12)
     for (name, g), (_, arr) in zip(grads.arrays(), params.arrays()):
         fd = oracles.central_difference(loss, arr)
@@ -447,7 +446,7 @@ def test_gradients_equal_their_earlier_formulas_bitwise(obs_dim, n_actions, rows
             break
         obs[~hit] = rng.uniform(-1.5, 1.5, ((~hit).sum(), obs_dim))
 
-    loss, grads = actor_grads(actor, obs, actions, lp, adv, hyper)
+    loss, grads = actor_grads(actor, obs, actions, lp, adv, hyper, zeros_like_params(actor))
     parts = actor_loss_parts(actor, obs, actions, lp, adv, hyper)
     ratio, unclipped = parts[4], parts[5]
     assert np.array_equal(ratio[edge], ratios[edge]) and unclipped[edge].all()
@@ -466,7 +465,7 @@ def test_gradients_equal_their_earlier_formulas_bitwise(obs_dim, n_actions, rows
 
 def test_sgd_step_momentum_semantics():
     hyper = PPOHyper(learning_rate=0.1)
-    params = init_params(0, 2, 2, hidden=4)
+    params = init_params(np.random.default_rng(0), 2, 2, hidden=4)
     start = copy.deepcopy(params)
     grads = zeros_like_params(params)
     for _, g in grads.arrays():

