@@ -90,7 +90,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    meta = ckpt.get("meta", {})
+    meta = ckpt["meta"]
     cfg_dict = _config_dict(args)
     for key in CHECKPOINT_KEYS:
         if key not in cfg_dict and key in meta:

@@ -30,15 +30,13 @@ class PIDGains:
 class SettingConfig:
     """One row of the sub-controller bank table."""
 
-    setting_id: int
     weights: RewardWeights
     human_pd: tuple  # (PDGains, PDGains): high-intensity pair first
     machine_pid: tuple  # (PIDGains, PIDGains)
 
 
-def _setting(sid, weights, pd1, pd2, pid1, pid2):
+def _setting(weights, pd1, pd2, pid1, pid2):
     return SettingConfig(
-        setting_id=sid,
         weights=RewardWeights(*weights),
         human_pd=(PDGains(*pd1), PDGains(*pd2)),
         machine_pid=(PIDGains(*pid1), PIDGains(*pid2)),
@@ -46,14 +44,14 @@ def _setting(sid, weights, pd1, pd2, pid1, pid2):
 
 
 SETTINGS = {
-    1: _setting(1, (1, 1, 5), (30, 0.2), (15, 0.1), (24, 2.4, 24), (12, 1.2, 12)),
-    2: _setting(2, (1, 1, 5), (30, 0.2), (15, 0.1), (12, 1.2, 12), (6, 0.6, 6)),
-    3: _setting(3, (1, 1, 5), (5, 0.1), (2.5, 0.05), (24, 2.4, 24), (12, 1.2, 12)),
-    4: _setting(4, (1, 1, 5), (5, 0.1), (2.5, 0.05), (12, 1.2, 12), (6, 0.6, 6)),
-    5: _setting(5, (1, 8, 1), (30, 0.2), (15, 0.1), (24, 2.4, 24), (12, 1.2, 12)),
-    6: _setting(6, (1, 8, 1), (30, 0.2), (15, 0.1), (12, 1.2, 12), (6, 0.6, 6)),
-    7: _setting(7, (1, 8, 1), (5, 0.1), (2.5, 0.05), (12, 1.2, 12), (6, 0.6, 6)),
-    8: _setting(8, (1, 8, 1), (5, 0.1), (2.5, 0.05), (24, 2.4, 24), (12, 1.2, 12)),
+    1: _setting((1, 1, 5), (30, 0.2), (15, 0.1), (24, 2.4, 24), (12, 1.2, 12)),
+    2: _setting((1, 1, 5), (30, 0.2), (15, 0.1), (12, 1.2, 12), (6, 0.6, 6)),
+    3: _setting((1, 1, 5), (5, 0.1), (2.5, 0.05), (24, 2.4, 24), (12, 1.2, 12)),
+    4: _setting((1, 1, 5), (5, 0.1), (2.5, 0.05), (12, 1.2, 12), (6, 0.6, 6)),
+    5: _setting((1, 8, 1), (30, 0.2), (15, 0.1), (24, 2.4, 24), (12, 1.2, 12)),
+    6: _setting((1, 8, 1), (30, 0.2), (15, 0.1), (12, 1.2, 12), (6, 0.6, 6)),
+    7: _setting((1, 8, 1), (5, 0.1), (2.5, 0.05), (12, 1.2, 12), (6, 0.6, 6)),
+    8: _setting((1, 8, 1), (5, 0.1), (2.5, 0.05), (24, 2.4, 24), (12, 1.2, 12)),
 }
 SETTING_RANGE = "%d..%d" % (min(SETTINGS), max(SETTINGS))  # the ids, as messages write them
 

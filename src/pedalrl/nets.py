@@ -29,9 +29,8 @@ than with nine ufunc calls on a 5- or 2-element array. It adds in the
 order numpy uses for rows that short, so a row gets the bits it would get
 inside a PPO minibatch.
 
-Checkpoints are a line-oriented text format (shape header, then one
-whitespace-separated row of repr floats per array) so that saved parameters
-round-trip bit-for-bit.
+This module reads and writes no files: ``ppo.save_checkpoint`` and
+``ppo.load_checkpoint`` own the checkpoint text that holds the arrays.
 """
 
 import math
@@ -61,7 +60,8 @@ class MLPParams:
     are row-major views of consecutive slices of it, made once here. Writing
     through either side changes the other. ``dims`` is
     ``(in_dim, hidden1, hidden2, out_dim)``; without a ``vector`` the
-    parameters start at zero.
+    parameters start at zero. Values are not checked for finiteness here;
+    ``first_nonfinite`` names the first array holding a bad one.
     """
 
     def __init__(self, dims: tuple, vector: np.ndarray = None):
@@ -83,10 +83,6 @@ class MLPParams:
         # copy.deepcopy (and pickle) copy the vector once and rebuild the views
         return MLPParams, (self.dims, self.vector)
 
-    def validate(self):
-        if not np.isfinite(self.vector).all():
-            raise ValueError("non-finite parameters in %s" % self.first_nonfinite())
-
     def first_nonfinite(self):
         """Name of the first array holding a non-finite value, or None."""
         for name, arr in self.arrays():
@@ -100,10 +96,6 @@ class MLPParams:
     @property
     def in_dim(self):
         return self.dims[0]
-
-    @property
-    def out_dim(self):
-        return self.dims[3]
 
 
 def init_params(
@@ -273,53 +265,3 @@ def greedy_action(dist: ActionDistribution) -> tuple:
     p = dist.probabilities.tolist()
     idx = p.index(max(p))
     return idx, float(dist.log_probabilities[idx])
-
-
-def params_to_text(params: MLPParams) -> str:
-    """Serialize to the text checkpoint block (exact float round-trip)."""
-    lines = [
-        "mlp %d %d %d %d"
-        % (params.in_dim, params.w1.shape[1], params.w2.shape[1], params.out_dim)
-    ]
-    for name, arr in params.arrays():
-        flat = arr.reshape(-1)
-        lines.append("%s %s" % (name, " ".join(map(repr, flat.tolist()))))
-    return "\n".join(lines) + "\n"
-
-
-def params_from_text(text: str, first_line: int = 1) -> MLPParams:
-    """Parse a ``params_to_text`` block.
-
-    An error in one line names it as ``line N``, counting the block's lines
-    from ``first_line`` (its place in a checkpoint file).
-    """
-    lines = [(at, ln) for at, ln in enumerate(text.splitlines(), first_line) if ln.strip()]
-    if not lines:
-        raise ValueError("empty network block")
-    shapes, arrays = None, {}
-    for at, ln in lines:
-        try:
-            if shapes is None:
-                head = ln.split()
-                dims = tuple(int(v) for v in head[1:]) if head[0] == "mlp" else ()
-                if len(dims) != 4 or min(dims) < 1:
-                    raise ValueError("bad checkpoint header: %r" % ln)
-                shapes = dict(layer_shapes(*dims))
-                continue
-            name, _, rest = ln.partition(" ")
-            if name not in shapes or name in arrays:
-                raise ValueError("%s checkpoint array %r" % (
-                    "repeated" if name in arrays else "unknown", name))
-            vals = [float(v) for v in rest.split()]
-            want = math.prod(shapes[name])
-            if len(vals) != want:
-                raise ValueError("%s has %d values, expected %d" % (name, len(vals), want))
-            arrays[name] = vals
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (at, exc)) from None
-    missing = set(shapes) - set(arrays)
-    if missing:
-        raise ValueError("checkpoint missing arrays: %s" % sorted(missing))
-    params = MLPParams(dims, np.array([v for name in shapes for v in arrays[name]]))
-    params.validate()
-    return params

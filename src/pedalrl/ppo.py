@@ -13,7 +13,7 @@ Optimization is plain gradient descent.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .nets import (
     backward,
     forward_cache,
     init_params,
-    params_from_text,
-    params_to_text,
+    layer_shapes,
     softmax_probs,
     zeros_like_params,
 )
@@ -305,7 +304,7 @@ class TrainResult:
     human: Agent
     machine: Agent
     value_curve: np.ndarray  # cumulative shared reward per rollout episode
-    loss_traces: list = field(default_factory=list)
+    loss_traces: list
 
 
 def train(env: EnvParams, hyper: PPOHyper, seed: int, n_updates: int) -> TrainResult:
@@ -363,7 +362,14 @@ CHECKPOINT_SECTIONS = tuple(CHECKPOINT_SIZES)
 
 
 def save_checkpoint(path, human: Agent, machine: Agent, meta: dict):
-    """Write ``meta`` and all four networks to one text file (exact float round-trip)."""
+    """Write ``meta`` and all four networks to one UTF-8 text file.
+
+    Its lines: the header ``pedalrl-checkpoint 1``; ``meta KEY VALUE`` per
+    key of ``meta``, sorted; then per network, in ``CHECKPOINT_SECTIONS``
+    order, ``section NAME``, ``mlp IN HIDDEN1 HIDDEN2 OUT`` and one line per
+    array, ``w1 b1 w2 b2 w3 b3``: its name, then the ``repr`` of each value,
+    row-major, one space apart. A float's ``repr`` reads back to its bits.
+    """
     nets = {
         "human.actor": human.actor, "human.critic": human.critic,
         "machine.actor": machine.actor, "machine.critic": machine.critic,
@@ -373,40 +379,86 @@ def save_checkpoint(path, human: Agent, machine: Agent, meta: dict):
         lines.append("meta %s %s" % (key, meta[key]))
     for name in CHECKPOINT_SECTIONS:
         lines.append("section %s" % name)
-        lines.append(params_to_text(nets[name]).rstrip("\n"))
+        lines.append("mlp %d %d %d %d" % nets[name].dims)
+        for array, values in nets[name].arrays():
+            lines.append("%s %s" % (array, " ".join(map(repr, values.reshape(-1).tolist()))))
     write_utf8(path, "\n".join(lines) + "\n")
 
 
-def load_checkpoint(path) -> dict:
-    """Read a checkpoint back as {section name: MLPParams} plus 'meta', sizes checked.
+def _read_section(lines) -> MLPParams:
+    """The network of one section's non-blank (file line number, text) pairs."""
+    if not lines:
+        raise ValueError("empty network block")
+    shapes, arrays = None, {}
+    for at, ln in lines:
+        try:
+            if shapes is None:
+                head = ln.split()
+                dims = tuple(int(v) for v in head[1:]) if head[0] == "mlp" else ()
+                if len(dims) != 4 or min(dims) < 1:
+                    raise ValueError("bad checkpoint header: %r" % ln)
+                shapes = dict(layer_shapes(*dims))
+                continue
+            name, _, rest = ln.partition(" ")
+            if name not in shapes or name in arrays:
+                raise ValueError("%s checkpoint array %r" % (
+                    "repeated" if name in arrays else "unknown", name))
+            vals = [float(v) for v in rest.split()]
+            want = math.prod(shapes[name])
+            if len(vals) != want:
+                raise ValueError("%s has %d values, expected %d" % (name, len(vals), want))
+            arrays[name] = vals
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (at, exc)) from None
+    missing = set(shapes) - set(arrays)
+    if missing:
+        raise ValueError("checkpoint missing arrays: %s" % sorted(missing))
+    params = MLPParams(dims, np.array([v for name in shapes for v in arrays[name]]))
+    bad = params.first_nonfinite()
+    if bad is not None:
+        raise ValueError("non-finite parameters in %s" % bad)
+    return params
 
-    Each ValueError starts with ``path`` and names the line at fault where
-    there is one; an unknown or repeated section is an error.
+
+def load_checkpoint(path) -> dict:
+    """Read a ``save_checkpoint`` file back as {section name: MLPParams} plus 'meta'.
+
+    'meta' maps each key to its value text. Blank lines are skipped and meta
+    lines may stand anywhere after the header. A repeated meta key, section
+    or array, an unknown section or array, a missing or non-finite array and
+    sizes other than ``CHECKPOINT_SIZES`` are errors: each ValueError starts
+    with ``path`` and names the line at fault where there is one.
     """
     lines = read_utf8(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError("%s: not a recognized checkpoint file" % path)
-    meta, blocks, block = {}, {}, None  # blocks: name -> (first line number, lines)
+    meta, meta_at, blocks, block = {}, {}, {}, None  # meta_at: key -> its line number
     for at, ln in enumerate(lines[1:], 2):
+        if not ln.strip():
+            continue
         word, _, rest = ln.partition(" ")
         if word == "meta":
             key, sep, value = rest.partition(" ")
             if not sep:
                 raise ValueError("%s: line %d: bad meta line %r" % (path, at, ln))
+            if key in meta_at:
+                raise ValueError("%s: line %d repeats meta key %r from line %d" % (
+                    path, at, key, meta_at[key]))
+            meta_at[key] = at
             meta[key] = value
         elif word == "section":
             if rest in blocks or rest not in CHECKPOINT_SIZES:
                 raise ValueError("%s: line %d: %s section %r" % (
                     path, at, "repeated" if rest in blocks else "unknown", rest))
-            block = blocks[rest] = (at + 1, [])
-        elif block is not None:
-            block[1].append(ln)
-        elif ln.strip():
+            block = blocks[rest] = []
+        elif block is None:
             raise ValueError("%s: line %d: expected a meta or section line" % (path, at))
+        else:
+            block.append((at, ln))
     sections = {}
-    for name, (first, block) in blocks.items():
+    for name, block in blocks.items():
         try:
-            sections[name] = params_from_text("\n".join(block), first)
+            sections[name] = _read_section(block)
         except ValueError as exc:
             raise ValueError("%s: %s: %s" % (path, name, exc)) from None
     missing = set(CHECKPOINT_SECTIONS) - set(sections)

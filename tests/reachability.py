@@ -20,6 +20,11 @@ statement, its header and decorators) runs; docstrings run no code and are
 left out. pytest does not collect this file; run it by hand:
 
     PYTHONPATH=src python tests/reachability.py
+
+``unreached_functions`` gives the same check at function granularity: a
+function or method counts as reached when any line of its body after the
+docstring runs. tests/test_reachability.py runs it in a fresh process, so
+that the imports run under the tracer.
 """
 
 import ast
@@ -33,19 +38,57 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "pedalrl"
 
 
+def is_docstring(node) -> bool:
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+
+
 def statement_lines(path: Path) -> dict:
     """{statement's first line: the lines whose running reaches it}, raise statements left out."""
     lines = {}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if not isinstance(node, ast.stmt) or isinstance(node, ast.Raise):
             continue
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-            continue  # a docstring
+        if is_docstring(node):
+            continue
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         body = getattr(node, "body", None)
         last = body[0].lineno - 1 if body else node.end_lineno
         lines[node.lineno] = range(first, max(first, last) + 1)
     return lines
+
+
+def function_bodies(path: Path) -> dict:
+    """{``module.qualified.name``: its body's lines} of each function and method in ``path``.
+
+    The body's lines run from its first statement after the docstring to its
+    end, those of the functions nested in it included.
+    """
+    bodies = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = child.body[1:] if is_docstring(child.body[0]) else child.body
+                bodies[prefix + child.name] = range(body[0].lineno, child.end_lineno + 1)
+                visit(child, prefix + child.name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem + ".")
+    return bodies
+
+
+def unreached_functions() -> list:
+    """``module.qualified.name`` of each function none of the runs entered, in file order."""
+    hit = trace_runs()
+    return [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name, body in function_bodies(path).items()
+        if not any((path.name, at) in hit for at in body)
+    ]
 
 
 def trace_runs() -> set:

@@ -503,6 +503,23 @@ MALFORMED = {
     ),
     # lines 27-34 are the machine.critic section
     "missing_section": (lambda ls: ls[:26], "missing sections: ['machine.critic']"),
+    "repeated_meta_key": (
+        lambda ls: ls[:2] + ["meta seed 5"] + ls[2:], "line 3 repeats meta key 'seed' from line 2"
+    ),
+    # lines 4-10 are the human.actor network: its mlp line, then w1 .. b3
+    "empty_section": (lambda ls: ls[:3] + ls[10:], "human.actor: empty network block"),
+    "missing_array": (
+        lambda ls: ls[:9] + ls[10:], "human.actor: checkpoint missing arrays: ['b3']"
+    ),
+    # a meta line inside a section moves the lines after it down
+    "meta_in_section": (
+        lambda ls: ls[:5] + ["meta note x", "b1 1.0"] + ls[6:],
+        "human.actor: line 7: b1 has 1 values, expected 64",
+    ),
+    "non_finite": (
+        lambda ls: ls[:4] + ["w1 inf " + ls[4].split(" ", 2)[2]] + ls[5:],
+        "human.actor: non-finite parameters in w1",
+    ),
 }
 
 

@@ -30,7 +30,6 @@ def test_settings_table():
     assert sorted(SETTINGS) == list(range(1, 9))
     for sid, (w, pds, pids) in EXPECTED_ROWS.items():
         cfg = SETTINGS[sid]
-        assert cfg.setting_id == sid
         assert (cfg.weights.mu, cfg.weights.kappa, cfg.weights.rho) == w
         assert tuple((g.kp, g.kd) for g in cfg.human_pd) == pds
         assert tuple((g.kp, g.ki, g.kd) for g in cfg.machine_pid) == pids
@@ -39,9 +38,9 @@ def test_settings_table():
 def test_gain_validation():
     # gains and weights are not checked on construction: only the fixed
     # SETTINGS table fills them, so the table is checked here
-    for row in SETTINGS.values():
+    for sid, row in SETTINGS.items():
         gains = [*row.human_pd, *row.machine_pid, row.weights]
-        assert all(v >= 0.0 for g in gains for v in vars(g).values()), row.setting_id
+        assert all(v >= 0.0 for g in gains for v in vars(g).values()), sid
 
 
 def test_proportional_only_hand_value():

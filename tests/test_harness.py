@@ -425,7 +425,7 @@ def test_coerce_text_matches_reference_typing(text):
 def test_make_env_wiring():
     cfg = config_from_dict({"seed": 1, "setting": 6})
     env = make_env(cfg)
-    assert env.setting.setting_id == 6
+    assert env.setting is SETTINGS[6]
     assert env.setting.weights.kappa == 8.0
 
 

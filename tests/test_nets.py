@@ -2,6 +2,8 @@ import copy
 import math
 import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,13 +22,19 @@ from pedalrl.nets import (
     forward_cache,
     greedy_action,
     init_params,
-    params_from_text,
-    params_to_text,
     sample_action,
     softmax_probs,
     zeros_like_params,
 )
-from pedalrl.ppo import critic_values, entropy_term, load_checkpoint, make_agent, save_checkpoint
+from pedalrl.ppo import (
+    CHECKPOINT_SIZES,
+    Agent,
+    critic_values,
+    entropy_term,
+    load_checkpoint,
+    make_agent,
+    save_checkpoint,
+)
 
 
 class ScriptedRNG:
@@ -47,7 +55,7 @@ def test_init_shapes_and_bias():
     assert p.w2.shape == (16, 16)
     assert p.w3.shape == (16, 3)
     assert not p.b1.any() and not p.b2.any() and not p.b3.any()
-    assert p.in_dim == 5 and p.out_dim == 3
+    assert p.in_dim == 5 and p.dims[3] == 3
 
 
 def test_init_policy_near_uniform():
@@ -314,50 +322,66 @@ def test_entropy_bounds_and_hand_value():
     assert entropy_term(uniform, np.log(uniform)) == pytest.approx(math.log(4), abs=1e-12)
 
 
-def test_text_round_trip_exact():
+def save_networks(path, nets):
+    """Save a checkpoint of ``nets``, {section name: MLPParams}; returns its lines."""
+    human = Agent(nets["human.actor"], nets["human.critic"], None)
+    machine = Agent(nets["machine.actor"], nets["machine.critic"], None)
+    save_checkpoint(path, human, machine, meta={})
+    return path.read_text().splitlines()
+
+
+def section_lines(lines, name):
+    """The mlp line and the six array lines of section ``name``."""
+    at = lines.index("section %s" % name) + 1
+    return lines[at:at + 7]
+
+
+def per_element_lines(params):
+    """The section lines ``save_checkpoint`` must write, value by value."""
+    return ["mlp %d %d %d %d" % params.dims] + [
+        "%s %s" % (name, " ".join(repr(float(v)) for v in arr.reshape(-1)))
+        for name, arr in params.arrays()
+    ]
+
+
+def assert_bits_equal(p, q):
+    assert q.dims == p.dims
+    assert np.array_equal(q.vector.view(np.uint64), p.vector.view(np.uint64))
+
+
+def test_text_round_trip_exact(tmp_path):
     rng = np.random.default_rng(4)
-    p = init_params(rng, 5, 5, hidden=8)
+    nets = {name: init_params(rng, *sizes, hidden=8) for name, sizes in CHECKPOINT_SIZES.items()}
+    p = nets["human.actor"]
     # poke in awkward values that stress repr round-tripping
     p.w1[0, 0] = 1e-300
     p.w1[0, 1] = -0.0
     p.b3[0] = 1.0 / 3.0
-    text = params_to_text(p)
-    q = params_from_text(text)
-    for (name, a), (_, b) in zip(p.arrays(), q.arrays()):
-        assert np.array_equal(a, b), name
+    lines = save_networks(tmp_path / "agents.ckpt", nets)
+    assert section_lines(lines, "human.actor") == per_element_lines(p)
+    assert_bits_equal(p, load_checkpoint(tmp_path / "agents.ckpt")["human.actor"])
 
 
-def params_to_text_per_element(params):
-    """The per-element formula ``params_to_text`` must equal byte for byte."""
-    lines = ["mlp %d %d %d %d" % params.dims]
-    for name, arr in params.arrays():
-        lines.append("%s %s" % (name, " ".join(repr(float(v)) for v in arr.reshape(-1))))
-    return "\n".join(lines) + "\n"
-
-
-def test_text_equals_per_element_repr():
+def test_text_equals_per_element_repr(tmp_path):
     rng = np.random.default_rng(8)
     awkward = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e16])
-    for in_dim, out_dim, hidden in ((5, 5, 64), (6, 2, 64), (3, 1, 7)):
-        p = init_params(rng, in_dim, out_dim, hidden=hidden)
+    hidden = {"human.actor": 64, "human.critic": 7, "machine.actor": 64, "machine.critic": 7}
+    nets = {}
+    for name, (in_dim, out_dim) in CHECKPOINT_SIZES.items():
+        p = nets[name] = init_params(rng, in_dim, out_dim, hidden=hidden[name])
         spots = rng.choice(p.vector.size, size=3 * awkward.size, replace=False)
         p.vector[spots] = np.tile(awkward, 3)
         p.vector[:] *= rng.choice((1.0, 1e-310), size=p.vector.size)  # subnormals
         subnormal = (p.vector != 0.0) & (np.abs(p.vector) < np.finfo(float).tiny)
         assert np.count_nonzero(subnormal) > p.vector.size // 4
-        assert params_to_text(p) == params_to_text_per_element(p)
+    lines = save_networks(tmp_path / "agents.ckpt", nets)
+    loaded = load_checkpoint(tmp_path / "agents.ckpt")
+    for name, p in nets.items():
+        assert section_lines(lines, name) == per_element_lines(p), name
+        assert_bits_equal(p, loaded[name])
 
 
 def test_text_rejects_corruption(tmp_path):
-    p = init_params(np.random.default_rng(0), 3, 2, hidden=4)
-    text = params_to_text(p)
-    with pytest.raises(ValueError):
-        params_from_text(text.replace("mlp 3 4 4 2", "mlp 3 4 4 5"))
-    with pytest.raises(ValueError):
-        params_from_text("\n".join(text.splitlines()[:3]))
-    with pytest.raises(ValueError, match="empty"):
-        params_from_text("")
-
     # a truncated checkpoint names the file, the section, the line and the array
     rng = np.random.default_rng(0)
     path = tmp_path / "agents.ckpt"
@@ -399,7 +423,6 @@ def test_params_are_views_of_one_vector(tmp_path):
     p = init_params(rng, 5, 3, hidden=7)
     assert p.vector.shape == (5 * 7 + 7 + 7 * 7 + 7 + 7 * 3 + 3,)
     assert_flat_views(p)
-    assert_flat_views(params_from_text(params_to_text(p)))
     assert_flat_views(zeros_like_params(p))
     path = tmp_path / "agents.ckpt"
     save_checkpoint(path, make_agent(rng, 5, 5, 8), make_agent(rng, 6, 2, 8), meta={})
@@ -447,8 +470,7 @@ def test_non_finite_gradient_names_its_array():
     with pytest.raises(ValueError, match="non-finite gradient in w1"):
         backward(p, cache, np.array([[np.inf, 0.0], [0.0, 0.0]]), zeros_like_params(p))
     p.w2[1, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite parameters in w2"):
-        p.validate()
+    assert p.first_nonfinite() == "w2"
 
 
 def test_vector_must_match_dims():
@@ -456,7 +478,7 @@ def test_vector_must_match_dims():
         MLPParams((2, 3, 3, 1), np.zeros(5))
 
 
-# Checkpoint-like text: a header of small or odd tokens, then named rows of
+# A section's lines: a header of small or odd tokens, then named rows of
 # numeric-looking tokens, or free text.
 _tokens = st.one_of(
     st.integers(-2, 4).map(str), st.floats().map(repr), st.text(max_size=4)
@@ -482,31 +504,48 @@ _blocks = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_blocks)
-def test_params_from_text_raises_only_value_error(text):
-    try:
-        p = params_from_text(text)
-    except ValueError:
-        return
-    assert_flat_views(p)
+def test_loading_a_fuzzed_section_raises_only_value_error(text):
+    # the human actor's section replaced in an otherwise valid checkpoint
+    # (tempfile, since hypothesis cannot take tmp_path)
+    rng = np.random.default_rng(0)
+    nets = {name: init_params(rng, *sizes, hidden=2) for name, sizes in CHECKPOINT_SIZES.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "agents.ckpt"
+        lines = save_networks(path, nets)
+        at = lines.index("section human.actor") + 1
+        lines[at:at + 7] = [text]
+        # surrogates in the text become bytes that are not UTF-8
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+        try:
+            loaded = load_checkpoint(path)
+        except ValueError:
+            return
+    assert_flat_views(loaded["human.actor"])
 
 
 @settings(max_examples=60, deadline=None)
-@given(dims=st.tuples(*[st.integers(1, 5)] * 4), data=st.data())
-def test_text_round_trip_is_bitwise(dims, data):
-    p = MLPParams(dims)
-    n = p.vector.size
-    values = data.draw(
-        st.lists(
-            st.one_of(
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.sampled_from((-0.0, 1e-300, 5e-324, 1.0 / 3.0)),
-            ),
-            min_size=n,
-            max_size=n,
+@given(hidden=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=4, max_size=4),
+       data=st.data())
+def test_text_round_trip_is_bitwise(hidden, data):
+    nets = {}
+    for (name, (in_dim, out_dim)), (h1, h2) in zip(CHECKPOINT_SIZES.items(), hidden):
+        p = nets[name] = MLPParams((in_dim, h1, h2, out_dim))
+        n = p.vector.size
+        values = data.draw(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from((-0.0, 1e-300, 5e-324, 1.0 / 3.0)),
+                ),
+                min_size=n,
+                max_size=n,
+            )
         )
-    )
-    p.vector[:] = values
-    p.vector[0], p.vector[-1] = -0.0, 1e-300
-    q = params_from_text(params_to_text(p))
-    assert q.dims == dims
-    assert np.array_equal(q.vector.view(np.uint64), p.vector.view(np.uint64))
+        p.vector[:] = values
+        p.vector[0], p.vector[-1] = -0.0, 1e-300
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "agents.ckpt"
+        save_networks(path, nets)
+        loaded = load_checkpoint(path)
+    for name, p in nets.items():
+        assert_bits_equal(p, loaded[name])
